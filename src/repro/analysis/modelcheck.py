@@ -24,7 +24,11 @@ Model
 * With ``--losses N``, schedules may also *drop* up to N round-1
   control messages — the paper's claim is that a lost control event is
   absorbed by the next round ("the later commit encapsulates it").
-* Once all processing and channels drain, a loss-free final round runs
+* Once all processing and channels drain, the coordinator's periodic
+  initiator (``initiate_if_idle``, the rule the live sites run) is
+  called until it starts a round: at once when no round is collecting,
+  after ``MAX_SKIPPED_INITIATIONS`` declined calls when a lost round-1
+  message left one collecting.  That loss-free final round runs
   atomically; afterwards every backup queue must be empty.
 
 Checked invariants
@@ -58,6 +62,7 @@ from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 from ..core.checkpoint import (
+    MAX_SKIPPED_INITIATIONS,
     CheckpointCoordinator,
     ChkptMsg,
     ChkptRepMsg,
@@ -229,6 +234,7 @@ def _state_key(w: _World) -> Tuple:
     coord = w.coord
     coord_key = (
         coord._current_round,
+        coord._skipped_in_a_row,
         _vt_key(coord._proposal),
         tuple(sorted((s, _vt_key(vt)) for s, vt in coord._replies.items())),
     )
@@ -342,9 +348,14 @@ def _apply_action(w: _World, action: Tuple, trace: List[str]) -> None:
         # least what any lost commit covered, which is exactly how the
         # paper absorbs losses ("the later commit encapsulates the
         # earlier one").  If an earlier round is still collecting (its
-        # replies were dropped), initiating supersedes it — the
+        # replies were dropped), the periodic initiator declines a
+        # bounded number of times and then supersedes it — the
         # no-timeout rule.
-        msg = w.coord.initiate(w.full_vt)
+        msg = None
+        for _ in range(MAX_SKIPPED_INITIATIONS + 1):
+            msg = w.coord.initiate_if_idle(w.full_vt)
+            if msg is not None:
+                break
         commit: Optional[CommitMsg] = None
         if msg is not None:
             for s in w.sites:

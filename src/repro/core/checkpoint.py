@@ -32,6 +32,7 @@ from typing import Any, Dict, FrozenSet, List, Optional, Set
 from .events import VectorTimestamp
 
 __all__ = [
+    "MAX_SKIPPED_INITIATIONS",
     "CHKPT",
     "CHKPT_REP",
     "COMMIT",
@@ -46,6 +47,12 @@ __all__ = [
 CHKPT = "CHKPT"
 CHKPT_REP = "CHKPT_REP"
 COMMIT = "COMMIT"
+
+#: Initiations in a row :meth:`CheckpointCoordinator.initiate_if_idle`
+#: declines while a round collects before one supersedes it.  Finite
+#: because the protocol has no timeouts: a lost CHKPT or CHKPT_REP leaves
+#: its round collecting for ever, and only a later round absorbs it.
+MAX_SKIPPED_INITIATIONS = 8
 
 #: Wire size charged for checkpoint control events.  Small and constant:
 #: a vector timestamp plus a handful of piggybacked counters.
@@ -159,6 +166,8 @@ class CheckpointCoordinator:
         self.rounds_started = 0
         self.rounds_committed = 0
         self.rounds_superseded = 0
+        self.initiations_skipped = 0
+        self._skipped_in_a_row = 0
         self.stale_replies = 0
         self.last_commit: Optional[VectorTimestamp] = None
 
@@ -181,8 +190,30 @@ class CheckpointCoordinator:
         self._current_round = next(self._round_ids)
         self._proposal = proposal
         self._replies = {}
+        self._skipped_in_a_row = 0
         self.rounds_started += 1
         return ChkptMsg(round_id=self._current_round, vt=proposal)
+
+    def initiate_if_idle(
+        self, proposal: Optional[VectorTimestamp]
+    ) -> Optional[ChkptMsg]:
+        """:meth:`initiate`, unless a round is still collecting.
+
+        An initiator that fires faster than a round trip would otherwise
+        supersede every round before it commits: backup queues go
+        untrimmed and each superseded CHKPT is traffic for nothing.  The
+        collecting round is left to finish; after
+        :data:`MAX_SKIPPED_INITIATIONS` declined calls in a row it is
+        presumed lost and superseded.
+        """
+        if (
+            self._current_round is not None
+            and self._skipped_in_a_row < MAX_SKIPPED_INITIATIONS
+        ):
+            self._skipped_in_a_row += 1
+            self.initiations_skipped += 1
+            return None
+        return self.initiate(proposal)
 
     def on_reply(self, reply: ChkptRepMsg) -> Optional[CommitMsg]:
         """Record a vote; returns the COMMIT once all sites have voted.

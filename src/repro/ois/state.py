@@ -52,6 +52,13 @@ PER_FLIGHT_SNAPSHOT_BYTES = 2048
 #: per-stream high-water vector, changed-flight count).
 DELTA_HEADER_BYTES = 64
 
+#: Most entries the change journal (and each per-stream log) may hold.
+#: Reaching it drops the older half, so at least half a horizon of
+#: history is always resumable; a client resuming from before the
+#: retained history gets the full view, exactly as one whose delta
+#: would be too large does.
+JOURNAL_HORIZON = 16_384
+
 
 @dataclass
 class FlightState:
@@ -100,6 +107,16 @@ class FlightView:
             arrived=st.arrived,
             position=tuple(sorted(st.position.items())) if st.position else (),
         )
+
+
+def _drop_older_half(keys: List[Any], values: List[Any]) -> Any:
+    """Cut two parallel logs to their newer half; returns the last key
+    dropped (every later key is still there)."""
+    cut = len(keys) // 2
+    floor = keys[cut - 1]
+    del keys[:cut]
+    del values[:cut]
+    return floor
 
 
 def _frozen_marks(marks: Mapping[str, int]) -> Mapping[str, int]:
@@ -193,12 +210,17 @@ class OperationalStateStore:
         #: bumped on every mutation; snapshots are cached per generation
         self.generation = 0
         # change journal: parallel (generation, flight_id) lists, gens
-        # strictly increasing — binary search finds "changed since g"
+        # strictly increasing — binary search finds "changed since g".
+        # Bounded by JOURNAL_HORIZON: every change after generation
+        # ``_log_floor`` is still journalled, nothing older is
         self._log_gens: List[int] = []
         self._log_fids: List[str] = []
+        self._log_floor = 0
         # per-stream (seqnos, gens) monotone logs mapping a client's
-        # high-water mark back to the generation it covers
+        # high-water mark back to the generation it covers; a mark below
+        # the stream's ``_stream_floor`` predates what the log retains
         self._stream_log: Dict[str, Tuple[List[int], List[int]]] = {}
+        self._stream_floor: Dict[str, int] = {}
         # snapshot cache: per-flight views + the last built full view.
         # The dirty collection is a dict-as-set (values unused): it is
         # iterated when rebuilding views, and set iteration order is
@@ -219,6 +241,8 @@ class OperationalStateStore:
         self._log_gens.append(self.generation)
         self._log_fids.append(flight_id)
         self._dirty[flight_id] = None
+        if len(self._log_gens) >= JOURNAL_HORIZON:
+            self._log_floor = _drop_older_half(self._log_gens, self._log_fids)
 
     def touch(self, flight_id: str) -> None:
         """Record an out-of-band mutation of ``flight_id``'s record.
@@ -286,9 +310,12 @@ class OperationalStateStore:
         st.updates_applied += 1
         self.events_applied += 1
         self.generation += 1
-        self._log_gens.append(self.generation)
+        gens = self._log_gens
+        gens.append(self.generation)
         self._log_fids.append(key)
         self._dirty[key] = None
+        if len(gens) >= JOURNAL_HORIZON:
+            self._log_floor = _drop_older_half(gens, self._log_fids)
         stream = event.stream
         seqno = event.seqno
         if seqno > self._stream_seen.get(stream, 0):
@@ -296,8 +323,11 @@ class OperationalStateStore:
             log = self._stream_log.get(stream)
             if log is None:
                 log = self._stream_log[stream] = ([], [])
-            log[0].append(seqno)
+            seqnos = log[0]
+            seqnos.append(seqno)
             log[1].append(self.generation)
+            if len(seqnos) >= JOURNAL_HORIZON:
+                self._stream_floor[stream] = _drop_older_half(seqnos, log[1])
         payload = event.payload
         if event.kind == FAA_POSITION:
             try:
@@ -388,11 +418,16 @@ class OperationalStateStore:
 
         Conservative: with interleaved streams the returned generation
         may pre-date some events the client has seen, which only makes
-        the resulting delta a superset — never incomplete.
+        the resulting delta a superset — never incomplete.  A mark older
+        than a stream's retained log cannot be placed: the answer is
+        then -1, older than any journal floor, and the caller falls
+        back to the full view.
         """
         floor = self.generation
         for stream, (seqnos, gens) in self._stream_log.items():
             mark = as_of.get(stream, 0)
+            if mark < self._stream_floor.get(stream, 0):
+                return -1
             i = bisect.bisect_right(seqnos, mark)
             if i < len(seqnos):
                 floor = min(floor, gens[i] - 1)
@@ -400,7 +435,9 @@ class OperationalStateStore:
 
     def changed_since(self, generation: int) -> List[str]:
         """Flight ids changed after ``generation`` (journal order,
-        deduplicated); O(changed), not O(all flights)."""
+        deduplicated); O(changed), not O(all flights).  Complete only
+        for generations the journal still reaches back to
+        (``generation >= _log_floor``); :meth:`delta_snapshot` checks."""
         start = bisect.bisect_right(self._log_gens, generation)
         seen: set = set()
         out: List[str] = []
@@ -425,11 +462,14 @@ class OperationalStateStore:
         changed since, or falls back to the cached full
         :class:`StateSnapshot` when the delta would exceed
         ``max_fraction`` of the full view's size (a client too far
-        behind gains nothing from a delta).
+        behind gains nothing from a delta) or when the client resumes
+        from before the journal's horizon.
         """
         if since_generation is None:
             since_generation = self.generation_for(since_marks or {})
         full = self.snapshot(now)  # also refreshes the view cache
+        if since_generation < self._log_floor:
+            return full
         changed = (
             self.changed_since(since_generation)
             if since_generation < self.generation

@@ -21,12 +21,23 @@ __all__ = ["AsyncSubscription", "AsyncChannel"]
 
 
 class AsyncSubscription:
-    """One subscriber: a bounded queue (bound = backpressure depth)."""
+    """One subscriber: a bounded queue (bound = backpressure depth).
+
+    With ``into`` the subscription delivers into a queue its consumer
+    shares between several subscriptions instead of one of its own;
+    items then arrive as ``(tag, payload)`` so the consumer can tell
+    the sources apart, in the order they were published.
+    """
 
     def __init__(self, name: str, capacity: int = 128,
-                 accepts: Optional[Callable[[Any], bool]] = None):
+                 accepts: Optional[Callable[[Any], bool]] = None,
+                 into: Optional[asyncio.Queue] = None,
+                 tag: Optional[str] = None):
         self.name = name
-        self.queue: asyncio.Queue = asyncio.Queue(maxsize=capacity)
+        self.queue: asyncio.Queue = (
+            into if into is not None else asyncio.Queue(maxsize=capacity)
+        )
+        self._tag = tag
         self.accepts = accepts
         self.delivered = 0
         #: deepest the queue has ever been (how close backpressure came)
@@ -41,6 +52,8 @@ class AsyncSubscription:
         coupling), but the stall is counted so a run can report how
         often publishers were held up and how deep queues ran.
         """
+        if self._tag is not None:
+            item = (self._tag, item)
         try:
             self.queue.put_nowait(item)
         except asyncio.QueueFull:
@@ -80,9 +93,15 @@ class AsyncChannel:
         name: str,
         capacity: int = 128,
         accepts: Optional[Callable[[Any], bool]] = None,
+        into: Optional[asyncio.Queue] = None,
     ) -> AsyncSubscription:
-        """Add a subscriber with its own bounded queue."""
-        sub = AsyncSubscription(name, capacity=capacity, accepts=accepts)
+        """Add a subscriber with its own bounded queue — or, with
+        ``into``, one delivering ``(channel kind, payload)`` pairs into
+        a queue the consumer shares with its other subscriptions."""
+        sub = AsyncSubscription(
+            name, capacity=capacity, accepts=accepts, into=into,
+            tag=self.kind if into is not None else None,
+        )
         self.subscriptions.append(sub)
         return sub
 

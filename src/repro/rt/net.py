@@ -50,13 +50,15 @@ import gc
 import json
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import (
     TYPE_CHECKING,
     Any,
     Awaitable,
     Callable,
     Dict,
+    Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -87,8 +89,15 @@ from ..wire import (
     WireEncoder,
 )
 from .channels import AsyncChannel, AsyncSubscription
-from .sites import EOS, AsyncCentralSite, AsyncMirrorSite
+from .sites import (
+    CONTROL_BOUND,
+    EOS,
+    MAX_RUN_EVENTS,
+    AsyncCentralSite,
+    AsyncMirrorSite,
+)
 from .system import AsyncRunSummary
+from .tasks import TaskSupervisor
 
 __all__ = [
     "AdaptiveFlusher",
@@ -101,6 +110,35 @@ __all__ = [
     "NetProcessRunner",
     "install_event_loop",
 ]
+
+
+# -- memory budget of the socket layer (the site queues: rt/sites.py) ------
+#: Bytes asked of a socket per read.  One read is one *chunk*: the
+#: frames it completes travel each hop together, so this also bounds
+#: what a connection holds decoded but not yet queued.
+READ_BYTES = 16 * 1024
+#: ``NetCentral._uplink`` holds mirrored events and control messages on
+#: their way to the encoder.  Full: ``sending_task`` (for a COMMIT,
+#: ``control_task``) blocks in ``publish``.  Drained by the broadcast
+#: loop, which blocks only on a full ``outbound``.
+UPLINK_BOUND = 128
+#: ``_MirrorConnection.outbound`` holds encoded frames for one mirror.
+#: Full: the broadcast loop blocks — the slowest mirror paces the stream.
+#: Drained by the connection's writer loop, which blocks only on its
+#: socket: a mirror that stops reading holds the stream in central's
+#: TCP send buffer.
+OUTBOUND_BOUND = 256
+#: ``NetMirror.data_sub`` holds runs of events off the central
+#: connection.  Full: the mirror's reader blocks and stops reading its
+#: socket.  Drained by the mirror's ``receiving_task``.
+MIRROR_DATA_BOUND = 8
+#: Bytes a subscriber's transport may hold unsent.  Past it the
+#: subscriber is too slow for the stream it asked for: it is
+#: disconnected, its registrations die with the connection, and it
+#: resumes as a failed-over client does — re-register, snapshot.
+SUB_WRITE_BUDGET = 1 << 20
+#: Seconds a new connection has to say HELLO.
+HELLO_TIMEOUT_S = 5.0
 
 
 def install_event_loop(name: str = "asyncio") -> str:
@@ -163,30 +201,11 @@ class WireStats:
     sub_events_delivered: int = 0
     sub_encodes_saved: int = 0
     sub_resets: int = 0
+    sub_slow_disconnects: int = 0
 
     def merge(self, other: "WireStats") -> None:
-        self.bytes_sent += other.bytes_sent
-        self.bytes_received += other.bytes_received
-        self.frames_sent += other.frames_sent
-        self.frames_received += other.frames_received
-        self.flushes += other.flushes
-        self.size_flushes += other.size_flushes
-        self.deadline_flushes += other.deadline_flushes
-        self.control_flushes += other.control_flushes
-        self.flusher_adaptations += other.flusher_adaptations
-        self.encode_ns += other.encode_ns
-        self.decode_ns += other.decode_ns
-        self.frames_dropped += other.frames_dropped
-        self.frames_duplicated += other.frames_duplicated
-        self.dead_connection_flushes += other.dead_connection_flushes
-        self.frames_shared += other.frames_shared
-        self.shared_encodes_saved += other.shared_encodes_saved
-        self.shared_resets += other.shared_resets
-        self.sub_acks += other.sub_acks
-        self.sub_frames_sent += other.sub_frames_sent
-        self.sub_events_delivered += other.sub_events_delivered
-        self.sub_encodes_saved += other.sub_encodes_saved
-        self.sub_resets += other.sub_resets
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 @dataclass
@@ -361,7 +380,7 @@ class _MirrorConnection:
         #: outbound work for this connection's writer: (kind, item) where
         #: item is pre-encoded bytes (shared-encode fast path) or the
         #: message object itself (fault-injection path)
-        self.outbound: asyncio.Queue = asyncio.Queue()
+        self.outbound: asyncio.Queue = asyncio.Queue(maxsize=OUTBOUND_BOUND)
         #: connection-local encoder, used only under fault injection —
         #: the codec's cross-frame state (interning tables, uid deltas)
         #: means a dropped or duplicated *frame* would desynchronize the
@@ -435,9 +454,15 @@ class NetCentral:
         # the stream started invalidates the cache generation: the cache
         # hands back a RESET frame that is broadcast to every member so
         # all decoders restart from the same clean interning state.
-        self._uplink: asyncio.Queue = asyncio.Queue()
-        self._data_sub = self.site.mirror_channel.subscribe("net.uplink")
-        self._ctrl_sub = self.site.ctrl_channel.subscribe("net.uplink")
+        # Both subscriptions deliver into the one queue the broadcast
+        # loop drains: mirrors see events and control in publish order.
+        self._uplink: asyncio.Queue = asyncio.Queue(maxsize=UPLINK_BOUND)
+        self._data_sub = self.site.mirror_channel.subscribe(
+            "net.uplink", into=self._uplink
+        )
+        self._ctrl_sub = self.site.ctrl_channel.subscribe(
+            "net.uplink", into=self._uplink
+        )
         self.shared = SharedFrameCache()
         #: content-based subscription fan-out riding the same push path;
         #: inert (guarded no-ops) until a subscriber connects
@@ -454,17 +479,19 @@ class NetCentral:
             _tracked_handler(self._on_connection, self._conn_tasks), host, port
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        self._broadcast_tasks = [
-            asyncio.create_task(_forward(self._data_sub, self._uplink, "data")),
-            asyncio.create_task(_forward(self._ctrl_sub, self._uplink, "control")),
-            asyncio.create_task(self._broadcast_loop()),
-        ]
+        self._broadcast_tasks = [asyncio.create_task(self._broadcast_loop())]
         return self.port
 
-    def _distribute(self, kind: str, frame: bytes) -> None:
+    async def _distribute(self, kind: str, frame: Any) -> None:
+        """Queue one frame for every live mirror, waiting for room
+        (broadcast loop only: every mirror sees the same order)."""
+        item = (kind, frame)
         for conn in self.connections.values():
             if not conn.closed:
-                conn.outbound.put_nowait((kind, frame))
+                if conn.outbound.full():
+                    await conn.outbound.put(item)
+                else:
+                    conn.outbound.put_nowait(item)
 
     async def _broadcast_loop(self) -> None:
         """Encode each outbound message exactly once; fan the same bytes
@@ -479,16 +506,27 @@ class NetCentral:
         """
         stats = self.stats
         faulty = self.fault_controller is not None
+        uplink = self._uplink
+        subfan = self.subfan
+        unflushed = 0
         while True:
-            kind, payload = await self._uplink.get()
+            if unflushed and (uplink.empty() or unflushed >= 64):
+                # one subscriber write per run of events: when the
+                # queue runs dry, or the run gets long
+                subfan.flush()
+                unflushed = 0
+            kind, payload = await uplink.get()
+            if kind == "attach":
+                await self._attach(payload)
+                continue
             if payload == EOS:
                 self._eos_pending -= 1
                 if self._eos_pending > 0:
                     continue
                 # EOS bypasses fault injection (a chaos-dropped shutdown
                 # frame would wedge the topology, not exercise it)
-                self.subfan.eos()
-                self._distribute(
+                subfan.eos()
+                await self._distribute(
                     "eos", None if faulty else self.shared.encode_eos()
                 )
                 break
@@ -496,20 +534,41 @@ class NetCentral:
                 # subscription lane: matched-set fan-out on the same
                 # payload the mirrors get (link faults model the
                 # central->mirror links, not the subscriber port)
-                self.subfan.fanout(payload)
+                subfan.fanout(payload)
+                unflushed += 1
             if faulty:
-                self._distribute(kind, payload)
+                await self._distribute(kind, payload)
                 continue
             t0 = time.perf_counter_ns()
             frame = self.shared.encode(payload)
             stats.encode_ns += time.perf_counter_ns() - t0
-            self._distribute(kind, frame)
+            await self._distribute(kind, frame)
+
+    async def _attach(self, conn: _MirrorConnection) -> None:
+        """Admit a mirror connection to the fan-out — from inside the
+        broadcast loop, between two messages, so the RESET of a late
+        attach reaches every member after the old generation's last
+        frame and before the new one's first."""
+        if conn.closed:
+            return
+        self.connections[conn.name] = conn
+        if self.fault_controller is None:
+            # join the shared broadcast group; a late attach (the cache
+            # already carries interning/uid state some decoder never
+            # saw) invalidates the generation and the returned RESET
+            # frame resynchronizes every member's decoder
+            reset_frame = self.shared.attach(conn.name)
+            if reset_frame is not None:
+                self.stats.shared_resets += 1
+                await self._distribute("data", reset_frame)
+        if len(self.connections) >= self.n_mirrors:
+            self.mirrors_connected.set()
 
     async def _on_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         frames = _FrameReader(reader, self.stats)
-        hello = await frames.next_message()
+        hello = await frames.first_message()
         if not isinstance(hello, Hello):
             writer.close()
             return
@@ -529,19 +588,8 @@ class NetCentral:
         frames: "_FrameReader",
     ) -> None:
         conn = _MirrorConnection(name)
-        self.connections[name] = conn
-        if self.fault_controller is None:
-            # join the shared broadcast group; a late attach (the cache
-            # already carries interning/uid state some decoder never
-            # saw) invalidates the generation and the returned RESET
-            # frame resynchronizes every member's decoder
-            reset_frame = self.shared.attach(name)
-            if reset_frame is not None:
-                self.stats.shared_resets += 1
-                self._distribute("data", reset_frame)
         sender = asyncio.create_task(self._writer_loop(conn, writer))
-        if len(self.connections) >= self.n_mirrors:
-            self.mirrors_connected.set()
+        await self._uplink.put(("attach", conn))
         try:
             while True:
                 msg = await frames.next_message()
@@ -634,6 +682,10 @@ class NetCentral:
             if flusher.dead:
                 break
         conn.closed = True
+        # release a broadcast loop waiting for room here: no writer
+        # will make any now (later frames skip a closed connection)
+        while not outbound.empty():
+            outbound.get_nowait()
 
     async def _serve_source(
         self, writer: asyncio.StreamWriter, frames: "_FrameReader",
@@ -654,18 +706,20 @@ class NetCentral:
         if out is None:
             out = main.shard_out = asyncio.Queue()
         reply_task = asyncio.create_task(self._transfer_writer(writer, out))
+        data_in = self.site.data_in
         try:
             while True:
-                msg = await frames.next_message()
-                if msg is None or msg == WIRE_EOS:
-                    await self.site.data_in.put(EOS)
+                chunk = await frames.next_chunk()
+                ended = chunk is None
+                for item in _runs(chunk or ()):
+                    if type(item) is list or isinstance(item, ShardControl):
+                        await data_in.put(item)
+                    elif item == WIRE_EOS:
+                        ended = True
+                        break
+                if ended:
+                    await data_in.put(EOS)
                     break
-                if isinstance(msg, EventBatch):
-                    await self.site.data_in.put(list(msg.events))
-                elif isinstance(msg, ShardControl):
-                    await self.site.data_in.put(msg)
-                elif isinstance(msg, UpdateEvent):
-                    await self.site.data_in.put([msg])
         finally:
             # by the time the router sends EOS it has received every
             # transfer reply (it only closes the stream when no handoff
@@ -763,25 +817,16 @@ async def _cancel_tracked(registry: List[asyncio.Task]) -> None:
         await asyncio.gather(*tasks, return_exceptions=True)
 
 
-async def _forward(sub: AsyncSubscription, outbound: asyncio.Queue, kind: str) -> None:
-    """Shovel one channel subscription into a connection's outbound
-    queue, tagging each item with its channel kind."""
-    while True:
-        item = await sub.get()
-        await outbound.put((kind, item))
-        if item == EOS:
-            break
-
-
 class _FrameReader:
-    """Decode messages from one socket stream, one at a time.
+    """Decode messages from one socket stream, a chunk at a time.
 
-    A single TCP read can complete several frames — a client's HELLO and
-    first REQUEST routinely coalesce into one chunk — so every message
-    decoded from a chunk is queued and handed out by ``next_message``.
-    The queue travels with the connection when it is handed from the
-    preamble read to a serve loop, so no frame is ever dropped at the
-    handoff.
+    A single TCP read can complete many frames — a client's HELLO and
+    first REQUEST routinely coalesce, and under load one read carries
+    hundreds of events.  :meth:`next_chunk` hands out everything a read
+    completed, so the consumer pays its queue hops once per chunk;
+    :meth:`next_message` hands the same messages out one by one.  Both
+    draw on one queue that travels with the connection from the
+    preamble read to a serve loop, so no frame is dropped at the handoff.
     """
 
     __slots__ = ("_reader", "_splitter", "_decoder", "_stats", "_pending")
@@ -793,57 +838,120 @@ class _FrameReader:
         self._stats = stats
         self._pending: deque = deque()
 
-    async def next_message(self) -> Any:
-        """Return the next decoded message; None once the peer closed."""
-        while not self._pending:
-            chunk = await self._reader.read(65536)
-            if not chunk:
+    async def next_chunk(self) -> Optional[List[Any]]:
+        """Return every message pending or, failing that, completed by
+        the next read; None once the peer closed."""
+        pending = self._pending
+        decode = self._decoder.decode_body
+        stats = self._stats
+        while not pending:
+            data = await self._reader.read(READ_BYTES)
+            if not data:
                 return None
-            for mtype, body in self._splitter.feed(chunk):
-                t0 = time.perf_counter_ns()
-                msg = self._decoder.decode_body(mtype, body)
-                self._stats.decode_ns += time.perf_counter_ns() - t0
-                self._stats.frames_received += 1
-                self._stats.bytes_received += len(body) + 8
+            frames = self._splitter.feed(data)
+            stats.frames_received += len(frames)
+            received = 8 * len(frames)
+            t0 = time.perf_counter_ns()
+            for mtype, body in frames:
+                received += len(body)
+                msg = decode(mtype, body)
                 # RESET is connection-state maintenance, already applied
                 # to the decoder's tables — never a message to deliver
                 if msg is not WIRE_RESET:
-                    self._pending.append(msg)
-        return self._pending.popleft()
+                    pending.append(msg)
+            stats.decode_ns += time.perf_counter_ns() - t0
+            stats.bytes_received += received
+        chunk = list(pending)
+        pending.clear()
+        return chunk
+
+    async def next_message(self) -> Any:
+        """Return the next decoded message; None once the peer closed."""
+        if not self._pending:
+            self._pending.extend(await self.next_chunk() or ())
+        return self._pending.popleft() if self._pending else None
+
+    async def first_message(self) -> Any:
+        """A new connection's opening message (its HELLO); None when
+        the peer hangs up or says nothing for :data:`HELLO_TIMEOUT_S`
+        — a listener holds no task for a silent peer."""
+        try:
+            return await asyncio.wait_for(self.next_message(), HELLO_TIMEOUT_S)
+        except asyncio.TimeoutError:
+            return None
 
     def push_back(self, msg: Any) -> None:
-        """Return a peeked message so the next ``next_message`` call
-        hands it out again (role dispatch reads one frame ahead)."""
+        """Return a peeked message so the next read hands it out again
+        (role dispatch reads one frame ahead)."""
         self._pending.appendleft(msg)
+
+
+def _runs(chunk: Iterable[Any]) -> Iterator[Any]:
+    """Regroup one chunk for its next hop: consecutive events (EVENT and
+    BATCH frames alike) become lists of at most :data:`MAX_RUN_EVENTS`;
+    any other message passes through in place, ending the run before it
+    — a control frame keeps its position in the stream."""
+    run: List[UpdateEvent] = []
+    for msg in chunk:
+        if isinstance(msg, UpdateEvent):
+            run.append(msg)
+        elif isinstance(msg, EventBatch):
+            run.extend(msg.events)
+        else:
+            if run:
+                yield run
+                run = []
+            yield msg
+            continue
+        if len(run) >= MAX_RUN_EVENTS:
+            yield run
+            run = []
+    if run:
+        yield run
 
 
 async def _serve_client(
     main: Any, writer: asyncio.StreamWriter,
     frames: _FrameReader, stats: WireStats,
 ) -> None:
-    """Serve REQUEST frames from one thin-client connection."""
+    """Serve REQUEST frames from one thin-client connection.  Requests
+    decoded but not yet answered count into the main unit's pending
+    gauge (the monitored variable votes carry); between two of them the
+    loop yields, so a pipelined burst cannot hold the event path up."""
     encoder = WireEncoder()
+    owed = 0
     try:
         while True:
-            msg = await frames.next_message()
-            if msg is None or msg == WIRE_EOS:
+            chunk = await frames.next_chunk()
+            if chunk is None:
                 break
-            if isinstance(msg, InitStateRequest):
-                if main.request_service_delay > 0:
-                    await asyncio.sleep(main.request_service_delay)
-                state = getattr(main.ede, "state", None)
-                response = main._serve_one(msg, state)
-                main.responses.append(response)
-                t0 = time.perf_counter_ns()
-                frame = encoder.encode_response(response)
-                stats.encode_ns += time.perf_counter_ns() - t0
-                stats.frames_sent += 1
-                stats.bytes_sent += len(frame)
-                stats.flushes += 1
-                stats.control_flushes += 1
-                writer.write(frame)
-                await writer.drain()
+            owed = sum(1 for msg in chunk if isinstance(msg, InitStateRequest))
+            main._pending_requests += owed
+            for msg in chunk:
+                if isinstance(msg, InitStateRequest):
+                    if main.request_service_delay > 0:
+                        await asyncio.sleep(main.request_service_delay)
+                    state = getattr(main.ede, "state", None)
+                    response = main._serve_one(msg, state)
+                    main.responses.append(response)
+                    # a gauge: meant to be seen across the awaits
+                    main._pending_requests -= 1  # lint: allow-async-interleaving
+                    owed -= 1
+                    t0 = time.perf_counter_ns()
+                    frame = encoder.encode_response(response)
+                    stats.encode_ns += time.perf_counter_ns() - t0
+                    stats.frames_sent += 1
+                    stats.bytes_sent += len(frame)
+                    stats.flushes += 1
+                    stats.control_flushes += 1
+                    writer.write(frame)
+                    await writer.drain()
+                    if owed:
+                        await asyncio.sleep(0)
+                elif msg == WIRE_EOS:
+                    return
     finally:
+        main._pending_requests -= owed
         writer.close()
 
 
@@ -858,21 +966,29 @@ class _SubscriberConn:
     """Server-side handle for one subscriber connection.
 
     ``encoder`` is the per-connection ack encoder; every ack is fenced
-    with its RESET (see :class:`SubscriptionFanout`).  ``client_ids``
+    with its RESET (see :class:`SubscriptionFanout`).  ``client_keys``
     tracks which clients registered *via* this connection — a plain
     subscriber registers itself, the sharded ingress router proxies many
-    clients over one connection.
+    clients over one connection — with each one's interest key
+    (:meth:`SubscriptionRegistry.client_key`); ``key_sum``, their
+    running sum, is the connection's combined interest.  ``pending``
+    holds frames not yet handed to the transport.
     """
 
-    __slots__ = ("conn_id", "name", "writer", "encoder", "client_ids", "group")
+    __slots__ = (
+        "conn_id", "name", "writer", "encoder", "client_keys", "key_sum",
+        "group", "pending",
+    )
 
     def __init__(self, conn_id: str, name: str, writer: asyncio.StreamWriter):
         self.conn_id = conn_id
         self.name = name
         self.writer = writer
         self.encoder = WireEncoder()
-        self.client_ids: Dict[str, bool] = {}
+        self.client_keys: Dict[str, int] = {}
+        self.key_sum = 0
         self.group: Optional["_SubGroup"] = None
+        self.pending: List[bytes] = []
 
 
 class _SubGroup:
@@ -908,6 +1024,14 @@ class SubscriptionFanout:
     (the cache's own when it was dirty, a bare one otherwise) before
     any group frame.
 
+    Frames collect per connection until :meth:`flush` — called by
+    whoever drives the fan-out, once per chunk of input — hands each
+    connection's to its transport in one write.  Overload policy: a
+    subscriber whose transport then holds more than
+    :data:`SUB_WRITE_BUDGET` unsent bytes is disconnected
+    (``sub_slow_disconnects``); the stream is neither slowed nor
+    buffered without limit for one reader.
+
     With no subscribers every method is a guarded no-op, so the default
     topology's byte stream is untouched.
     """
@@ -916,6 +1040,8 @@ class SubscriptionFanout:
         self.registry = SubscriptionRegistry()
         self.stats = stats
         self._groups: Dict[str, _SubGroup] = {}
+        #: connections holding frames for the next flush
+        self._unflushed: List[_SubscriberConn] = []
         self._conn_of: Dict[str, _SubscriberConn] = {}
         #: wire sub_ids are client-scoped (every client counts from 1);
         #: registry ids are global — map client -> wire id -> registry id
@@ -938,12 +1064,13 @@ class SubscriptionFanout:
         """Connection gone: its clients' subscriptions die with it (a
         reconnecting client re-registers, which is the failover story)."""
         self._leave_group(conn)
-        for client_id in list(conn.client_ids):
+        for client_id in conn.client_keys:
             self.registry.unsubscribe(client_id)
             self._wire_ids.pop(client_id, None)
             if self._conn_of.get(client_id) is conn:
                 del self._conn_of[client_id]
-        conn.client_ids.clear()
+        conn.client_keys.clear()
+        conn.key_sum = 0
 
     # -- control plane ---------------------------------------------------
     def apply(self, conn: _SubscriberConn, msg: Any) -> None:
@@ -957,8 +1084,6 @@ class SubscriptionFanout:
                 msg.client_id, msg.nodes, table.get(msg.sub_id)
             )
             table[msg.sub_id] = sub.sub_id
-            conn.client_ids[msg.client_id] = True
-            self._conn_of[msg.client_id] = conn
             ack_sub = msg.sub_id
         else:
             table = self._wire_ids.get(msg.client_id, {})
@@ -972,9 +1097,13 @@ class SubscriptionFanout:
                 if not table:
                     self._wire_ids.pop(msg.client_id, None)
             ack_sub = msg.sub_id if msg.sub_id is not None else 0
-            if not self.registry.active_count(msg.client_id):
-                conn.client_ids.pop(msg.client_id, None)
-                self._conn_of.pop(msg.client_id, None)
+        key = self.registry.client_key(msg.client_id)
+        conn.key_sum += key - conn.client_keys.pop(msg.client_id, 0)
+        if key:
+            conn.client_keys[msg.client_id] = key
+            self._conn_of[msg.client_id] = conn
+        else:
+            self._conn_of.pop(msg.client_id, None)
         active = self.registry.active_count(msg.client_id)
         self._write(conn, conn.encoder.reset())
         stats.sub_resets += 1
@@ -987,7 +1116,28 @@ class SubscriptionFanout:
 
     def _write(self, conn: _SubscriberConn, frame: bytes) -> None:
         self.stats.bytes_sent += len(frame)
-        conn.writer.write(frame)
+        if not conn.pending:
+            self._unflushed.append(conn)
+        conn.pending.append(frame)
+
+    def flush(self) -> None:
+        """One write per connection for everything queued since the
+        last flush; then hold each connection to its budget."""
+        if not self._unflushed:
+            return
+        conns, self._unflushed = self._unflushed, []
+        for conn in conns:
+            frames, conn.pending = conn.pending, []
+            writer = conn.writer
+            if writer.is_closing():
+                continue
+            writer.writelines(frames)
+            if writer.transport.get_write_buffer_size() > SUB_WRITE_BUDGET:
+                self.stats.sub_slow_disconnects += 1
+                self.drop(conn)
+                # abort, not close: close would keep the backlog in
+                # memory until a reader that stopped reading takes it
+                writer.transport.abort()
 
     def _leave_group(self, conn: _SubscriberConn) -> None:
         group = conn.group
@@ -1003,14 +1153,10 @@ class SubscriptionFanout:
     def _regroup(self, conn: _SubscriberConn) -> None:
         """Move the connection to the group keyed by its combined
         signature, fencing its decoder with a RESET on every join."""
-        sigs = sorted(
-            sig
-            for sig in (
-                self.registry.client_signature(c) for c in conn.client_ids
-            )
-            if sig
+        combined = (
+            f"{len(conn.client_keys)}:{conn.key_sum:x}"
+            if conn.client_keys else ""
         )
-        combined = "|".join(sigs)
         if conn.group is not None and conn.group.signature == combined:
             return
         self._leave_group(conn)
@@ -1040,9 +1186,7 @@ class SubscriptionFanout:
         One batched engine pass yields every event's matched clients
         (:meth:`SubscriptionRegistry.match_clients_batch` — index
         lookups amortised across the batch); their groups each encode
-        their matched subset once.  Writes are unpaced
-        ``StreamWriter.write`` calls — subscriber volume is the
-        *matched* stream, which selectivity keeps small by design.
+        their matched subset once.  The frames wait for :meth:`flush`.
         """
         if not self._groups:
             return
@@ -1086,6 +1230,7 @@ class SubscriptionFanout:
             for member in group.members.values():
                 self._write(member, frame)
                 self.stats.sub_frames_sent += 1
+        self.flush()
 
     def collect_shared_stats(self) -> None:
         """Fold the live groups' shared-encode savings into stats
@@ -1102,13 +1247,19 @@ async def _serve_subscriber(
     fenced SUB_ACKs plus the matched event stream out."""
     conn = fanout.attach(name, writer)
     try:
-        while True:
-            msg = await frames.next_message()
-            if msg is None or msg == WIRE_EOS:
+        ended = False
+        while not ended and not writer.is_closing():
+            chunk = await frames.next_chunk()
+            if chunk is None:
                 break
-            if isinstance(msg, (Subscribe, Unsubscribe)):
-                fanout.apply(conn, msg)
-                await writer.drain()
+            for msg in chunk:
+                if isinstance(msg, (Subscribe, Unsubscribe)):
+                    fanout.apply(conn, msg)
+                elif msg == WIRE_EOS:
+                    ended = True
+                    break
+            fanout.flush()
+            await writer.drain()
     finally:
         fanout.drop(conn)
         writer.close()
@@ -1168,9 +1319,11 @@ class NetMirror:
         self.name = name
         self.config = config if config is not None else simple_mirroring()
         self.stats = WireStats()
-        self.data_sub = AsyncSubscription(f"{name}.data", capacity=1024)
-        self.ctrl_sub = AsyncSubscription(f"{name}.ctrl", capacity=256)
-        self.reply_to: asyncio.Queue = asyncio.Queue()
+        self.data_sub = AsyncSubscription(
+            f"{name}.data", capacity=MIRROR_DATA_BOUND
+        )
+        self.ctrl_sub = AsyncSubscription(f"{name}.ctrl", capacity=CONTROL_BOUND)
+        self.reply_to: asyncio.Queue = asyncio.Queue(maxsize=CONTROL_BOUND)
         self.site = AsyncMirrorSite(name, self.data_sub, self.ctrl_sub, self.reply_to)
         self.site.main.request_service_delay = request_service_delay
         if snapshot_fast_path:
@@ -1197,14 +1350,16 @@ class NetMirror:
             reader: asyncio.StreamReader, writer: asyncio.StreamWriter
         ) -> None:
             frames = _FrameReader(reader, self.stats)
-            first = await frames.next_message()
+            first = await frames.first_message()
             if isinstance(first, Hello) and first.role == "subscriber":
                 await _serve_subscriber(self.subfan, first.name, writer, frames)
                 return
-            if first is not None and first != WIRE_EOS:
-                # request path: hand the peeked frame back (the serve
-                # loop ignores a client HELLO, as before)
-                frames.push_back(first)
+            if first is None or first == WIRE_EOS:
+                writer.close()
+                return
+            # request path: hand the peeked frame back (the serve loop
+            # ignores a client HELLO, as before)
+            frames.push_back(first)
             await _serve_client(self.site.main, writer, frames, self.stats)
 
         self._client_server = await asyncio.start_server(
@@ -1216,33 +1371,30 @@ class NetMirror:
     async def run(self, host: str, port: int) -> None:
         """Connect to central and run the mirror site to completion."""
         reader, writer = await asyncio.open_connection(host, port)
-        hello_enc = WireEncoder()
-        writer.write(hello_enc.encode_hello(Hello("mirror", self.name)))
-        await writer.drain()
-        self.stats.frames_sent += 1
+        tasks = TaskSupervisor()
 
-        site_tasks = [
-            asyncio.create_task(self.site.receiving_task()),
-            asyncio.create_task(self.site.control_task()),
-            asyncio.create_task(self.site.main.event_loop()),
-        ]
-        reply_writer = asyncio.create_task(
-            self._reply_loop(writer, hello_enc)
-        )
-        try:
+        async def drain() -> None:
+            hello_enc = WireEncoder()
+            writer.write(hello_enc.encode_hello(Hello("mirror", self.name)))
+            await writer.drain()
+            self.stats.frames_sent += 1
+            site_tasks = [
+                tasks.spawn(self.site.receiving_task()),
+                tasks.spawn(self.site.control_task()),
+                tasks.spawn(self.site.main.event_loop()),
+            ]
+            reply_writer = tasks.spawn(self._reply_loop(writer, hello_enc))
             await self._reader_loop(reader)
             await asyncio.gather(*site_tasks)
             # site fully drained: close the uplink
             await self.reply_to.put(EOS)
-            await asyncio.gather(reply_writer, return_exceptions=True)
+            await reply_writer
+
+        try:
+            await tasks.guard(drain())
         finally:
-            for task in (*site_tasks, reply_writer):
-                if not task.done():
-                    task.cancel()
-            await asyncio.gather(
-                *site_tasks, reply_writer, return_exceptions=True
-            )
-            writer.close()
+            writer.close()  # first: a second cancellation may cut the rest short
+            await tasks.cancel()
             await self.close()
 
     async def close(self) -> None:
@@ -1255,24 +1407,40 @@ class NetMirror:
         await _cancel_tracked(self._conn_tasks)
 
     async def _reader_loop(self, reader: asyncio.StreamReader) -> None:
+        """Move the central connection's stream into the site, a chunk
+        per hop: each run of events is matched against the subscribers
+        once and queued once (a lone event travels as itself)."""
         frames = _FrameReader(reader, self.stats)
+        data_sub, ctrl_sub, subfan = self.data_sub, self.ctrl_sub, self.subfan
         while True:
-            msg = await frames.next_message()
-            if msg is None or msg == WIRE_EOS:
+            chunk = await frames.next_chunk()
+            ended = chunk is None
+            for item in _runs(chunk or ()):
+                if type(item) is list:
+                    payload = item[0] if len(item) == 1 else EventBatch(item)
+                    subfan.fanout(payload)
+                    await data_sub.put(payload)
+                    data_sub.delivered += 1
+                elif isinstance(item, ShardControl):
+                    # handoff control frames take the DATA path: their
+                    # whole contract is ordering against the event stream
+                    await data_sub.put(item)
+                    data_sub.delivered += 1
+                elif item == WIRE_EOS:
+                    ended = True
+                    break
+                else:
+                    await ctrl_sub.put(item)
+                    ctrl_sub.delivered += 1
+            if ended:
                 # clean EOS, or central vanished: end of stream either way
-                self.subfan.eos()
-                await self.data_sub.put(EOS)
-                await self.ctrl_sub.put(EOS)
+                subfan.eos()
+                await data_sub.put(EOS)
+                await ctrl_sub.put(EOS)
                 break
-            if isinstance(msg, (UpdateEvent, EventBatch, ShardControl)):
-                # handoff control frames take the DATA path: their whole
-                # contract is ordering against the event stream
-                self.subfan.fanout(msg)
-                await self.data_sub.put(msg)
-                self.data_sub.delivered += 1
-            else:
-                await self.ctrl_sub.put(msg)
-                self.ctrl_sub.delivered += 1
+            # the chunk is dealt with, trailing control frame and all:
+            # subscribers get what it matched in one write each
+            subfan.flush()
 
     async def _reply_loop(
         self, writer: asyncio.StreamWriter, encoder: WireEncoder
@@ -1378,85 +1546,82 @@ async def run_net_scenario(
     # exit so callers and tests see no global change.
     gc_thresholds = gc.get_threshold()
     gc.set_threshold(50_000, gc_thresholds[1], gc_thresholds[2])
-    # declared before the try so the finally can always clean up exactly
-    # what was actually started (error or cancellation at any point must
-    # not leak reader/writer tasks or listening sockets)
+    # Supervised: a site task that raises ends the scenario with its
+    # exception (the rest would only block behind it).  Whatever the
+    # outcome, the finally leaves no task, socket or port behind.
+    tasks = TaskSupervisor()
     mirrors: List[NetMirror] = []
-    mirror_tasks: List[asyncio.Task] = []
-    central_tasks: List[asyncio.Task] = []
-    drivers: List[asyncio.Task] = []
-    sub_tasks: List[asyncio.Task] = []
-    client_task = None
     client_stats = WireStats()
-    try:
-        t0 = time.monotonic()
+    site = central.site
+
+    async def drive() -> Tuple[List[float], List[Dict[str, Any]]]:
         port = await central.start(host=host)
-        mirrors = [
+        mirrors.extend(
             NetMirror(
                 f"mirror{i+1}", config=central.config,
                 request_service_delay=request_service_delay,
                 snapshot_fast_path=snapshot_fast_path,
             )
             for i in range(n_mirrors)
-        ]
+        )
         client_ports: List[int] = []
         for mirror in mirrors:
             client_ports.append(await mirror.serve_clients(host=host))
         if not client_ports:
             client_ports = [port]  # no mirrors: ask central directly
 
-        mirror_tasks = [
-            asyncio.create_task(m.run(host, port)) for m in mirrors
-        ]
+        mirror_tasks = [tasks.spawn(m.run(host, port)) for m in mirrors]
         await central.mirrors_connected.wait()
 
-        if subscribers:
-            sub_ready: List[asyncio.Event] = []
-            for i, (sub_client, predicate) in enumerate(subscribers):
-                ready = asyncio.Event()
-                sub_ready.append(ready)
-                sub_tasks.append(
-                    asyncio.create_task(
-                        _run_subscriber(
-                            host, client_ports[i % len(client_ports)],
-                            sub_client, [predicate], client_stats,
-                            ready=ready,
-                        )
+        sub_tasks: List[asyncio.Task] = []
+        sub_ready: List[asyncio.Event] = []
+        for i, (sub_client, predicate) in enumerate(subscribers):
+            ready = asyncio.Event()
+            sub_ready.append(ready)
+            sub_tasks.append(
+                tasks.spawn(
+                    _run_subscriber(
+                        host, client_ports[i % len(client_ports)],
+                        sub_client, [predicate], client_stats,
+                        ready=ready,
                     )
                 )
-            # every subscription acked before the first event flows
-            for ready in sub_ready:
-                await ready.wait()
+            )
+        # every subscription acked before the first event flows
+        for ready in sub_ready:
+            await ready.wait()
 
-        site = central.site
         central_tasks = [
-            asyncio.create_task(site.receiving_task()),
-            asyncio.create_task(site.sending_task()),
-            asyncio.create_task(site.control_task()),
-            asyncio.create_task(site.main.event_loop()),
+            tasks.spawn(site.receiving_task()),
+            tasks.spawn(site.sending_task()),
+            tasks.spawn(site.control_task()),
+            tasks.spawn(site.main.event_loop()),
         ]
 
         async def source() -> None:
-            # feed in batch-sized chunks: one data_in hop per chunk (the
-            # receiving task stamps members one by one, exactly as before)
-            chunk_size = max(1, central.config.batch_size)
+            # feed in chunks, as a socket would: one data_in hop per
+            # chunk (the receiving task stamps members one by one)
             chunk: List[UpdateEvent] = []
             for se in script.fresh_events():
                 chunk.append(se.event)
-                if len(chunk) >= chunk_size:
+                if len(chunk) >= 64:
                     await site.data_in.put(chunk)
                     chunk = []
             if chunk:
                 await site.data_in.put(chunk)
             await site.data_in.put(EOS)
 
-        drivers = [asyncio.create_task(source())]
+        drivers = [tasks.spawn(source())]
+        latencies: List[float] = []
         if request_times:
-            client_task = asyncio.create_task(
-                _run_client(host, client_ports, request_times, client_stats)
+            drivers.append(
+                tasks.spawn(
+                    _run_client(host, client_ports, request_times, client_stats)
+                )
             )
-            drivers.append(client_task)
-        await asyncio.gather(*drivers)
+        results = await asyncio.gather(*drivers)
+        if request_times:
+            latencies = results[1]
         await site.stream_done.wait()
         await central.shutdown_stream()
         await central.wait_mirrors_done()
@@ -1465,20 +1630,13 @@ async def run_net_scenario(
         await asyncio.gather(*central_tasks)
         subscriber_results = await asyncio.gather(*sub_tasks)
         await central.close()
+        return latencies, list(subscriber_results)
+
+    try:
+        t0 = time.monotonic()
+        latencies, subscriber_results = await tasks.guard(drive())
     finally:
-        # on a clean run everything below is a no-op (tasks done,
-        # listeners closed — close() is idempotent); on error or
-        # cancellation it is what guarantees no task, socket or port
-        # outlives the scenario
-        leftovers = [
-            task
-            for task in (*drivers, *central_tasks, *mirror_tasks, *sub_tasks)
-            if not task.done()
-        ]
-        for task in leftovers:
-            task.cancel()
-        if leftovers:
-            await asyncio.gather(*leftovers, return_exceptions=True)
+        await tasks.cancel()
         await central.close()
         for mirror in mirrors:
             await mirror.close()
@@ -1494,7 +1652,6 @@ async def run_net_scenario(
             for channel in (site.mirror_channel, site.ctrl_channel)
             for central_sub in channel.subscriptions]
     subs += [m.data_sub for m in mirrors] + [m.ctrl_sub for m in mirrors]
-    latencies = client_task.result() if client_task is not None else []
     return NetRunSummary(
         events_in=len(script),
         events_mirrored=site.mirrored_events,
@@ -1519,7 +1676,7 @@ async def run_net_scenario(
         channel_high_watermark=max((s.high_watermark for s in subs), default=0),
         channel_blocked_puts=sum(s.blocked_puts for s in subs),
         wire=stats,
-        subscriber_results=list(subscriber_results),
+        subscriber_results=subscriber_results,
     )
 
 

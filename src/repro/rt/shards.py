@@ -67,6 +67,7 @@ from ..sub.predicate import Predicate, canonical, route_keys, to_nodes
 from ..wire import EOS as WIRE_EOS, Hello, WireEncoder
 from .net import NetCentral, NetMirror, WireStats, _FrameReader, _join_process
 from .sites import EOS
+from .tasks import TaskSupervisor
 
 __all__ = [
     "ShardRuntime",
@@ -174,6 +175,9 @@ class ShardRuntime:
         self._beats = 0
         self.port: Optional[int] = None
         self.client_ports: List[int] = []
+        #: the first mirror or site task to raise ends
+        #: :meth:`run_to_completion` with its exception
+        self._tasks = TaskSupervisor()
         self._mirror_tasks: List[asyncio.Task] = []
         self._central_tasks: List[asyncio.Task] = []
 
@@ -211,21 +215,27 @@ class ShardRuntime:
         for site in (self.central_site_name, *self.mirror_names):
             self.detector.register(site, now)
         self._mirror_tasks = [
-            asyncio.create_task(m.run(host, self.port)) for m in self.mirrors
+            self._tasks.spawn(m.run(host, self.port)) for m in self.mirrors
         ]
         await self.central.mirrors_connected.wait()
         self._beat_all()
         site = self.central.site
         self._central_tasks = [
-            asyncio.create_task(site.receiving_task()),
-            asyncio.create_task(site.sending_task()),
-            asyncio.create_task(site.control_task()),
-            asyncio.create_task(site.main.event_loop()),
+            self._tasks.spawn(site.receiving_task()),
+            self._tasks.spawn(site.sending_task()),
+            self._tasks.spawn(site.control_task()),
+            self._tasks.spawn(site.main.event_loop()),
         ]
         return self.port
 
     async def run_to_completion(self) -> None:
         """Wait for the stream to drain, then shut the shard down."""
+        await self._tasks.guard(self._drain())
+        self._beat_all()
+        for tr in self.detector.evaluate(self.clock()):
+            self.membership.mark(tr.site, tr.new, tr.at)
+
+    async def _drain(self) -> None:
         site = self.central.site
         await site.stream_done.wait()
         self._beat_all()
@@ -235,21 +245,10 @@ class ShardRuntime:
         await site.ctrl_in.put(EOS)
         await asyncio.gather(*self._central_tasks)
         await self.central.close()
-        self._beat_all()
-        for tr in self.detector.evaluate(self.clock()):
-            self.membership.mark(tr.site, tr.new, tr.at)
 
     async def abort(self) -> None:
         """Error-path teardown: cancel tasks, close listeners."""
-        leftovers = [
-            t
-            for t in (*self._central_tasks, *self._mirror_tasks)
-            if not t.done()
-        ]
-        for task in leftovers:
-            task.cancel()
-        if leftovers:
-            await asyncio.gather(*leftovers, return_exceptions=True)
+        await self._tasks.cancel()
         await self.central.close()
         for mirror in self.mirrors:
             await mirror.close()
@@ -361,7 +360,7 @@ class IngressRouter:
             reader: asyncio.StreamReader, writer: asyncio.StreamWriter
         ) -> None:
             frames = _FrameReader(reader, self.stats)
-            hello = await frames.next_message()
+            hello = await frames.first_message()
             if isinstance(hello, Hello):
                 encoder = WireEncoder()
                 frame = encoder.encode_shard_map(self.shard_map)
@@ -757,49 +756,56 @@ async def run_sharded_scenario(
         for i in range(n_shards)
     ]
     router: Optional[IngressRouter] = None
-    runners: List[asyncio.Task] = []
-    client_task: Optional[asyncio.Task] = None
+    # a shard that fails ends the scenario with its exception: the
+    # router would otherwise wait for ever on a shard that stopped reading
+    tasks = TaskSupervisor()
+    client_latencies: List[float] = []
     client_stats = WireStats()
-    try:
-        t0 = time.monotonic()
+
+    async def drive() -> None:
+        nonlocal router
         for rt in shards:
             await rt.start(host=host)
-        shard_map = ShardMap(
-            strategy=strategy,
-            names=tuple(rt.name for rt in shards),
-            client_ports=tuple(rt.client_port for rt in shards),
+        router = IngressRouter(
+            ShardMap(
+                strategy=strategy,
+                names=tuple(rt.name for rt in shards),
+                client_ports=tuple(rt.client_port for rt in shards),
+            ),
+            batch_size=router_batch,
         )
-        router = IngressRouter(shard_map, batch_size=router_batch)
         await router.connect(host, [rt.port for rt in shards])
         map_port = await router.serve_map(host=host)
         for sub_client, predicate in subscriptions:
             await router.register_subscription(sub_client, predicate)
-        runners = [
-            asyncio.create_task(rt.run_to_completion()) for rt in shards
-        ]
-        if request_keys:
-            client_task = asyncio.create_task(
+        runners = [tasks.spawn(rt.run_to_completion()) for rt in shards]
+        client_task = (
+            tasks.spawn(
                 _run_sharded_client(host, map_port, request_keys, client_stats)
             )
-        await router.run_script(script)
+            if request_keys else None
+        )
+        await router.route_script(script)
+        if client_task is not None:
+            # the streams stay open (and the shards up) until the client
+            # has read its snapshots, as in the process runner
+            client_latencies.extend(await client_task)
+        await router.send_eos()
         await asyncio.gather(*runners)
         await router.wait_readers()
-        if client_task is not None:
-            await client_task
+
+    try:
+        t0 = time.monotonic()
+        await tasks.guard(drive())
         wall = time.monotonic() - t0
     finally:
-        if client_task is not None and not client_task.done():
-            client_task.cancel()
-            await asyncio.gather(client_task, return_exceptions=True)
-        leftovers = [t for t in runners if not t.done()]
-        for task in leftovers:
-            task.cancel()
-        if leftovers:
-            await asyncio.gather(*leftovers, return_exceptions=True)
+        await tasks.cancel()
         if router is not None:
             await router.close()
         for rt in shards:
             await rt.abort()
+    assert router is not None
+    shard_map = router.shard_map
 
     shard_digests = [rt.digest() for rt in shards]
     wire = WireStats()
@@ -832,9 +838,7 @@ async def run_sharded_scenario(
             rt.central.site.coordinator.rounds_committed for rt in shards
         ),
         requests_served=sum(len(m.responses) for m in mains),
-        client_latencies=(
-            client_task.result() if client_task is not None else []
-        ),
+        client_latencies=client_latencies,
         detector_domains=[list(rt.membership.statuses) for rt in shards],
         wall_seconds=wall,
         events_per_second=(len(script) / wall if wall > 0 else 0.0),

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Any, Callable, Dict, List, Optional
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 from ..core.adaptation import (
     MONITOR_BACKUP_QUEUE,
@@ -42,9 +43,90 @@ from ..shard.handoff import (
 )
 from .channels import AsyncChannel, AsyncSubscription
 
-__all__ = ["EOS", "AsyncMainUnit", "AsyncCentralSite", "AsyncMirrorSite"]
+__all__ = [
+    "EOS",
+    "RecentWindow",
+    "AsyncMainUnit",
+    "AsyncCentralSite",
+    "AsyncMirrorSite",
+]
 
 EOS = "__end_of_stream__"
+
+# -- memory budget ---------------------------------------------------------
+# Every queue is bounded and a full queue blocks its producer, so a burst
+# is held in the *sender's* TCP buffer, not in this heap.  The data path,
+#
+#   source reader -> data_in -> ready -> {inbox, uplink} -> outbound
+#     -> socket -> mirror reader -> data_sub -> mirror inbox
+#
+# has no cycle: each queue is drained by a task that blocks only on
+# queues to its right, and the ends (a main unit's event loop, the
+# kernel) block on nothing.  The control path does loop (CHKPT down,
+# CHKPT_REP up, COMMIT down), but the protocol sets its volume, not the
+# load — one round collects at a time — so its queues never fill.
+# (rt/net.py declares the socket layer's share: uplink, outbound, data_sub.)
+
+#: ``data_in`` holds chunks of events (one TCP read's worth, at most
+#: :data:`MAX_RUN_EVENTS` each).  Full: the source connection's reader
+#: blocks and stops reading — the source sees TCP back-pressure.
+#: Drained by ``receiving_task``.
+DATA_IN_BOUND = 8
+#: ``ready`` holds stamped events (the paper's ready queue, a monitored
+#: variable).  Full: ``receiving_task`` blocks.  Drained by ``sending_task``.
+READY_BOUND = 64
+#: ``main.inbox`` of the central site holds single events (or one batch
+#: per mirrored batch).  Full: ``sending_task`` blocks.  Drained by
+#: ``event_loop``.  A mirror's holds runs of at most
+#: :data:`MAX_RUN_EVENTS`; full: its ``receiving_task`` blocks, then
+#: ``data_sub`` fills and the mirror stops reading its socket.
+CENTRAL_INBOX_BOUND = 256
+MIRROR_INBOX_BOUND = 8
+#: ``main.requests`` holds in-process initial-state requests.  Full: the
+#: request driver blocks.  Drained by ``request_loop``.
+REQUESTS_BOUND = 256
+#: ``ctrl_in`` / ``reply_to`` hold checkpoint votes on their way to the
+#: coordinator: at most one per site per round in flight.
+CONTROL_BOUND = 256
+#: Most events one queue item carries over TCP.
+MAX_RUN_EVENTS = 256
+#: Events ``event_loop`` applies before it yields to the other tasks.
+EVENT_LOOP_BUDGET = 512
+
+
+class RecentWindow:
+    """What a site keeps of a series that grows with uptime: the count,
+    the running total (of a numeric series, see :meth:`add`) and the
+    last 256 items.  ``len()`` is the count ever appended; indexing is
+    by position in the whole series, for items still in the window."""
+
+    __slots__ = ("count", "total", "_recent")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.total = 0.0
+        self._recent: Deque[Any] = deque(maxlen=256)
+
+    def append(self, item: Any) -> None:
+        self.count += 1
+        self._recent.append(item)
+
+    def add(self, value: float) -> None:
+        """:meth:`append` a number, keeping the running total."""
+        self.total += value
+        self.append(value)
+
+    def mean(self) -> float:
+        return self.total / self.count if self.count else 0.0
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, index: int) -> Any:
+        offset = (index + self.count if index < 0 else index) - self.count
+        if not -len(self._recent) <= offset < 0:
+            raise IndexError(f"item {index} of {self.count} is not retained")
+        return self._recent[offset]
 
 
 class AsyncMainUnit:
@@ -56,6 +138,7 @@ class AsyncMainUnit:
         clock: Callable[[], float] = time.monotonic,
         request_service_delay: float = 0.0,
         engine_factory: Optional[Callable[[], Any]] = None,
+        inbox_bound: int = CENTRAL_INBOX_BOUND,
     ):
         self.site = site
         self.clock = clock
@@ -68,11 +151,15 @@ class AsyncMainUnit:
         #: .state.snapshot() serve real snapshots; others get a stub.
         self.ede = engine_factory() if engine_factory is not None else EventDerivationEngine()
         self.checkpointer = MainUnitCheckpointer(site)
-        self.inbox: asyncio.Queue = asyncio.Queue()
-        self.requests: asyncio.Queue = asyncio.Queue()
-        self.updates: List[UpdateEvent] = []
-        self.responses: List[InitStateResponse] = []
-        self.update_delays: List[float] = []
+        self.inbox: asyncio.Queue = asyncio.Queue(maxsize=inbox_bound)
+        self.requests: asyncio.Queue = asyncio.Queue(maxsize=REQUESTS_BOUND)
+        #: distributed updates, their delays (seconds, with the running
+        #: total) and served responses: counted, not retained
+        self.updates = RecentWindow()
+        self.update_delays = RecentWindow()
+        self.responses = RecentWindow()
+        #: requests in service: raised by whoever took the request off
+        #: its queue or socket, lowered as each response is built
         self._pending_requests = 0
         self.distribute_updates = False
         #: snapshot fast path (all off = the original serve-from-scratch
@@ -104,9 +191,18 @@ class AsyncMainUnit:
         Accepts whole :class:`EventBatch` items as well as single
         events: batched mirror transports forward a batch as one queue
         item, paying the asyncio hop once per batch instead of once per
-        event."""
+        event.  Whatever is already queued is applied back to back; the
+        loop yields to the other tasks when the inbox runs dry or after
+        :data:`EVENT_LOOP_BUDGET` events, whichever comes first."""
+        inbox = self.inbox
+        ede = self.ede
+        note_processed = self.checkpointer.note_processed
+        discard = getattr(ede, "supports_discard", False)
+        count_update, time_update = self.updates.append, self.update_delays.add
+        clock = self.clock
+        applied = 0
         while True:
-            item = await self.inbox.get()
+            item = await inbox.get()
             if item == EOS:
                 break
             if isinstance(item, ShardControl):
@@ -115,16 +211,21 @@ class AsyncMainUnit:
                 await self._apply_shard_control(item)
                 continue
             events = item.events if isinstance(item, EventBatch) else (item,)
-            ede = self.ede
-            note_processed = self.checkpointer.note_processed
             if self.distribute_updates:
+                # nothing on the live path consumes the update *objects*:
+                # an engine that can skip building them does, and the
+                # input event stands in the recent window for its copy
                 for event in events:
-                    outputs = ede.process(event)
+                    if discard:
+                        outputs = ede.process(event, emit_update=False)
+                        outputs.insert(0, event)
+                    else:
+                        outputs = ede.process(event)
                     note_processed(event.stream, event.seqno)
                     for out in outputs:
-                        self.updates.append(out)
-                        self.update_delays.append(self.clock() - out.entered_at)
-            elif getattr(ede, "supports_discard", False):
+                        count_update(out)
+                        time_update(clock() - out.entered_at)
+            elif discard:
                 # outputs are dropped anyway: one fused bulk call skips
                 # building per-event update copies and per-event frames;
                 # advancing the checkpoint floor directly skips the
@@ -136,7 +237,10 @@ class AsyncMainUnit:
                 for event in events:
                     ede.process(event)
                     note_processed(event.stream, event.seqno)
-            await asyncio.sleep(0)  # cooperative yield
+            applied += len(events)
+            if applied >= EVENT_LOOP_BUDGET:
+                applied = 0
+                await asyncio.sleep(0)  # cooperative yield
 
     async def _apply_shard_control(self, item: ShardControl) -> None:
         """Apply a handoff tombstone or transfer install in stream order.
@@ -192,7 +296,7 @@ class AsyncMainUnit:
                         await asyncio.sleep(self.request_service_delay)
             # the straddle is the point: _pending_requests is a monitor-
             # visible in-service gauge, raised before the service delay
-            # and drained per response; this loop is its only writer
+            # and drained per response
             for req in live:
                 self.responses.append(self._serve_one(req, state))
                 self._pending_requests -= 1  # lint: allow-async-interleaving
@@ -277,9 +381,9 @@ class AsyncCentralSite:
         self.adaptation = adaptation
         self.main = AsyncMainUnit(site, clock=clock)
         self.main.distribute_updates = True
-        self.data_in: asyncio.Queue = asyncio.Queue(maxsize=256)
-        self.ctrl_in: asyncio.Queue = asyncio.Queue()
-        self.ready: asyncio.Queue = asyncio.Queue(maxsize=64)
+        self.data_in: asyncio.Queue = asyncio.Queue(maxsize=DATA_IN_BOUND)
+        self.ctrl_in: asyncio.Queue = asyncio.Queue(maxsize=CONTROL_BOUND)
+        self.ready: asyncio.Queue = asyncio.Queue(maxsize=READY_BOUND)
         self.backup = BackupQueue()
         self.engine = config.build_engine()
         self.coordinator = CheckpointCoordinator(participants)
@@ -411,7 +515,8 @@ class AsyncCentralSite:
             await self._mirror(self.engine.on_send(out))
         for out in self.engine.flush("send"):
             await self._mirror([out])
-        await self._initiate_checkpoint()
+        # the closing round must run: nothing after it would absorb it
+        await self._initiate_checkpoint(final=True)
         await self.main.inbox.put(EOS)
         self.stream_done.set()
 
@@ -431,8 +536,15 @@ class AsyncCentralSite:
         self.backup.extend(outs)
         self.mirrored_events += len(outs)
 
-    async def _initiate_checkpoint(self) -> None:
-        msg = self.coordinator.initiate(self.backup.last_vt())
+    async def _initiate_checkpoint(self, final: bool = False) -> None:
+        """Every ``checkpoint_freq`` events: start a round, unless the
+        previous one is still collecting (it is then left to commit;
+        see :meth:`CheckpointCoordinator.initiate_if_idle`)."""
+        initiate = (
+            self.coordinator.initiate if final
+            else self.coordinator.initiate_if_idle
+        )
+        msg = initiate(self.backup.last_vt())
         if msg is None:
             return
         reply = self.main.checkpointer.on_chkpt(msg, self.monitor_readings())
@@ -486,7 +598,9 @@ class AsyncMirrorSite:
         self.data_in = data_in
         self.ctrl_in = ctrl_in
         self.reply_to = reply_to
-        self.main = AsyncMainUnit(site, clock=clock)
+        self.main = AsyncMainUnit(
+            site, clock=clock, inbox_bound=MIRROR_INBOX_BOUND
+        )
         self.backup = BackupQueue()
         self.applied_config: Optional[MirrorConfig] = None
         self._applied_adapt_seq = 0

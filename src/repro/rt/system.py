@@ -27,6 +27,7 @@ from ..ois.flightdata import EventScript
 from ..workload import RoundRobinBalancer
 from .channels import AsyncChannel
 from .sites import EOS, AsyncCentralSite, AsyncMirrorSite
+from .tasks import TaskSupervisor
 
 __all__ = ["AsyncRunSummary", "AsyncMirroredServer"]
 
@@ -237,54 +238,64 @@ class AsyncMirroredServer:
         central = self.central
         t0 = time.monotonic()
 
+        # supervised: a site task that raises ends the run with its
+        # exception (a crashed site's tasks end cancelled: no failure)
+        tasks = TaskSupervisor()
         self._site_tasks = {
             "central": [
-                asyncio.create_task(central.receiving_task()),
-                asyncio.create_task(central.sending_task()),
-                asyncio.create_task(central.control_task()),
-                asyncio.create_task(central.main.event_loop()),
-                asyncio.create_task(central.main.request_loop()),
+                tasks.spawn(central.receiving_task()),
+                tasks.spawn(central.sending_task()),
+                tasks.spawn(central.control_task()),
+                tasks.spawn(central.main.event_loop()),
+                tasks.spawn(central.main.request_loop()),
             ]
         }
         for mirror in self.mirrors:
             self._site_tasks[mirror.site] = [
-                asyncio.create_task(mirror.receiving_task()),
-                asyncio.create_task(mirror.control_task()),
-                asyncio.create_task(mirror.main.event_loop()),
-                asyncio.create_task(mirror.main.request_loop()),
+                tasks.spawn(mirror.receiving_task()),
+                tasks.spawn(mirror.control_task()),
+                tasks.spawn(mirror.main.event_loop()),
+                tasks.spawn(mirror.main.request_loop()),
             ]
-        tasks = [t for ts in self._site_tasks.values() for t in ts]
+        site_tasks = list(tasks.tasks)
 
-        drivers = [asyncio.create_task(self._source(script))]
+        drivers = [tasks.spawn(self._source(script))]
         if request_times:
             targets = (
                 [m.site for m in self.mirrors] if self.mirrors else ["central"]
             )
             drivers.append(
-                asyncio.create_task(
+                tasks.spawn(
                     self._requests(request_times, RoundRobinBalancer(targets))
                 )
             )
         if fault_injector is not None:
-            drivers.append(asyncio.create_task(fault_injector.drive(self)))
+            drivers.append(tasks.spawn(fault_injector.drive(self)))
 
-        await asyncio.gather(*drivers)
-        await central.stream_done.wait()
-        # propagate shutdown: mirrors drain their data queues, then stop
-        await central.mirror_channel.publish(EOS)
-        await central.ctrl_channel.publish(EOS)
-        # let queues drain (a crashed mirror's queues will never move)
-        alive_mirrors = [m for m in self.mirrors if m.site not in self.crashed]
-        while any(
-            m.main.inbox.qsize() or m.data_in.level() for m in alive_mirrors
-        ) or central.main.inbox.qsize():
-            await asyncio.sleep(0.001)
-        for site_main in [central.main] + [m.main for m in alive_mirrors]:
-            await site_main.requests.put(EOS)
-        await central.ctrl_in.put(EOS)
-        # crashed sites' tasks end in CancelledError; don't let that
-        # propagate past the survivors' clean exits
-        await asyncio.gather(*tasks, return_exceptions=True)
+        async def drive() -> List[AsyncMirrorSite]:
+            await asyncio.gather(*drivers)
+            await central.stream_done.wait()
+            # propagate shutdown: mirrors drain their data queues, then stop
+            await central.mirror_channel.publish(EOS)
+            await central.ctrl_channel.publish(EOS)
+            # let queues drain (a crashed mirror's queues will never move)
+            alive = [m for m in self.mirrors if m.site not in self.crashed]
+            while any(
+                m.main.inbox.qsize() or m.data_in.level() for m in alive
+            ) or central.main.inbox.qsize():
+                await asyncio.sleep(0.001)
+            for site_main in [central.main] + [m.main for m in alive]:
+                await site_main.requests.put(EOS)
+            await central.ctrl_in.put(EOS)
+            # crashed sites' tasks end in CancelledError; don't let that
+            # propagate past the survivors' clean exits
+            await asyncio.gather(*site_tasks, return_exceptions=True)
+            return alive
+
+        try:
+            alive_mirrors = await tasks.guard(drive())
+        finally:
+            await tasks.cancel()
 
         mains = [central.main] + [m.main for m in alive_mirrors]
         subs = (
@@ -314,11 +325,7 @@ class AsyncMirroredServer:
             replica_digests=[central.main.ede.state_digest()]
             + [m.main.ede.state_digest() for m in alive_mirrors],
             wall_seconds=time.monotonic() - t0,
-            mean_update_delay=(
-                sum(central.main.update_delays) / len(central.main.update_delays)
-                if central.main.update_delays
-                else 0.0
-            ),
+            mean_update_delay=central.main.update_delays.mean(),
             channel_high_watermark=max(
                 (s.high_watermark for s in subs), default=0
             ),

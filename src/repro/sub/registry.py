@@ -16,12 +16,14 @@ which is the Gryphon framing of the system.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..core.events import UpdateEvent
 from .engine import MatchEngine
 from .predicate import (
+    MatchAll,
     Node,
     Or,
     Predicate,
@@ -52,6 +54,15 @@ class Subscription:
         return to_nodes(self.predicate)
 
 
+def _term_digest(pred: Predicate) -> int:
+    """128-bit digest of one canonical disjunct."""
+    text = repr(to_nodes(pred)).encode()
+    return int.from_bytes(hashlib.blake2b(text, digest_size=16).digest(), "big")
+
+
+_MATCH_ALL_TERM = _term_digest(MatchAll())
+
+
 class SubscriptionRegistry:
     """Client subscription table over an indexed :class:`MatchEngine`.
 
@@ -59,13 +70,22 @@ class SubscriptionRegistry:
     every table is a dict (insertion-ordered), and match results come
     back sorted."""
 
-    __slots__ = ("engine", "_subs", "_by_client", "_next_id")
+    __slots__ = (
+        "engine", "_subs", "_by_client", "_next_id", "_terms", "_refs", "_acc",
+    )
 
     def __init__(self) -> None:
         self.engine = MatchEngine()
         self._subs: Dict[int, Subscription] = {}
         self._by_client: Dict[str, Dict[int, Subscription]] = {}
         self._next_id = 1
+        # combined interest per client, kept current per change:
+        # sub_id -> digests of its predicate's disjuncts; client ->
+        # {digest: predicates contributing it}; client -> XOR of the
+        # distinct digests
+        self._terms: Dict[int, Tuple[int, ...]] = {}
+        self._refs: Dict[str, Dict[int, int]] = {}
+        self._acc: Dict[str, int] = {}
 
     def __len__(self) -> int:
         return len(self._subs)
@@ -90,7 +110,24 @@ class SubscriptionRegistry:
         self._subs[sub_id] = sub
         self._by_client.setdefault(client_id, {})[sub_id] = sub
         self.engine.add(sub_id, sub.predicate)
+        pred = sub.predicate
+        terms = tuple(
+            _term_digest(d)
+            for d in (pred.children if isinstance(pred, Or) else (pred,))
+        )
+        self._terms[sub_id] = terms
+        self._note_terms(client_id, terms, 1)
         return sub
+
+    def _note_terms(self, client_id: str, terms: Tuple[int, ...], step: int) -> None:
+        refs = self._refs.setdefault(client_id, {})
+        for term in terms:
+            before = refs.get(term, 0)
+            refs[term] = before + step
+            if not before or not refs[term]:
+                self._acc[client_id] = self._acc.get(client_id, 0) ^ term
+            if not refs[term]:
+                del refs[term]
 
     def subscribe_nodes(
         self, client_id: str, nodes: Iterable[Node],
@@ -117,8 +154,11 @@ class SubscriptionRegistry:
             del table[sid]
             del self._subs[sid]
             self.engine.discard(sid)
+            self._note_terms(client_id, self._terms.pop(sid), -1)
         if not table:
             del self._by_client[client_id]
+            del self._refs[client_id]
+            del self._acc[client_id]
         return removed
 
     # -- queries -------------------------------------------------------
@@ -160,6 +200,19 @@ class SubscriptionRegistry:
 
     def active_count(self, client_id: str) -> int:
         return len(self._by_client.get(client_id, {}))
+
+    def client_key(self, client_id: str) -> int:
+        """Grouping key of the client's combined interest: 0 without
+        subscriptions, else a digest equal for two clients exactly when
+        :meth:`client_signature` is (up to a 128-bit collision).  Kept
+        current per subscription change, so reading it costs nothing —
+        the push path regroups a connection on every SUBSCRIBE."""
+        refs = self._refs.get(client_id)
+        if not refs:
+            return 0
+        if _MATCH_ALL_TERM in refs:
+            return _MATCH_ALL_TERM
+        return self._acc[client_id] or 1
 
     def client_signature(self, client_id: str) -> str:
         """Canonical signature of the client's *combined* interest (the

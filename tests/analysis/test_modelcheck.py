@@ -54,6 +54,25 @@ def test_three_sites_clean():
     assert report.interleavings >= math.factorial(6) // 8
 
 
+def test_default_sweep_counts_are_pinned():
+    """The 2 x 3 sweep the CI job runs: the periodic-initiator rule
+    (``initiate_if_idle``) drives the final round and left the schedule
+    space exactly where it was."""
+    report = check_protocol(sites=2, events=3, max_losses=1)
+    assert (report.interleavings, report.states) == (221760, 597)
+    assert (report.lossy_interleavings, report.lossy_states) == (725760, 894)
+
+
+def test_initiator_that_never_gives_a_lost_round_up_is_caught(monkeypatch):
+    """The rule's exception is what absorbs a lost CHKPT/CHKPT_REP: a
+    coordinator that declines to initiate for as long as a round
+    collects leaves the backup queues untrimmed on some lossy schedule."""
+    monkeypatch.setattr("repro.core.checkpoint.MAX_SKIPPED_INITIATIONS", 10**9)
+    check_protocol(sites=2, events=2, max_losses=0)  # nothing lost: fine
+    with pytest.raises(ModelCheckViolation, match="not absorbed"):
+        check_protocol(sites=2, events=2, max_losses=1)
+
+
 def test_skip_min_agreement_mutant_is_caught():
     """Acceptance criterion: a protocol that commits the raw proposal
     without waiting for the componentwise-minimum agreement is caught,

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.checkpoint import (
+    MAX_SKIPPED_INITIATIONS,
     CheckpointCoordinator,
     ChkptMsg,
     ChkptRepMsg,
@@ -89,6 +90,40 @@ def test_lost_reply_round_superseded_by_next():
     assert commit.vt == vt(faa=10)
     # the later commit covers everything the first would have
     assert commit.vt.dominates(vt(faa=5))
+
+
+def test_periodic_initiator_leaves_a_collecting_round_alone():
+    """A round still collecting is not superseded by the next tick: it
+    commits, and only then does the initiator start another."""
+    coord = CheckpointCoordinator({"central", "m1"})
+    r1 = coord.initiate_if_idle(vt(faa=5))
+    assert r1 is not None
+    coord.on_reply(ChkptRepMsg(r1.round_id, "central", vt(faa=5)))
+    assert coord.initiate_if_idle(vt(faa=9)) is None
+    assert coord.initiations_skipped == 1 and coord.rounds_superseded == 0
+    commit = coord.on_reply(ChkptRepMsg(r1.round_id, "m1", vt(faa=4)))
+    assert commit.vt == vt(faa=4)
+    r2 = coord.initiate_if_idle(vt(faa=9))
+    assert r2 is not None and r2.round_id != r1.round_id
+    assert coord.rounds_started == 2
+
+
+def test_periodic_initiator_gives_a_lost_round_up_after_a_fixed_wait():
+    """No timeouts: a round whose CHKPT or CHKPT_REP was lost collects
+    for ever, so after MAX_SKIPPED_INITIATIONS declined ticks the next
+    one supersedes it — and the skip count starts over."""
+    coord = CheckpointCoordinator({"central", "m1"})
+    lost = coord.initiate_if_idle(vt(faa=5))
+    for _ in range(MAX_SKIPPED_INITIATIONS):
+        assert coord.initiate_if_idle(vt(faa=12)) is None
+    later = coord.initiate_if_idle(vt(faa=12))
+    assert later is not None and coord.rounds_superseded == 1
+    assert coord.initiate_if_idle(vt(faa=20)) is None  # counting anew
+    # the lost round's late vote is stale; the later round absorbs it
+    assert coord.on_reply(ChkptRepMsg(lost.round_id, "m1", vt(faa=5))) is None
+    coord.on_reply(ChkptRepMsg(later.round_id, "central", vt(faa=12)))
+    commit = coord.on_reply(ChkptRepMsg(later.round_id, "m1", vt(faa=11)))
+    assert commit.vt == vt(faa=11) and commit.vt.dominates(vt(faa=5))
 
 
 def test_monitored_values_aggregated_by_max():

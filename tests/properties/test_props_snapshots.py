@@ -90,3 +90,45 @@ def test_resume_via_marks_is_never_incomplete(ops):
         assert apply_delta(base, view) == full_views
     else:
         assert {v.flight_id: v for v in view.flights} == full_views
+
+
+@given(
+    ops=mutations(),
+    resume_at=st.integers(min_value=0, max_value=40),
+    horizon=st.integers(min_value=2, max_value=12),
+    by_marks=st.booleans(),
+)
+@settings(max_examples=120, deadline=None)
+def test_resume_from_before_the_trimmed_journal_is_complete(
+    ops, resume_at, horizon, by_marks
+):
+    """The change journal is bounded: whatever the history and wherever
+    the client resumes from — inside the retained journal or long before
+    it — what it ends up with equals the full view, and the journal
+    never outgrows its horizon."""
+    from unittest.mock import patch
+
+    from repro.ois import state as state_module
+
+    with patch.object(state_module, "JOURNAL_HORIZON", horizon):
+        store = OperationalStateStore()
+        cut = min(resume_at, len(ops))
+        next_seqno = apply_ops(store, ops[:cut])
+        base = store.snapshot(0.0)
+        apply_ops(store, ops[cut:], start_seqno=next_seqno)
+        assert len(store._log_gens) <= horizon
+        assert all(len(s) <= horizon for s, _ in store._stream_log.values())
+
+        if by_marks:
+            view = store.delta_snapshot(
+                1.0, since_marks=dict(base.as_of), max_fraction=1.0
+            )
+        else:
+            view = store.delta_snapshot(
+                1.0, since_generation=base.generation, max_fraction=1.0
+            )
+        full_views = {v.flight_id: v for v in store.snapshot(1.0).flights}
+        if view.is_delta:
+            assert apply_delta(base, view) == full_views
+        else:
+            assert {v.flight_id: v for v in view.flights} == full_views
