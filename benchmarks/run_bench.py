@@ -5,7 +5,7 @@ Same runner as ``python -m repro bench`` (see :mod:`repro.bench`), kept
 next to the pytest benchmarks so both op/s record and pytest-benchmark
 timings live under ``benchmarks/``::
 
-    python benchmarks/run_bench.py --out BENCH_PR1.json --label PR1
+    python benchmarks/run_bench.py --out benchmarks/BENCH_PR1.json --label PR1
 """
 
 import os

@@ -8,7 +8,7 @@ Usage::
     python -m repro ablations          # all ablations
     python -m repro ablation hysteresis
     python -m repro all --save results/figures.txt   # everything + report
-    python -m repro bench --out BENCH_PR1.json       # substrate op/s record
+    python -m repro bench --out benchmarks/BENCH_PR1.json  # op/s record
     python -m repro lint                   # repo-specific static analysis
     python -m repro modelcheck --sites 2 --events 3  # protocol checker
     python -m repro modelcheck --protocol handoff    # shard handoff checker

@@ -10,10 +10,10 @@ trajectory of the reproduction is tracked across PRs.
 Run it as::
 
     python -m repro bench                      # full suite -> BENCH.json
-    python -m repro bench --out BENCH_PR1.json --label PR1
+    python -m repro bench --out benchmarks/BENCH_PR1.json --label PR1
     python -m repro bench --quick              # tiny op counts (smoke)
     python -m repro bench --compare OLD.json NEW.json [--max-regress 25]
-    python -m repro bench --history            # BENCH_*.json trajectory
+    python -m repro bench --history            # benchmarks/BENCH_PR*.json trajectory
     python benchmarks/run_bench.py             # same entry point
 
 Numbers are host-dependent: compare records produced on the same
@@ -112,73 +112,6 @@ def _bench_rule_engine(scale: float) -> Tuple[int, Callable[[], None]]:
         assert passed >= 0
 
     return n, run
-
-
-def _bench_rule_engine_alloc(scale: float):
-    """Allocation probe: the overwrite lane's steady-state allocs/event.
-
-    Drives the zero-allocation path end to end — shells drawn from the
-    ``core.events`` free-list, ``RuleEngine.forward_into`` instead of the
-    list-returning hooks, claims released back to the pool — and records
-    ``allocs_per_event``: the net ``sys.getallocatedblocks()`` delta per
-    event with the GC disabled.  The PR 10 bar is ~0 (< 0.05); the
-    pre-pool pipeline sat at 3+ (stamped shell, two result lists).  The
-    timed loop is the same drive, so ``ops_per_sec`` doubles as the
-    overwrite-lane throughput number.
-    """
-    import gc
-
-    from .core import events as core_events
-    from .core.events import FAA_POSITION, UpdateEvent, VectorTimestamp
-    from .core.rules import OverwriteRule, RuleEngine
-
-    n = max(64, int(50_000 * scale))
-    n_keys = 20
-    engine = RuleEngine([OverwriteRule(FAA_POSITION, 10)])
-    vt = VectorTimestamp({"faa": 1})
-    sources = [
-        UpdateEvent(
-            kind=FAA_POSITION, stream="faa", seqno=k + 1,
-            key=f"DL{k:02d}", payload={"lat": float(k)},
-        )
-        for k in range(n_keys)
-    ]
-    outs: list = []
-
-    def drive(count: int) -> None:
-        forward_into = engine.forward_into
-        for i in range(count):
-            outs.clear()
-            ev = sources[i % n_keys].stamped_pooled(vt, 0.0)
-            forward_into(ev, outs)
-            # the probe owns both ends of the shell's life: the mirror
-            # claim (survivors are dropped, not published) and the
-            # forward claim the main unit would hold in the runtime
-            ev.release()
-            ev.release()
-
-    def run():
-        drive(n)
-
-    # measured outside the timed loop: one settled window, GC off so the
-    # collector can't turn a leak into a flat line
-    core_events.pool_clear()
-    drive(2048)  # warm: pool filled, caches/lanes settled
-    gc.disable()
-    try:
-        before = sys.getallocatedblocks()
-        drive(n)
-        delta = sys.getallocatedblocks() - before
-    finally:
-        gc.enable()
-    stats = core_events.pool_stats()
-    info = {
-        "allocs_per_event": delta / n,
-        "alloc_blocks_delta": delta,
-        "pool_hits": stats["hits"],
-        "pool_misses": stats["misses"],
-    }
-    return n, run, info
 
 
 def _bench_checkpoint_rounds(scale: float) -> Tuple[int, Callable[[], None]]:
@@ -493,7 +426,6 @@ def _bench_sub_match(scale: float):
     from .sub.predicate import ByFlight
 
     per_flight = 20
-    batch = 64  # the router/mirror batch size the push path ships at
     n_flights = max(5, int(50_000 * scale))
     n_subs = n_flights * per_flight
     flights = [f"DL{i:05d}" for i in range(n_flights)]
@@ -508,20 +440,17 @@ def _bench_sub_match(scale: float):
         )
         for i in range(n_events)
     ]
-    batches = [events[i:i + batch] for i in range(0, n_events, batch)]
 
     def run():
         matched = 0
-        for chunk in batches:
-            for result in engine.match_batch(chunk):
-                matched += len(result)
+        for event in events:
+            matched += len(engine.match(event))
         assert matched == n_events * per_flight
 
     info = {
         "subscriptions": n_subs,
         "flights": n_flights,
         "matches_per_event": per_flight,
-        "batch": batch,
     }
     return n_events, run, info
 
@@ -530,7 +459,6 @@ BENCHMARKS: Dict[str, Callable[[float], Tuple[int, Callable[[], None]]]] = {
     "kernel_timeout_throughput": _bench_kernel_timeouts,
     "store_put_get_throughput": _bench_store_put_get,
     "rule_engine_throughput": _bench_rule_engine,
-    "rule_engine_alloc": _bench_rule_engine_alloc,
     "checkpoint_round_throughput": _bench_checkpoint_rounds,
     "scenario_end_to_end": _bench_scenario_end_to_end,
     "snapshot_full": _bench_snapshot_full,
@@ -710,10 +638,10 @@ def compare_main(old_path: str, new_path: str,
     return 0
 
 
-def history_main(pattern: str = "BENCH_*.json") -> int:
-    """``--history`` mode: aggregate every BENCH_*.json in the working
-    directory into one op/s trajectory table (columns ordered by record
-    creation time)."""
+def history_main(pattern: str = "benchmarks/BENCH_PR*.json") -> int:
+    """``--history`` mode: aggregate the checked-in per-PR records
+    (``benchmarks/BENCH_PR*.json``, seen from the repo root) into one
+    op/s trajectory table (columns ordered by record creation time)."""
     import glob
 
     paths = sorted(glob.glob(pattern))
@@ -814,8 +742,8 @@ def main(argv: List[str] | None = None) -> int:
     )
     parser.add_argument(
         "--history", action="store_true",
-        help="aggregate all BENCH_*.json in the working directory into "
-        "one op/s trajectory table instead of running",
+        help="aggregate benchmarks/BENCH_PR*.json (run from the repo "
+        "root) into one op/s trajectory table instead of running",
     )
     parser.add_argument(
         "--profile", metavar="NAME", choices=sorted(BENCHMARKS), default=None,

@@ -59,6 +59,13 @@ __all__ = ["CentralAuxUnit", "MirrorAuxUnit", "PROMOTED_FIRST_ROUND"]
 #: vote in a new round (``repro.faults`` live failover).
 PROMOTED_FIRST_ROUND = 1_000_000
 
+#: Bound on the central data inbox — models the flow control of the
+#: wide-area collection feed (a self-paced source cannot dump an
+#: unbounded backlog into the server).
+CENTRAL_DATA_INBOX = 256
+#: Bound on each mirror's data inbox (backpressure depth).
+MIRROR_DATA_INBOX = 128
+
 
 class CentralAuxUnit:
     """Auxiliary unit of the central (primary) site."""
@@ -76,9 +83,7 @@ class CentralAuxUnit:
         metrics: RunMetrics,
         mirroring_enabled: bool = True,
         adaptation: Optional[AdaptationController] = None,
-        data_capacity: Optional[int] = 256,
         monitor: Optional[InvariantMonitor] = None,
-        recycle_shells: bool = False,
     ):
         self.env = env
         self.node = node
@@ -91,15 +96,9 @@ class CentralAuxUnit:
         self.mirroring_enabled = mirroring_enabled
         self.adaptation = adaptation
         self.monitor = monitor
-        #: stamp event copies through the events.py free-list and release
-        #: them when both local consumers are done.  Only safe without
-        #: fault injection: crash-drain triage resurrects references the
-        #: claim accounting cannot see, so the builder (core/system.py)
-        #: enables this only for fault-free runs.
-        self.recycle_shells = recycle_shells
 
         self.data_in = transport.register(
-            "central.aux.data", node, capacity=data_capacity
+            "central.aux.data", node, capacity=CENTRAL_DATA_INBOX
         )
         self.ctrl_in = transport.register("central.aux.ctrl", node)
         # the ready queue is bounded: the receiving task is flow-controlled
@@ -181,7 +180,6 @@ class CentralAuxUnit:
         ready_put = self.ready.put
         ready_offer = self.ready.offer
         env = self.env
-        recycle = self.recycle_shells
         while True:
             msg = yield data_get()
             self._recv_in_hand = msg
@@ -194,10 +192,7 @@ class CentralAuxUnit:
             clock = self.clock = self.clock.advanced(event.stream, event.seqno)
             if self.monitor is not None:
                 self.monitor.on_stamped(event.stream, event.seqno)
-            if recycle:
-                stamped = event.stamped_pooled(clock, env.now)
-            else:
-                stamped = event.stamped(clock, entered_at=env.now)
+            stamped = event.stamped(clock, entered_at=env.now)
             # yield only under backpressure (bounded ready queue full)
             if not ready_offer(stamped):
                 yield ready_put(stamped)
@@ -256,9 +251,6 @@ class CentralAuxUnit:
             )
             metrics.events_forwarded += 1
             if not self.mirroring_enabled:
-                # mirror-path claim unused: the shell's only remaining
-                # consumer is the main unit (no-op for unpooled shells)
-                event.release()
                 self._send_in_hand = None
                 continue
             # mirror(): semantic rule pipeline decides what ships
@@ -269,16 +261,8 @@ class CentralAuxUnit:
             # same step (no yield between), so its custody is continuous
             self._mirror_in_hand = outs
             engine = self.engine
-            emitted = engine.forward_into(event, outs)
-            if emitted == 0 and engine.safe_discard:
-                # provably dead: no rule holds it, the mirror path just
-                # dropped it — hand the mirror-path claim back (the shell
-                # recycles once the main unit finishes with it too)
-                event.release()
-            else:
-                # survived into multi-owner structures (mirror channel,
-                # backup queue) or a rule buffer: never recycle
-                event.escape()
+            for passed in engine.on_receive(event):
+                outs.extend(engine.on_send(passed))
             self._send_in_hand = None
             batch_size = self.config.batch_size
             if batch_size <= 1:
@@ -316,11 +300,8 @@ class CentralAuxUnit:
                 self.metrics.events_forwarded += 1
                 yield from self.node.execute(costs.rule_fixed)
                 engine = self.engine
-                emitted = engine.forward_into(nxt, outs)
-                if emitted == 0 and engine.safe_discard:
-                    nxt.release()
-                else:
-                    nxt.escape()
+                for passed in engine.on_receive(nxt):
+                    outs.extend(engine.on_send(passed))
                 self._send_in_hand = None
                 drained += 1
             yield from self._mirror_batch(outs)
@@ -471,7 +452,6 @@ class MirrorAuxUnit:
         transport: Transport,
         main_unit: MainUnit,
         metrics: RunMetrics,
-        data_capacity: Optional[int] = 128,
         monitor: Optional[InvariantMonitor] = None,
     ):
         self.env = env
@@ -482,7 +462,7 @@ class MirrorAuxUnit:
         self.metrics = metrics
         self.monitor = monitor
         self.data_in = transport.register(
-            f"{site}.aux.data", node, capacity=data_capacity
+            f"{site}.aux.data", node, capacity=MIRROR_DATA_INBOX
         )
         self.ctrl_in = transport.register(f"{site}.aux.ctrl", node)
         self.ready = Store(env, capacity=64)

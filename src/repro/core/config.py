@@ -226,10 +226,6 @@ class _CustomSendRule(Rule):
 
     side = "send"
 
-    # A user callable is opaque: it may stash event references anywhere,
-    # so the engine must never treat its discards as recyclable.
-    retains_events = True
-
     def __init__(self, func):
         super().__init__()
         self.func = func
@@ -242,8 +238,6 @@ class _CustomReceiveRule(Rule):
     """Adapter for a set_fwd() callable: receive-side hook only."""
 
     side = "receive"
-
-    retains_events = True  # same opacity argument as _CustomSendRule
 
     def __init__(self, func):
         super().__init__()

@@ -24,8 +24,6 @@ __all__ = [
     "DELTA_STATUS",
     "DERIVED",
     "HANDOFF",
-    "pool_stats",
-    "pool_clear",
 ]
 
 # Well-known event kinds used throughout the OIS application.  Kinds are
@@ -44,40 +42,6 @@ HANDOFF = "ois.handoff"
 EventKind = str
 
 _event_uids = itertools.count()
-
-# -- event-shell free-list ------------------------------------------------
-# The overwrite lane's steady state stamps one event copy per incoming
-# event and then *discards* most of them (the whole point of selective
-# mirroring), which made the stamped shell the dominant per-event
-# allocation.  Shells whose claims provably drop to zero are recycled
-# here instead of going to the allocator.  Only the 10-slot shell is
-# pooled — payload dicts and timestamps are never reused, because
-# downstream consumers (the EDE state store, metrics) may retain them.
-_POOL: List["UpdateEvent"] = []
-_POOL_LIMIT = 1024
-_pool_hits = 0
-_pool_misses = 0
-_pool_returns = 0
-
-
-def pool_stats() -> Dict[str, int]:
-    """Free-list accounting: the bench allocation probe reads this to
-    prove the overwrite lane recycles instead of allocating."""
-    return {
-        "size": len(_POOL),
-        "hits": _pool_hits,
-        "misses": _pool_misses,
-        "returns": _pool_returns,
-    }
-
-
-def pool_clear() -> None:
-    """Drop the free-list and zero the counters (test isolation)."""
-    global _pool_hits, _pool_misses, _pool_returns
-    _POOL.clear()
-    _pool_hits = 0
-    _pool_misses = 0
-    _pool_returns = 0
 
 
 class VectorTimestamp:
@@ -250,13 +214,6 @@ class UpdateEvent:
     entered_at: float = 0.0
     coalesced_from: int = 1
     uid: int = field(default_factory=_event_uids.__next__)
-    #: free-list claim count.  0 (the default) means the shell is
-    #: outside the recycling protocol entirely — :meth:`release` is a
-    #: no-op on it.  :meth:`stamped_pooled` hands out shells with one
-    #: claim per local consumer; the shell returns to the pool when the
-    #: last claim is released, and :meth:`escape` permanently opts a
-    #: shell out once it reaches a multi-owner structure.
-    _claims: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.seqno < 0:
@@ -297,7 +254,6 @@ class UpdateEvent:
         ev.entered_at = entered_at
         ev.coalesced_from = coalesced_from
         ev.uid = next(_event_uids)
-        ev._claims = 0
         return ev
 
     @classmethod
@@ -334,7 +290,6 @@ class UpdateEvent:
         ev.entered_at = entered_at
         ev.coalesced_from = coalesced_from
         ev.uid = uid
-        ev._claims = 0
         return ev
 
     def stamped(self, vt: VectorTimestamp, entered_at: float) -> "UpdateEvent":
@@ -350,73 +305,7 @@ class UpdateEvent:
         ev.entered_at = entered_at
         ev.coalesced_from = self.coalesced_from
         ev.uid = self.uid  # same logical event
-        ev._claims = 0
         return ev
-
-    def stamped_pooled(self, vt: VectorTimestamp, entered_at: float) -> "UpdateEvent":
-        """:meth:`stamped` drawing the copy's shell from the free-list.
-
-        The shell carries **two claims**: one for the forward path (the
-        co-located main unit releases after ``note_processed``) and one
-        for the mirror path (the aux sending task releases when the rule
-        pipeline discards the event, or escapes the shell when it
-        survives into multi-owner structures — backup queue, mirror
-        channel).  Callers must only use this when the run has no fault
-        injection: crash-drain triage can resurrect references the claim
-        accounting cannot see.
-        """
-        global _pool_hits, _pool_misses
-        if _POOL:
-            ev = _POOL.pop()
-            _pool_hits += 1
-        else:
-            ev = object.__new__(UpdateEvent)
-            _pool_misses += 1
-        ev.kind = self.kind
-        ev.stream = self.stream
-        ev.seqno = self.seqno
-        ev.key = self.key
-        ev.payload = self.payload
-        ev.size = self.size
-        ev.vt = vt
-        ev.entered_at = entered_at
-        ev.coalesced_from = self.coalesced_from
-        ev.uid = self.uid  # same logical event
-        ev._claims = 2
-        return ev
-
-    def release(self) -> bool:
-        """Drop one claim; recycle the shell when the last claim goes.
-
-        No-op (returns False) on shells outside the recycling protocol —
-        source-minted, decoded, or escaped events all have zero claims —
-        so call sites can release unconditionally.  Field references
-        (payload, vt) are left in place: they are overwritten at the
-        next :meth:`stamped_pooled`, and clearing them here would cost
-        the very allocations the pool exists to avoid.
-        """
-        claims = self._claims
-        if claims <= 0:
-            return False
-        claims -= 1
-        self._claims = claims
-        if claims == 0:
-            global _pool_returns
-            _pool_returns += 1
-            if len(_POOL) < _POOL_LIMIT:
-                _POOL.append(self)
-            return True
-        return False
-
-    def escape(self) -> None:
-        """Permanently opt this shell out of recycling.
-
-        Called the moment a pooled shell reaches a structure with
-        owners the claim count does not model (backup queue, mirror
-        channel fan-out): any claim still outstanding becomes inert and
-        the shell is never pooled.
-        """
-        self._claims = 0
 
     def with_payload(self, **updates: Any) -> "UpdateEvent":
         """Copy with payload fields merged in."""

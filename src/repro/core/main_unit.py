@@ -31,6 +31,9 @@ __all__ = ["EOS", "MainUnit"]
 #: End-of-stream sentinel payload.
 EOS = "__end_of_stream__"
 
+#: Request-handler threads per site (thread-per-request server model).
+REQUEST_HANDLERS = 4
+
 
 class MainUnit:
     """Business-logic unit of one site.
@@ -63,12 +66,9 @@ class MainUnit:
         clients_endpoint: Optional[str] = None,
         client_pool: Optional[ClientPool] = None,
         snapshot_on_wire: bool = True,
-        request_workers: int = 4,
         mirror_config: Optional[MirrorConfig] = None,
         broker: Optional[Any] = None,
     ):
-        if request_workers < 1:
-            raise ValueError("request_workers must be >= 1")
         self.env = env
         self.site = site
         self.node = node
@@ -113,7 +113,6 @@ class MainUnit:
         #: replay must not double-feed it); stale values are harmless —
         #: a finished event is covered by ``checkpointer.processed_vt``
         self._processing_uid = -1
-        self._request_workers = request_workers
         self.processes: list = []
         self.start_processes()
 
@@ -125,7 +124,7 @@ class MainUnit:
         # a pool of request-handler threads: under a request storm the
         # handlers crowd the node CPU's FIFO queue, starving the site's
         # event path — the perturbation §4.3 adapts away
-        for _ in range(self._request_workers):
+        for _ in range(REQUEST_HANDLERS):
             self.processes.append(env.process(self._request_loop()))
 
     # -- configuration ---------------------------------------------------
@@ -178,10 +177,6 @@ class MainUnit:
             self.events_processed += 1
             if is_central:
                 metrics.events_processed_central += 1
-            # forward-path claim: the EDE is done with the shell (its
-            # outputs copy the payload into fresh shells) — no-op for
-            # events outside the recycling protocol
-            event.release()
             if self.distribute_updates:
                 for out in outputs:
                     yield from execute(costs.update_cost(out.size))

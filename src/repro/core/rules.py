@@ -85,13 +85,6 @@ class Rule:
     #: receive-side holds (complex tuples) vs. send-side holds (coalesce)
     flush_side = "receive"
 
-    #: a rule that stores event references past the hook call (buffering
-    #: components, coalescing runs) MUST set this True.  When every rule
-    #: in an engine leaves it False, a discarded event is dead the moment
-    #: the pipeline drops it, so the caller may recycle its shell
-    #: (see :attr:`RuleEngine.safe_discard`).
-    retains_events = False
-
     def __init__(self):
         self.rule_id = f"{type(self).__name__}#{next(_rule_ids)}"
 
@@ -238,8 +231,6 @@ class ComplexTupleRule(Rule):
     position events for that flight can be discarded").
     """
 
-    retains_events = True  # components are held in table.tuple_slot
-
     def __init__(
         self,
         kinds: Sequence[str],
@@ -326,7 +317,6 @@ class CoalesceRule(Rule):
     """
 
     flush_side = "send"
-    retains_events = True  # runs are held in table.coalesce_buffer
 
     def __init__(self, max_count: int, kinds: Optional[Sequence[str]] = None):
         super().__init__()
@@ -421,12 +411,6 @@ class RuleEngine:
                 self._recv_declared.append((position, rule.on_receive, kinds))
             if cls.on_send is not Rule.on_send:
                 self._send_declared.append((position, rule.on_send, kinds))
-        #: True when no rule in the pipeline holds event references past
-        #: its hook call — a dropped event is then provably dead and its
-        #: shell may be recycled by the caller (events.py free-list).
-        self.safe_discard = all(
-            not getattr(rule, "retains_events", False) for rule in self.rules
-        )
 
     def _lane(self, kind: str, declared: List[tuple], lanes: Dict[str, tuple]) -> tuple:
         lane = lanes.get(kind)
@@ -543,68 +527,6 @@ class RuleEngine:
             return result
         self.passed_send += 1
         return [event]
-
-    def _send_into(self, event: UpdateEvent, outs: List[UpdateEvent]) -> int:
-        """Send-side pipeline appending survivors to ``outs``.
-
-        Same outputs and counter updates as :meth:`on_send`, but the
-        common pass-through case appends the event straight to the
-        caller's output list instead of allocating a one-element list.
-        Returns how many events were appended.
-        """
-        self.sent += 1
-        lane = self._send_lanes.get(event.kind)
-        if lane is None:
-            lane = self._lane(event.kind, self._send_declared, self._send_lanes)
-        table = self.table
-        for position, hook in lane:
-            result = hook(event, table)
-            if result is None:
-                continue
-            if result:
-                result = self._replacements(
-                    result, self._send_declared, self._send_lanes, position
-                )
-                outs.extend(result)
-            n = len(result)
-            self.passed_send += n
-            return n
-        self.passed_send += 1
-        outs.append(event)
-        return 1
-
-    def forward_into(self, event: UpdateEvent, outs: List[UpdateEvent]) -> int:
-        """Receive- then send-side pipeline for one event, appending the
-        surviving events to ``outs``.
-
-        Exactly equivalent to ``outs.extend(on_send(p)) for p in
-        on_receive(event)`` — same outputs, same counters — without the
-        two intermediate list allocations per event.  This is the
-        steady-state hot path of the overwrite lane: a discarded event
-        costs zero allocations, and when :attr:`safe_discard` holds a
-        return value of ``0`` tells the caller the event's shell may be
-        recycled.
-        """
-        self.received += 1
-        lane = self._recv_lanes.get(event.kind)
-        if lane is None:
-            lane = self._lane(event.kind, self._recv_declared, self._recv_lanes)
-        table = self.table
-        for position, hook in lane:
-            result = hook(event, table)
-            if result is None:
-                continue
-            if result:
-                result = self._replacements(
-                    result, self._recv_declared, self._recv_lanes, position
-                )
-            self.passed_receive += len(result)
-            emitted = 0
-            for passed in result:
-                emitted += self._send_into(passed, outs)
-            return emitted
-        self.passed_receive += 1
-        return self._send_into(event, outs)
 
     def forward_many(self, events: List[UpdateEvent]) -> List[UpdateEvent]:
         """Receive- then send-side pipeline over several events.

@@ -35,6 +35,17 @@ from .main_unit import EOS, MainUnit
 
 __all__ = ["ScenarioConfig", "ScenarioResult", "MirroredServer", "run_scenario"]
 
+#: Nodes are modelled as single serial servers: the framework's tasks
+#: contend on one effective processor (the paper's dual-processor
+#: testbed spent its second CPU on OS/interrupt work, and the reported
+#: overheads — "thread scheduling, queue management" — appear on the
+#: critical path, not hidden by task parallelism).
+NODE_CPUS = 1
+#: Master seed of the synthetic subscription population's substream.
+SUBSCRIPTION_SEED = 7
+#: Seconds between source retries while the ingest site is down.
+SOURCE_RETRY_S = 0.05
+
 
 @dataclass
 class ScenarioConfig:
@@ -58,12 +69,6 @@ class ScenarioConfig:
     #: where requests go: "mirrors" (paper default; falls back to the
     #: central site when there are none), or "central"
     request_target: str = "mirrors"
-    #: bound on each mirror's data inbox (backpressure depth)
-    mirror_inbox_capacity: Optional[int] = 128
-    #: bound on the central data inbox — models the flow control of the
-    #: wide-area collection feed (a self-paced source cannot dump an
-    #: unbounded backlog into the server)
-    central_inbox_capacity: Optional[int] = 256
     #: pre-existing operational state (flights); raises snapshot weight
     #: (0 = snapshots cover only the flights the workload itself creates,
     #: keeping request cost CPU-dominated — the paper uses httperf purely
@@ -74,18 +79,9 @@ class ScenarioConfig:
     #: heterogeneity: per-mirror speed factors (>1 = slower machine);
     #: shorter sequences pad with 1.0 — mirror i uses costs.scaled(f_i)
     mirror_speed_factors: Sequence[float] = ()
-    #: nodes are modelled as single serial servers by default: the
-    #: framework's tasks contend on one effective processor (the paper's
-    #: dual-processor testbed spent its second CPU on OS/interrupt work,
-    #: and the reported overheads — "thread scheduling, queue
-    #: management" — appear on the critical path, not hidden by task
-    #: parallelism)
-    cpus_per_node: int = 1
     #: transfer snapshots over the modelled client link (False = clients
     #: are reached over their own per-client paths; service cost only)
     snapshot_on_wire: bool = True
-    #: request-handler threads per site (thread-per-request server model)
-    request_workers: int = 4
     #: size of a rotating pool of *resume-capable* thin clients: when
     #: > 0, requests are issued round-robin from this many client ids,
     #: each advertising the generation of its previous view so servers
@@ -106,8 +102,6 @@ class ScenarioConfig:
     #: receives (each client subscribes to ~selectivity * n_flights
     #: flights) — the x-axis of the perturbation-vs-selectivity figure
     sub_selectivity: float = 0.01
-    #: master seed of the population's random substream
-    sub_seed: int = 7
     #: also evaluate every consulted event against the naive predicate
     #: oracle and count divergences (chaos drills assert the count is 0)
     sub_verify: bool = False
@@ -134,8 +128,6 @@ class ScenarioConfig:
     #: detector thresholds, in heartbeat intervals (hysteresis pair)
     suspect_after: float = 3.0
     dead_after: float = 6.0
-    #: source retry spacing while the ingest endpoint's site is down
-    source_retry: float = 0.05
     #: name of the shard this scenario's cluster represents (e.g.
     #: ``shard0``).  Local site names stay bare; fault-plan actions and
     #: supervisor notifications may then use shard-qualified ids
@@ -172,8 +164,6 @@ class ScenarioConfig:
             raise ValueError("heartbeat_jitter must be in [0, 1)")
         if self.detection_sweep <= 0:
             raise ValueError("detection_sweep must be positive")
-        if self.source_retry <= 0:
-            raise ValueError("source_retry must be positive")
         if (
             self.fault_plan is not None
             and getattr(self.fault_plan, "site_actions", lambda: ())()
@@ -219,11 +209,11 @@ class MirroredServer:
         env = self.env
 
         # nodes: central + mirrors inside the cluster; clients external
-        self.central_node = Node(env, "central", cpus=cfg.cpus_per_node, costs=cfg.costs)
+        self.central_node = Node(env, "central", cpus=NODE_CPUS, costs=cfg.costs)
         factors = list(cfg.mirror_speed_factors) + [1.0] * cfg.n_mirrors
         self.mirror_nodes = [
             Node(
-                env, f"mirror{i+1}", cpus=cfg.cpus_per_node,
+                env, f"mirror{i+1}", cpus=NODE_CPUS,
                 costs=cfg.costs if factors[i] == 1.0 else cfg.costs.scaled(factors[i]),
             )
             for i in range(cfg.n_mirrors)
@@ -246,7 +236,7 @@ class MirroredServer:
                     cfg.sub_population,
                     self.script.flight_keys(),
                     cfg.sub_selectivity,
-                    RandomStreams(cfg.sub_seed).stream("subscriptions"),
+                    RandomStreams(SUBSCRIPTION_SEED).stream("subscriptions"),
                 )
             )
 
@@ -257,7 +247,6 @@ class MirroredServer:
             clients_endpoint="clients.sink",
             client_pool=self.client_pool,
             snapshot_on_wire=cfg.snapshot_on_wire,
-            request_workers=cfg.request_workers,
             mirror_config=cfg.mirror_config,
             broker=self.broker,
         )
@@ -268,8 +257,7 @@ class MirroredServer:
                 clients_endpoint="clients.sink",
                 client_pool=self.client_pool,
                 snapshot_on_wire=cfg.snapshot_on_wire,
-                request_workers=cfg.request_workers,
-                mirror_config=cfg.mirror_config,
+                    mirror_config=cfg.mirror_config,
                 broker=self.broker,
             )
             for node in self.mirror_nodes
@@ -288,7 +276,6 @@ class MirroredServer:
         self.mirror_auxes = [
             MirrorAuxUnit(
                 env, node.name, node, self.transport, main, self.metrics,
-                data_capacity=cfg.mirror_inbox_capacity,
                 monitor=self.monitor,
             )
             for node, main in zip(self.mirror_nodes, self.mirror_mains)
@@ -315,12 +302,7 @@ class MirroredServer:
             self.metrics,
             mirroring_enabled=cfg.mirroring,
             adaptation=adaptation,
-            data_capacity=cfg.central_inbox_capacity,
             monitor=self.monitor,
-            # shell recycling is claim-counted; fault injection and live
-            # failover resurrect references (crash-drain triage, dead
-            # letters) the claims cannot see, so it stays off for them
-            recycle_shells=cfg.fault_plan is None and not cfg.failover,
         )
 
         # site registries (name -> unit/node) for routing and failover
@@ -453,7 +435,7 @@ class MirroredServer:
                 return True
             if self._ingest_abandoned:
                 return False
-            yield self.env.timeout(self.config.source_retry)
+            yield self.env.timeout(SOURCE_RETRY_S)
 
     def _request_targets(self) -> RoundRobinBalancer:
         cfg = self.config

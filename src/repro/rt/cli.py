@@ -71,11 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="attach N push subscribers with flight-scoped predicates "
              "(round-robin over the workload's flights; default 0)",
     )
-    parser.add_argument(
-        "--loop", choices=("asyncio", "uvloop"), default="asyncio",
-        help="event-loop implementation; uvloop is opportunistic and "
-             "falls back to the stdlib loop when not installed",
-    )
     return parser
 
 
@@ -93,9 +88,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         raise SystemExit("--subscribers requires --net tcp")
     if args.subscribers and args.processes:
         raise SystemExit("--subscribers is not plumbed through --processes")
-    from .net import install_event_loop
-
-    loop_impl = install_event_loop(args.loop)
     script = generate_script(
         FlightDataConfig(
             n_flights=args.flights,
@@ -126,7 +118,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 script=script,
                 n_requests=args.requests,
             ).run()
-            result["event_loop"] = loop_impl
             print(json.dumps(result, indent=2, default=list))
             return 0
         request_keys = sorted({se.event.key for se in script.fresh_events()})
@@ -143,7 +134,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         payload = asdict(summary)
         payload.pop("shard_map", None)
         payload["backend"] = "tcp-sharded(single-process)"
-        payload["event_loop"] = loop_impl
         print(json.dumps(payload, indent=2, default=list))
         return 0
 
@@ -153,7 +143,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         result = NetProcessRunner(
             n_mirrors=args.mirrors, n_requests=args.requests, script=script
         ).run()
-        result["event_loop"] = loop_impl
         print(json.dumps(result, indent=2, default=list))
         return 0
 
@@ -170,7 +159,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         payload = asdict(summary)
         payload["backend"] = "tcp(single-process)"
-        payload["event_loop"] = loop_impl
         payload["replicas_consistent"] = summary.replicas_consistent
         payload["events_per_second"] = (
             summary.events_in / summary.wall_seconds
@@ -189,7 +177,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     payload = asdict(summary)
     payload["backend"] = "asyncio"
-    payload["event_loop"] = loop_impl
     payload["replicas_consistent"] = summary.replicas_consistent
     print(json.dumps(payload, indent=2, default=list))
     return 0

@@ -108,7 +108,6 @@ __all__ = [
     "SubscriptionFanout",
     "run_net_scenario",
     "NetProcessRunner",
-    "install_event_loop",
 ]
 
 
@@ -139,40 +138,6 @@ MIRROR_DATA_BOUND = 8
 SUB_WRITE_BUDGET = 1 << 20
 #: Seconds a new connection has to say HELLO.
 HELLO_TIMEOUT_S = 5.0
-
-
-def install_event_loop(name: str = "asyncio") -> str:
-    """Select the event-loop implementation for subsequent runs.
-
-    ``uvloop`` is opportunistic (``--loop uvloop`` on the CLI): when the
-    package is importable its policy is installed and every later
-    ``asyncio.run`` uses it; when it is not, the stdlib loop keeps
-    working with no behaviour change — the wire bytes are identical
-    either way, uvloop only changes syscall batching and loop overhead.
-    The fallback is never silent: a performance comparison run against
-    a host without uvloop would otherwise measure the stdlib loop while
-    reporting nothing, so the substitution is warned once and the run
-    summary carries the loop actually in effect (``event_loop``).
-    Returns the implementation actually in effect.
-    """
-    if name in ("", "asyncio", "default"):
-        return "asyncio"
-    if name != "uvloop":
-        raise ValueError(f"unknown event loop {name!r} (asyncio|uvloop)")
-    try:
-        import uvloop  # type: ignore[import-not-found]
-    except ImportError:
-        import warnings
-
-        warnings.warn(
-            "uvloop requested but not importable; falling back to the "
-            "stdlib asyncio loop (timings are stdlib-loop timings)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return "asyncio"
-    uvloop.install()
-    return "uvloop"
 
 
 @dataclass
@@ -1183,10 +1148,10 @@ class SubscriptionFanout:
     def fanout(self, payload: Any) -> None:
         """Push ``payload``'s matched events to subscriber groups.
 
-        One batched engine pass yields every event's matched clients
-        (:meth:`SubscriptionRegistry.match_clients_batch` — index
-        lookups amortised across the batch); their groups each encode
-        their matched subset once.  The frames wait for :meth:`flush`.
+        One registry call yields every event's matched clients
+        (:meth:`SubscriptionRegistry.match_clients_batch`); their groups
+        each encode their matched subset once.  The frames wait for
+        :meth:`flush`.
         """
         if not self._groups:
             return

@@ -8,16 +8,6 @@ Public surface:
 * :class:`RandomStreams` — named, reproducible random substreams.
 * :class:`Counter`, :class:`Tally`, :class:`TimeWeightedGauge`,
   :class:`TimeSeries` — measurement probes.
-
-When the compiled kernel core is built and enabled (see
-:mod:`repro.sim.accel`), the hot-path names — ``Environment``,
-``Event``, ``Timeout``, ``Process``, ``Resource``, ``Request``,
-``Store``, ``StorePut``, ``StoreGet`` — are rebound here to the
-C types from ``_simcore``; every consumer imports them from this
-package, so the swap is a single site.  The pure classes stay
-importable from :mod:`repro.sim.kernel` / :mod:`repro.sim.resources`
-(and as ``PyEnvironment`` etc. below) for parity tests and the
-``REPRO_SIM_ACCEL=0`` / ``REPRO_ACCEL=0`` fallback.
 """
 
 from .kernel import (
@@ -35,45 +25,10 @@ from .resources import Request, Resource, Store, StoreGet, StorePut
 from .rng import RandomStreams
 from .trace import TraceRecord, Tracer
 
-# -- compiled-core lane ------------------------------------------------
-# Pure-lane handles keep their canonical classes reachable regardless
-# of which lane the public names point at.
-PyEnvironment = Environment
-PyEvent = Event
-PyTimeout = Timeout
-PyProcess = Process
-PyResource = Resource
-PyRequest = Request
-PyStore = Store
-PyStorePut = StorePut
-PyStoreGet = StoreGet
-
-from . import accel as _accel  # noqa: E402  (import never fails)
-
+#: Always False: the compiled kernel lane is retired (DESIGN.md §13).
+#: Kept only because ``benchmarks/e2e/server.py`` imports the name; the
+#: next ``benchmark`` PR drops that import and this line with it.
 SIM_ACCEL_ACTIVE = False
-if _accel.AVAILABLE:
-    from . import kernel as _kernel
-    from . import resources as _resources
-
-    _accel.impl.configure(
-        interrupt=Interrupt,
-        sim_error=SimulationError,
-        allof=AllOf,
-        anyof=AnyOf,
-        release=_resources.Release,
-        acquire=_resources._acquire_any,
-        pending=_kernel._PENDING,
-    )
-    Environment = _accel.impl.Environment
-    Event = _accel.impl.Event
-    Timeout = _accel.impl.Timeout
-    Process = _accel.impl.Process
-    Resource = _accel.impl.Resource
-    Request = _accel.impl.Request
-    Store = _accel.impl.Store
-    StorePut = _accel.impl.StorePut
-    StoreGet = _accel.impl.StoreGet
-    SIM_ACCEL_ACTIVE = True
 
 __all__ = [
     "AllOf",

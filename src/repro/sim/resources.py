@@ -148,9 +148,6 @@ class Resource:
             yield req
 
     # -- internals -------------------------------------------------------
-    def _request_hold(self, hold: float) -> Request:
-        return Request(self, hold)
-
     def _do_request(self, request: Request) -> None:
         if len(self.users) < self.capacity:
             self._grant(request)
@@ -217,25 +214,6 @@ class Resource:
             return 0.0
         in_flight = sum(self.env.now - s for s in self._busy_since.values())
         return (self.busy_time + in_flight) / (elapsed * self.capacity)
-
-
-def _acquire_any(resource, hold: float) -> Generator:
-    """Lane-agnostic twin of :meth:`Resource.acquire`.
-
-    The compiled :class:`~repro.sim._simcore.Resource` delegates its
-    ``acquire`` here (via ``configure``); ``resource`` may be either
-    lane's class, so requests are minted through ``_request_hold`` /
-    ``request`` rather than the pure :class:`Request` constructor.
-    """
-    if hold:
-        request = resource._request_hold(hold)
-        try:
-            yield request
-        finally:
-            resource._do_release(request)
-        return
-    with resource.request() as req:
-        yield req
 
 
 class StorePut(Event):

@@ -27,9 +27,8 @@ packages forbid set iteration — dict order is insertion order).
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.events import UpdateEvent
 from .predicate import (
@@ -57,10 +56,6 @@ __all__ = ["MatchEngine", "NaiveEngine", "EngineStats"]
 _Entry = Tuple[int, int, int]
 
 #: Index bucket: ([sub_ids with needed == 1], [counting entries]).
-#: The fast lane is kept sorted ascending and duplicate-free by
-#: construction (``insort`` on add, value ``remove`` on discard), so a
-#: single-bucket hit IS the match result — ``match_batch`` hands the
-#: lane out as a shared read-only list instead of sorting per event.
 _Bucket = Tuple[List[int], List[_Entry]]
 
 
@@ -190,10 +185,7 @@ class MatchEngine:
                     reg.cmp_entries.append((cmp_bucket, cmp_entry))
                     continue
             if needed == 1:
-                # sorted-lane invariant: canonicalisation collapses
-                # duplicate disjuncts and add() replaces a reused
-                # sub_id, so insort never lands a duplicate
-                insort(bucket[0], sub_id)
+                bucket[0].append(sub_id)
                 reg.entries.append((bucket[0], sub_id))
             else:
                 bucket[1].append(entry)
@@ -278,81 +270,6 @@ class MatchEngine:
         stats.matches_returned += len(result)
         return result
 
-    def match_batch(self, events: Sequence[UpdateEvent]) -> List[List[int]]:
-        """Match a whole batch in one pass: ``result[i]`` equals
-        ``match(events[i])``, stats accounting included.
-
-        Amortisation: when every payload-dependent lane is empty (no
-        airport/field/residual/match-all subscriptions — the pure
-        "my flight"/"this kind" population that dominates at scale), an
-        event's matches depend only on its key and kind, and a
-        single-bucket hit returns the bucket's fast lane itself —
-        already sorted and duplicate-free by construction — instead of
-        building and sorting a fresh dict per event.  Stats flush once
-        per batch rather than once per probe.
-
-        Returned lists on this path are SHARED READ-ONLY views: valid
-        until the next ``add``/``discard``, never to be mutated by the
-        caller.  Callers that need ownership copy explicitly.
-        """
-        if (self._field_eq or self._field_cmp or self._airport_index
-                or self._residual or self._always):
-            # payload-dependent population: per-event semantics, no
-            # signature shortcut — correctness over economics
-            return [self.match(event) for event in events]
-        flight_get = self._flight_index.get
-        kind_get = self._kind_index.get
-        results: List[List[int]] = []
-        append = results.append
-        hits = 0
-        completions = 0
-        returned = 0
-        for event in events:
-            fbucket = flight_get(event.key)
-            kbucket = kind_get(event.kind)
-            if kbucket is None:
-                if fbucket is None:
-                    append(_EMPTY_MATCH)
-                    continue
-                if not fbucket[1]:
-                    fast = fbucket[0]
-                    hits += len(fast)
-                    returned += len(fast)
-                    append(fast)
-                    continue
-            elif fbucket is None and not kbucket[1]:
-                fast = kbucket[0]
-                hits += len(fast)
-                returned += len(fast)
-                append(fast)
-                continue
-            # slow shape for this event: both buckets hit, or a hit
-            # bucket carries counting entries — merge exactly as match()
-            matched: Dict[int, bool] = {}
-            counts: Dict[int, int] = {}
-            for bucket in (fbucket, kbucket):
-                if bucket is None:
-                    continue
-                fast, slow = bucket
-                hits += len(fast) + len(slow)
-                if fast:
-                    matched.update(dict.fromkeys(fast, True))
-                for matcher_id, sub_id, needed in slow:
-                    got = counts.get(matcher_id, 0) + 1
-                    counts[matcher_id] = got
-                    if got == needed:
-                        completions += 1
-                        matched[sub_id] = True
-            result = sorted(matched)
-            returned += len(result)
-            append(result)
-        stats = self.stats
-        stats.events_evaluated += len(events)
-        stats.index_hits += hits
-        stats.counting_completions += completions
-        stats.matches_returned += returned
-        return results
-
     @staticmethod
     def _probe(bucket: _Bucket, counts: Dict[int, int],
                matched: Dict[int, bool], stats: EngineStats) -> None:
@@ -371,10 +288,6 @@ class MatchEngine:
 
 
 _MISSING = object()
-
-#: Shared empty result for batch misses — read-only by the
-#: :meth:`MatchEngine.match_batch` contract, so one object serves all.
-_EMPTY_MATCH: List[int] = []
 
 
 class NaiveEngine:

@@ -176,17 +176,11 @@ class SubscriptionRegistry:
     def match_clients_batch(
         self, events: Iterable[UpdateEvent]
     ) -> List[List[str]]:
-        """Per-event distinct client_ids for a whole batch, through one
-        :meth:`MatchEngine.match_batch` pass (first-match order, same as
-        :meth:`match_clients` event by event)."""
-        subs = self._subs
-        out: List[List[str]] = []
-        for sids in self.engine.match_batch(list(events)):
-            seen: Dict[str, bool] = {}
-            for sid in sids:
-                seen.setdefault(subs[sid].client_id, True)
-            out.append([cid for cid in seen])
-        return out
+        """Per-event distinct client_ids for a whole batch (first-match
+        order, same as :meth:`match_clients` event by event) — the one
+        registry call the push path makes per chunk."""
+        match_clients = self.match_clients
+        return [match_clients(event) for event in events]
 
     def subscriptions(self) -> List[Subscription]:
         return [self._subs[sid] for sid in self._subs]

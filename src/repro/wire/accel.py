@@ -12,9 +12,7 @@ Fallback rules (also documented in DESIGN.md §13):
 
 * ``REPRO_WIRE_ACCEL=0`` (or ``off``/``no``/``false``) disables the
   lane even when the extension is built — the escape hatch for
-  debugging and for A/B parity runs.  ``REPRO_ACCEL=0`` disables every
-  compiled lane at once (this one and the sim-kernel core in
-  :mod:`repro.sim.accel`).
+  debugging and for A/B parity runs.
 * A missing or unbuildable extension is silent: the lane is an
   optimisation, not a feature.
 * The accelerated lane shares the *same* per-connection state as the
@@ -37,16 +35,12 @@ from typing import Any, Optional
 __all__ = ["AVAILABLE", "impl", "disabled_by_env"]
 
 _ENV_VAR = "REPRO_WIRE_ACCEL"
-_GLOBAL_VAR = "REPRO_ACCEL"
 _OFF_VALUES = ("0", "off", "no", "false")
 
 
 def disabled_by_env() -> bool:
     """True when the environment explicitly turns the lane off."""
-    return any(
-        os.environ.get(var, "").strip().lower() in _OFF_VALUES
-        for var in (_ENV_VAR, _GLOBAL_VAR)
-    )
+    return os.environ.get(_ENV_VAR, "").strip().lower() in _OFF_VALUES
 
 
 impl: Optional[Any] = None

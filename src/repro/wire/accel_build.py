@@ -1,24 +1,17 @@
-"""Build the optional C fast lanes (wire codec + sim kernel core).
+"""Build the optional C fast lane of the wire codec.
 
-Each accelerated lane is a single hand-written CPython extension with
+The accelerated lane is a single hand-written CPython extension with
 no dependencies beyond a C compiler and the Python headers, so a build
-is one compiler invocation per source — no setuptools, no build
-isolation, no network::
+is one compiler invocation — no setuptools, no build isolation, no
+network::
 
-    python -m repro.wire.accel_build           # build all (no-op if fresh)
+    python -m repro.wire.accel_build           # build (no-op if fresh)
     python -m repro.wire.accel_build --force   # rebuild unconditionally
 
-Known sources (the compiled-core lane reuses this builder rather than
-duplicating it next to ``sim/``):
-
-* ``wire/_accel.c``   — codec fast lane (:mod:`repro.wire.accel`)
-* ``sim/_simcore.c``  — sim-kernel fast lane (:mod:`repro.sim.accel`)
-
-The shared objects land next to their sources inside the package, so
-they are importable from a plain ``PYTHONPATH=src`` checkout.  ``pip
-install -e .[accel]`` runs the same build through the packaging hook.
-When a build is impossible (no compiler, no headers) everything keeps
-working on the pure-Python lanes.
+The shared object lands next to ``wire/_accel.c`` inside the package,
+so it is importable from a plain ``PYTHONPATH=src`` checkout
+(:mod:`repro.wire.accel` loads it).  When a build is impossible (no
+compiler, no headers) everything keeps working on the pure-Python lane.
 """
 
 from __future__ import annotations
@@ -29,24 +22,16 @@ import sys
 import sysconfig
 from typing import List, Optional
 
-__all__ = ["so_path", "build", "build_all", "main", "SOURCES"]
+__all__ = ["so_path", "build", "main"]
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _SOURCE = os.path.join(_HERE, "_accel.c")
-_SIM_DIR = os.path.join(os.path.dirname(_HERE), "sim")
-
-#: All compiled-lane sources this builder knows about.
-SOURCES = (
-    _SOURCE,
-    os.path.join(_SIM_DIR, "_simcore.c"),
-)
 
 
-def so_path(source: str = _SOURCE) -> str:
-    """Target path of the built extension next to ``source``."""
+def so_path() -> str:
+    """Target path of the built extension next to its source."""
     suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
-    stem = os.path.splitext(os.path.basename(source))[0]
-    return os.path.join(os.path.dirname(os.path.abspath(source)), stem + suffix)
+    return os.path.join(_HERE, "_accel" + suffix)
 
 
 def _compiler() -> Optional[str]:
@@ -67,13 +52,12 @@ def _compiler() -> Optional[str]:
     return None
 
 
-def build(force: bool = False, quiet: bool = False,
-          source: str = _SOURCE) -> Optional[str]:
-    """Compile ``source`` in place; returns the .so path, or None when
+def build(force: bool = False, quiet: bool = False) -> Optional[str]:
+    """Compile ``_accel.c`` in place; returns the .so path, or None when
     the toolchain is unavailable (callers fall back to pure Python)."""
-    target = so_path(source)
+    target = so_path()
     if not force and os.path.exists(target):
-        if os.path.getmtime(target) >= os.path.getmtime(source):
+        if os.path.getmtime(target) >= os.path.getmtime(_SOURCE):
             return target
     include = sysconfig.get_paths()["include"]
     cc = _compiler()
@@ -88,7 +72,7 @@ def build(force: bool = False, quiet: bool = False,
         "-shared",
         "-fno-strict-aliasing",
         f"-I{include}",
-        source,
+        _SOURCE,
         "-o",
         target,
     ]
@@ -108,15 +92,9 @@ def build(force: bool = False, quiet: bool = False,
     return target
 
 
-def build_all(force: bool = False, quiet: bool = False) -> List[Optional[str]]:
-    """Build every known compiled lane; one result per ``SOURCES`` entry."""
-    return [build(force=force, quiet=quiet, source=src) for src in SOURCES]
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    force = "--force" in args
-    return 0 if all(build_all(force=force)) else 1
+    return 0 if build(force="--force" in args) else 1
 
 
 if __name__ == "__main__":

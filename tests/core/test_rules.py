@@ -299,3 +299,62 @@ def test_engine_replacement_events_flow_through_later_rules():
     engine.on_receive(ev(kind="landed"))
     engine.on_receive(ev(kind="at_runway"))
     assert engine.on_receive(ev(kind="at_gate")) == []
+
+
+# ------------------------------------------- forward_many ≡ the hook chain
+def _mixed_rules():
+    return [
+        TypeFilterRule([DELTA_STATUS + ".noise"]),
+        ComplexSequenceRule(DELTA_STATUS, {"status": "flight landed"},
+                            FAA_POSITION),
+        ComplexTupleRule(
+            ["landed", "at_gate"],
+            [{"status": "flight landed"}, {"status": "at gate"}],
+            "arrived",
+        ),
+        OverwriteRule(FAA_POSITION, 3),
+        CoalesceRule(2, kinds=[DELTA_STATUS]),
+    ]
+
+
+def _mixed_stream(n=120):
+    events = []
+    for i in range(n):
+        kind = [FAA_POSITION, DELTA_STATUS, "landed", "at_gate",
+                DELTA_STATUS + ".noise"][i % 5]
+        status = ["flight landed", "at gate", "en route"][i % 3]
+        events.append(ev(kind=kind, key=f"DL{i % 4}", status=status,
+                         lat=float(i)))
+    return events
+
+
+def test_forward_many_equals_hook_chain_outputs_and_counters():
+    """``forward_many`` is ``on_send`` over ``on_receive`` per event —
+    same survivors in the same order, same traffic accounting — both
+    over the mixed rule set and through its no-hooks short circuit."""
+    for build in (_mixed_rules, list):
+        events = _mixed_stream()
+        chained_engine, many_engine = RuleEngine(build()), RuleEngine(build())
+        chained = []
+        for event in events:
+            for passed in chained_engine.on_receive(event):
+                chained.extend(chained_engine.on_send(passed))
+        many = many_engine.forward_many(events)
+        assert len(chained) == len(many)
+        for a, b in zip(chained, many):
+            assert (a.kind, a.stream, a.key, a.payload) == (
+                b.kind, b.stream, b.key, b.payload
+            )
+        assert chained_engine.stats() == many_engine.stats()
+
+
+def test_public_hooks_still_return_lists():
+    """Rule hooks discard with the shared ``_DISCARD`` tuple; the
+    engine's public hooks hand callers a list whatever happened."""
+    engine = RuleEngine([TypeFilterRule([FAA_POSITION])])
+    dropped = engine.on_receive(ev())
+    assert dropped == [] and isinstance(dropped, list)
+    passed = engine.on_receive(ev(kind=DELTA_STATUS))
+    assert isinstance(passed, list) and len(passed) == 1
+    sent = engine.on_send(ev(kind=DELTA_STATUS))
+    assert isinstance(sent, list)

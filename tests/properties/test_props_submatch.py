@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core.events import DELTA_STATUS, FAA_POSITION, HANDOFF, UpdateEvent
 from repro.sub.engine import MatchEngine, NaiveEngine
+from repro.sub.registry import SubscriptionRegistry
 from repro.sub.predicate import (
     CMP_OPS,
     And,
@@ -128,80 +129,79 @@ def test_indexed_matches_oracle_under_churn(data):
     assert len(indexed) == len(naive) == len(live)
 
 
-indexable_predicates = st.one_of(
-    st.builds(ByFlight, flight_id=st.sampled_from(FLIGHTS)),
-    st.builds(ByKind, kind=st.sampled_from(KINDS)),
-    st.lists(
-        st.one_of(
-            st.builds(ByFlight, flight_id=st.sampled_from(FLIGHTS)),
-            st.builds(ByKind, kind=st.sampled_from(KINDS)),
-        ),
-        min_size=1, max_size=3,
-    ).map(lambda cs: And(tuple(cs))),
-)
+CLIENTS = ["c0", "c1", "c2"]
+
+
+def _oracle_clients(naive, owner, ev):
+    """Distinct owners of the oracle's matching sub_ids, in the
+    first-match order the registry promises."""
+    seen = {}
+    for sub_id in naive.match(ev):
+        seen.setdefault(owner[sub_id], True)
+    return list(seen)
 
 
 @given(
-    st.lists(predicates, min_size=1, max_size=12),
+    st.lists(st.tuples(st.sampled_from(CLIENTS), predicates),
+             min_size=1, max_size=12),
     st.lists(events, min_size=1, max_size=8),
 )
 @settings(max_examples=300, deadline=None)
-def test_match_batch_equals_per_event_and_oracle(preds, evs):
-    """One batched pass returns exactly what per-event ``match`` (and
-    the oracle) return — results AND stats counters, whichever lane the
-    population lands in."""
-    batched, per_event, naive = MatchEngine(), MatchEngine(), NaiveEngine()
-    for sub_id, pred in enumerate(preds):
-        batched.add(sub_id, pred)
-        per_event.add(sub_id, pred)
+def test_match_batch_equals_per_event_and_oracle(subs, evs):
+    """The push path's one registry call per chunk returns, event by
+    event, exactly what ``match_clients`` and the oracle return."""
+    registry, naive = SubscriptionRegistry(), NaiveEngine()
+    owner = {}
+    for client_id, pred in subs:
+        sub_id = registry.subscribe(client_id, pred).sub_id
         naive.add(sub_id, pred)
-    singles = [per_event.match(ev) for ev in evs]
-    results = batched.match_batch(evs)
-    assert results == singles
-    assert results == [naive.match(ev) for ev in evs]
-    assert batched.stats == per_event.stats
+        owner[sub_id] = client_id
+    results = registry.match_clients_batch(evs)
+    assert results == [registry.match_clients(ev) for ev in evs]
+    assert results == [_oracle_clients(naive, owner, ev) for ev in evs]
 
 
 @given(st.data())
 @settings(max_examples=150, deadline=None)
-def test_match_batch_fastpath_under_churn(data):
-    """The flight/kind-only population — the shared-lane fast path —
-    stays equal to the oracle across add/discard churn, including the
-    sorted-lane invariant the shared results depend on."""
-    indexed, naive = MatchEngine(), NaiveEngine()
-    live: set = set()
-    next_id = 0
+def test_match_clients_batch_under_churn(data):
+    """Batched client matching stays equal to per-event matching and
+    to the oracle across subscribe / replace / unsubscribe churn."""
+    registry, naive = SubscriptionRegistry(), NaiveEngine()
+    owner = {}
     for _ in range(data.draw(st.integers(2, 20), label="steps")):
         action = data.draw(
             st.sampled_from(["add", "replace", "discard", "batch"]),
             label="action",
         )
-        if action == "add" or not live:
-            pred = data.draw(indexable_predicates, label="pred")
-            indexed.add(next_id, pred)
-            naive.add(next_id, pred)
-            live.add(next_id)
-            next_id += 1
-        elif action == "replace":
-            sub_id = data.draw(st.sampled_from(sorted(live)), label="re-id")
-            pred = data.draw(indexable_predicates, label="re-pred")
-            indexed.add(sub_id, pred)
+        if action == "add" or not owner:
+            client_id = data.draw(st.sampled_from(CLIENTS), label="client")
+            pred = data.draw(predicates, label="pred")
+            sub_id = registry.subscribe(client_id, pred).sub_id
             naive.add(sub_id, pred)
+            owner[sub_id] = client_id
+        elif action == "replace":
+            sub_id = data.draw(st.sampled_from(sorted(owner)), label="re-id")
+            client_id = data.draw(st.sampled_from(CLIENTS), label="re-client")
+            pred = data.draw(predicates, label="re-pred")
+            registry.subscribe(client_id, pred, sub_id)
+            naive.add(sub_id, pred)
+            owner[sub_id] = client_id
         elif action == "discard":
-            sub_id = data.draw(st.sampled_from(sorted(live)), label="kill")
-            assert indexed.discard(sub_id) == naive.discard(sub_id)
-            live.discard(sub_id)
+            sub_id = data.draw(st.sampled_from(sorted(owner)), label="kill")
+            assert registry.unsubscribe(owner.pop(sub_id), sub_id) == [sub_id]
+            assert naive.discard(sub_id)
         else:
             evs = data.draw(
                 st.lists(events, min_size=1, max_size=6), label="batch"
             )
-            expect = [naive.match(ev) for ev in evs]
-            # copy: fast-path results are shared read-only lane views
-            assert [list(r) for r in indexed.match_batch(evs)] == expect
+            results = registry.match_clients_batch(evs)
+            assert results == [registry.match_clients(ev) for ev in evs]
+            assert results == [_oracle_clients(naive, owner, ev) for ev in evs]
     evs = data.draw(st.lists(events, min_size=1, max_size=4), label="final")
-    assert [list(r) for r in indexed.match_batch(evs)] == [
-        naive.match(ev) for ev in evs
+    assert registry.match_clients_batch(evs) == [
+        _oracle_clients(naive, owner, ev) for ev in evs
     ]
+    assert len(registry) == len(naive) == len(owner)
 
 
 @given(events)

@@ -211,38 +211,3 @@ def test_flusher_backlog_hysteresis():
     f.note_backlog(f.restore_threshold)
     assert f.frame_budget == base
     assert stats.flusher_adaptations == 2
-
-
-# ------------------------------------------------------- event-loop choice
-def test_install_event_loop_default_is_asyncio():
-    from repro.rt.net import install_event_loop
-
-    assert install_event_loop("asyncio") == "asyncio"
-    assert install_event_loop("") == "asyncio"
-
-
-def test_install_event_loop_rejects_unknown():
-    import pytest
-
-    from repro.rt.net import install_event_loop
-
-    with pytest.raises(ValueError):
-        install_event_loop("trio")
-
-
-def test_install_event_loop_uvloop_fallback_warns():
-    """Requesting uvloop on a host without it must keep working on the
-    stdlib loop AND say so — a silent substitution would let a perf
-    comparison report uvloop numbers it never measured."""
-    import pytest
-
-    from repro.rt.net import install_event_loop
-
-    try:
-        import uvloop  # noqa: F401
-    except ImportError:
-        pass
-    else:
-        pytest.skip("uvloop installed: fallback path not reachable")
-    with pytest.warns(RuntimeWarning, match="falling back"):
-        assert install_event_loop("uvloop") == "asyncio"

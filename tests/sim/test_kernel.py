@@ -6,9 +6,13 @@ from repro.sim import (
     AllOf,
     AnyOf,
     Environment,
+    Event,
     Interrupt,
+    Resource,
     SimulationError,
+    Store,
 )
+from repro.sim.kernel import URGENT
 
 
 def test_clock_starts_at_zero():
@@ -395,3 +399,111 @@ def test_nontrivial_process_tree_deterministic():
         return trace
 
     assert scenario() == scenario()
+
+
+# ------------------------------------------------------ trace scenarios
+def run_contention():
+    """Store + resource contention with an interrupt; returns the
+    (label, time, value) trace."""
+    env = Environment()
+    trace = []
+    store = Store(env, capacity=2)
+    cpu = Resource(env, capacity=1)
+
+    def producer(name, period, items):
+        for i in range(items):
+            yield env.timeout(period)
+            yield store.put(f"{name}{i}")
+            trace.append(("put", env.now, f"{name}{i}"))
+
+    def consumer(name, count):
+        for _ in range(count):
+            item = yield store.get()
+            req = cpu.request()
+            yield req
+            trace.append(("use", env.now, f"{name}:{item}"))
+            yield env.timeout(0.5)
+            cpu.release(req)
+
+    def meddler(victim):
+        yield env.timeout(2.25)
+        victim.interrupt("poke")
+
+    def fragile():
+        try:
+            yield env.timeout(10.0)
+            trace.append(("slept", env.now, None))
+        except Interrupt as exc:
+            trace.append(("interrupted", env.now, exc.cause))
+
+    env.process(producer("a", 1.0, 4))
+    env.process(producer("b", 1.5, 3))
+    env.process(consumer("c1", 4))
+    env.process(consumer("c2", 3))
+    env.process(meddler(env.process(fragile())))
+    env.run()
+    trace.append(("end", env.now, None))
+    return trace
+
+
+def run_priorities():
+    """URGENT vs NORMAL at the same instant: an URGENT wakeup scheduled
+    *after* a same-time NORMAL timeout still fires first, and equal
+    (time, priority) entries keep creation order."""
+    env = Environment()
+    trace = []
+
+    def sleeper(tag):
+        for i in range(3):
+            yield env.timeout(1.0)
+            trace.append((tag, i, env.now))
+
+    env.process(sleeper("n1"))
+    env.process(sleeper("n2"))
+    for tick in (1.0, 2.0, 3.0):
+        urgent = Event(env)
+        urgent._ok = True
+        urgent._value = tick
+        urgent.callbacks.append(
+            lambda ev, t=tick: trace.append(("urgent", t, env.now))
+        )
+        env._schedule_event(urgent, URGENT, delay=tick)
+    env.run()
+    return trace
+
+
+@pytest.mark.parametrize("scenario", [run_contention, run_priorities],
+                         ids=["run_contention", "run_priorities"])
+def test_trace_scenarios_repeat(scenario):
+    first = scenario()
+    assert first and scenario() == first
+
+
+def test_urgent_fires_before_same_time_normal():
+    trace = run_priorities()
+    for tick in (1.0, 2.0, 3.0):
+        at_tick = [entry[0] for entry in trace if entry[-1] == tick]
+        assert at_tick == ["urgent", "n1", "n2"]
+
+
+def test_interleaved_environments_stay_independent():
+    """Two environments advanced in lockstep share the module but never
+    clocks or queues."""
+    envs = [Environment(), Environment()]
+    traces = [[], []]
+
+    for env, trace in zip(envs, traces):
+        def ticker(env=env, trace=trace):
+            for i in range(5):
+                yield env.timeout(1.0)
+                trace.append((i, env.now))
+        env.process(ticker())
+
+    # run alternately, one scheduled step at a time
+    idle = float("inf")
+    while any(env.peek() != idle for env in envs):
+        for env in envs:
+            if env.peek() != idle:
+                env.step()
+    assert traces[0] == traces[1] == [(i, float(i + 1)) for i in range(5)]
+    assert envs[0].now == envs[1].now

@@ -160,6 +160,26 @@ def test_direct_construction_decode_path(ev):
 
 @settings(max_examples=100, deadline=None)
 @given(evs=event_lists)
+def test_decoded_events_set_every_slot(evs):
+    """The C decoder fills a bare ``UpdateEvent`` attribute by
+    attribute, so a slot it does not know about stays unset and the
+    first read raises.  In every encode-lane x decode-lane combination
+    each slot of each decoded event (batch members included) must be
+    set, and equal across the two decoder lanes."""
+    for enc_accel in (True, False):
+        frames = _encode_stream(evs, enc_accel)
+        slots_by_lane = []
+        for dec_accel in (True, False):
+            slots_by_lane.append([
+                tuple(getattr(ev, name) for name in UpdateEvent.__slots__)
+                for msg in _decode_stream(frames, dec_accel)
+                for ev in (msg.events if isinstance(msg, EventBatch) else (msg,))
+            ])
+        assert slots_by_lane[0] == slots_by_lane[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(evs=event_lists)
 def test_encoder_state_converges(evs):
     """After identical streams, both lanes leave identical connection
     state — the property that makes mid-stream lane switches safe."""
