@@ -199,6 +199,34 @@ def _bench_snapshot_cached(scale: float) -> Tuple[int, Callable[[], None]]:
     return n, run
 
 
+def _bench_snapshot_after_write(scale: float) -> Tuple[int, Callable[[], None]]:
+    """The miss a live mirror pays: one event applied, then the full
+    view (5k flights, as the end-to-end ``request_storm`` workload)."""
+    from .core.events import FAA_POSITION, UpdateEvent
+
+    n = max(1, int(10_000 * scale))
+    store = _snapshot_store(5000)
+    store.snapshot(0.0)
+    events = [
+        UpdateEvent(
+            kind=FAA_POSITION, stream="faa", seqno=i + 1,
+            key=f"DL{i * 37 % 5000:04d}",
+            payload={"lat": float(i), "lon": 1.0, "alt": 3.0},
+        )
+        for i in range(n)
+    ]
+
+    def run():
+        builds = store.snapshot_builds
+        for i, event in enumerate(events):
+            store.apply(event)
+            snap = store.snapshot(float(i))
+            assert snap.flight_count == 5000
+        assert store.snapshot_builds == builds + n
+
+    return n, run
+
+
 def _bench_snapshot_delta(scale: float):
     """Delta serving for a client 1% behind a 1k-flight store."""
     from .core.events import FAA_POSITION, UpdateEvent
@@ -463,6 +491,7 @@ BENCHMARKS: Dict[str, Callable[[float], Tuple[int, Callable[[], None]]]] = {
     "scenario_end_to_end": _bench_scenario_end_to_end,
     "snapshot_full": _bench_snapshot_full,
     "snapshot_cached": _bench_snapshot_cached,
+    "snapshot_after_write": _bench_snapshot_after_write,
     "snapshot_delta": _bench_snapshot_delta,
     "wire_codec_roundtrip": _bench_wire_roundtrip,
     "wire_codec_vs_json": _bench_wire_vs_json,

@@ -12,8 +12,10 @@ Snapshot fast path (PR 2)
 The store is *generation counted*: every mutation bumps ``generation``,
 and the full initial-state view is built once per generation and reused
 until state actually changes.  A cache miss refreshes only the per
-flight views dirtied since the last build, so rebuild work is
-proportional to the number of changed flights, not the whole table.
+flight views dirtied since the last build — the views sit in table
+order, each flight at its own slot — so a miss costs one view per
+changed flight plus one C-level copy of the list, not a pass over the
+whole table in Python.
 The change journal additionally supports *delta snapshots*: a client
 that reconnects with the generation (or per-stream high-water marks) of
 its previous view receives only the flights changed since, with an
@@ -185,9 +187,10 @@ def apply_delta(
 ) -> Dict[str, FlightView]:
     """Merge ``delta`` over ``base``: the reconstructed per-flight views.
 
-    Flights are never removed from the operational table, so the merge
-    is a plain overlay; the result equals the view mapping of a full
-    snapshot taken at ``delta.generation``.
+    A delta is only served when every flight changed since its base is
+    still in the table (a departure is answered with the full view), so
+    the merge is a plain overlay; the result equals the view mapping of
+    a full snapshot taken at ``delta.generation``.
     """
     merged = {v.flight_id: v for v in base.flights}
     for v in delta.flights:
@@ -221,11 +224,22 @@ class OperationalStateStore:
         # the stream's ``_stream_floor`` predates what the log retains
         self._stream_log: Dict[str, Tuple[List[int], List[int]]] = {}
         self._stream_floor: Dict[str, int] = {}
+        # generation of the latest table change no stream carries (a
+        # record created or removed by hand: preload, shard handoff);
+        # per-stream marks cannot say whether a client has seen it
+        self._offstream_gen = 0
         # snapshot cache: per-flight views + the last built full view.
+        # The views are kept as the snapshot carries them — a list in
+        # ``_flights`` order — with each flight's index in ``_slot``: a
+        # dirty flight overwrites its slot, a new one appends, and the
+        # full view is one tuple() of the list.  A removal drops the slot
+        # and leaves its view behind: the list is then longer than the
+        # map, and the next build closes the gaps once.
         # The dirty collection is a dict-as-set (values unused): it is
         # iterated when rebuilding views, and set iteration order is
         # hash-salted per process — a dict keeps first-dirtied order.
-        self._views: Dict[str, FlightView] = {}
+        self._ordered: List[FlightView] = []
+        self._slot: Dict[str, int] = {}
         self._dirty: Dict[str, None] = {}
         self._cached: Optional[StateSnapshot] = None
         self.snapshot_builds = 0
@@ -261,6 +275,7 @@ class OperationalStateStore:
             st = FlightState(flight_id=flight_id)
             self._flights[flight_id] = st
             self._mark_changed(flight_id)
+            self._offstream_gen = self.generation
         return st
 
     def flights(self) -> List[FlightState]:
@@ -281,8 +296,9 @@ class OperationalStateStore:
         if st is None:
             return None
         self._mark_changed(flight_id)
+        self._offstream_gen = self.generation
         self._dirty.pop(flight_id, None)
-        self._views.pop(flight_id, None)
+        self._slot.pop(flight_id, None)
         return st
 
     def stream_high_water(self, stream: str) -> int:
@@ -388,18 +404,34 @@ class OperationalStateStore:
         """Force a from-scratch build (the uncached baseline): every
         flight view is reconstructed.  Benchmarks use this to measure
         what each request cost before caching."""
-        self._views.clear()
-        self._dirty.clear()
-        self._dirty.update(dict.fromkeys(self._flights))
+        self._ordered.clear()
+        self._slot.clear()
+        self._dirty = dict.fromkeys(self._flights)
         return self._build_snapshot(now)
 
     def _build_snapshot(self, now: float) -> StateSnapshot:
-        views = self._views
+        ordered = self._ordered
+        slot = self._slot
         flights = self._flights
+        if len(ordered) != len(slot):
+            # a removal left its view behind.  Slots are in table order
+            # and the survivors kept theirs, so closing the gaps only
+            # shifts views down; a flight that was removed and came back
+            # is new again, and appends below
+            ordered[:] = [ordered[i] for i in slot.values()]
+            for i, fid in enumerate(slot):
+                slot[fid] = i
         for fid in self._dirty:
             st = flights.get(fid)
             if st is not None:
-                views[fid] = FlightView.of(st)
+                view = FlightView.of(st)
+                i = slot.get(fid)
+                if i is None:
+                    # first dirtied at creation: dirty order is table order
+                    slot[fid] = len(ordered)
+                    ordered.append(view)
+                else:
+                    ordered[i] = view
         self._dirty.clear()
         snap = StateSnapshot(
             taken_at=now,
@@ -407,7 +439,7 @@ class OperationalStateStore:
             size=max(self.state_bytes(), PER_FLIGHT_SNAPSHOT_BYTES),
             as_of=self._stream_seen,
             generation=self.generation,
-            flights=tuple(views[fid] for fid in flights),
+            flights=tuple(ordered),
         )
         self._cached = snap
         self.snapshot_builds += 1
@@ -419,18 +451,24 @@ class OperationalStateStore:
         Conservative: with interleaved streams the returned generation
         may pre-date some events the client has seen, which only makes
         the resulting delta a superset — never incomplete.  A mark older
-        than a stream's retained log cannot be placed: the answer is
-        then -1, older than any journal floor, and the caller falls
-        back to the full view.
+        than a stream's retained log cannot be placed, and neither can
+        a record created or removed by hand later than every event the
+        marks cover: the answer is then -1, older than any journal
+        floor, and the caller falls back to the full view.
         """
         floor = self.generation
+        covered = 0
         for stream, (seqnos, gens) in self._stream_log.items():
             mark = as_of.get(stream, 0)
             if mark < self._stream_floor.get(stream, 0):
                 return -1
             i = bisect.bisect_right(seqnos, mark)
+            if i:
+                covered = max(covered, gens[i - 1])
             if i < len(seqnos):
                 floor = min(floor, gens[i] - 1)
+        if covered < self._offstream_gen:
+            return -1
         return floor
 
     def changed_since(self, generation: int) -> List[str]:
@@ -462,8 +500,10 @@ class OperationalStateStore:
         changed since, or falls back to the cached full
         :class:`StateSnapshot` when the delta would exceed
         ``max_fraction`` of the full view's size (a client too far
-        behind gains nothing from a delta) or when the client resumes
-        from before the journal's horizon.
+        behind gains nothing from a delta), when the client resumes
+        from before the journal's horizon, or when a flight changed
+        since has left the table (a delta has no way to say "forget
+        this flight"; a shard handoff is rare enough for the full view).
         """
         if since_generation is None:
             since_generation = self.generation_for(since_marks or {})
@@ -478,7 +518,14 @@ class OperationalStateStore:
         size = DELTA_HEADER_BYTES + len(changed) * PER_FLIGHT_SNAPSHOT_BYTES
         if size > max_fraction * full.size:
             return full
-        views = self._views
+        # the full view was just refreshed: every flight in the table
+        # has its slot, so a miss here is a flight that has left it
+        slot = self._slot
+        ordered = self._ordered
+        try:
+            views = tuple([ordered[slot[fid]] for fid in changed])
+        except KeyError:
+            return full
         self.delta_snapshots_built += 1
         return DeltaSnapshot(
             taken_at=full.taken_at,
@@ -488,7 +535,7 @@ class OperationalStateStore:
             size=size,
             full_size=full.size,
             as_of=self._stream_seen,
-            flights=tuple(views[fid] for fid in changed if fid in views),
+            flights=views,
         )
 
 

@@ -19,12 +19,13 @@ TCP connections carrying the binary wire format (:mod:`repro.wire`):
   the other backends.
 
 Outbound event frames pass through an :class:`AdaptiveFlusher` — a
-Nagle-style coalescer that ships the buffered frames when they reach a
-byte budget or a frame budget, or when the oldest buffered frame hits a
-deadline.  The frame budget *adapts* with the same hysteresis shape as
-the paper's adaptation rules (§3.2.2): sustained sender backlog above a
-threshold fattens batches (throughput mode), and the budget reverts
-once the backlog falls back below a restore level (latency mode).
+coalescer that ships the buffered frames when they reach a byte budget
+or a frame budget, or when the connection's outbound queue runs dry:
+frames gather only while more are already waiting behind them, never
+against a clock.  The frame budget *adapts* with the same hysteresis
+shape as the paper's adaptation rules (§3.2.2): sustained sender backlog
+above a threshold fattens batches (throughput mode), and the budget
+reverts once the backlog falls back below a restore level (latency mode).
 Control frames always flush immediately: checkpoint latency bounds
 backup-queue growth, so it is never traded for throughput.
 
@@ -127,6 +128,22 @@ UPLINK_BOUND = 128
 #: socket: a mirror that stops reading holds the stream in central's
 #: TCP send buffer.
 OUTBOUND_BOUND = 256
+#: What one mirror connection's :class:`AdaptiveFlusher` may hold between
+#: ``outbound`` and the socket.  Nobody waits on it: frames gather only
+#: while ``outbound`` has more behind them, and the writer loop ships
+#: them when either budget is met, a control frame arrives or
+#: ``outbound`` runs dry — then it blocks only on its socket.
+FLUSH_BYTES = 64 * 1024
+#: Frames per write while the writer keeps up with the broadcast loop.
+FLUSH_FRAMES = 8
+#: Frames per write once ``outbound`` backs up to :data:`FAT_BACKLOG`
+#: (fewer, larger writes drain it faster), until it has fallen back to
+#: :data:`RESTORE_BACKLOG`; both are depths of ``outbound``, so both sit
+#: below :data:`OUTBOUND_BOUND`, and the gap between them is the
+#: hysteresis that keeps the budget from flapping.
+FAT_FLUSH_FRAMES = 64
+FAT_BACKLOG = 32
+RESTORE_BACKLOG = 8
 #: ``NetMirror.data_sub`` holds runs of events off the central
 #: connection.  Full: the mirror's reader blocks and stops reading its
 #: socket.  Drained by the mirror's ``receiving_task``.
@@ -150,6 +167,8 @@ class WireStats:
     frames_received: int = 0
     flushes: int = 0
     size_flushes: int = 0
+    dry_flushes: int = 0
+    #: always 0 (no flush waits on a clock); benchmarks/e2e/measure.py reads it
     deadline_flushes: int = 0
     control_flushes: int = 0
     flusher_adaptations: int = 0
@@ -183,45 +202,25 @@ class NetRunSummary(AsyncRunSummary):
 
 
 class AdaptiveFlusher:
-    """Size- and deadline-triggered output coalescing with adaptation.
+    """Output coalescing by size, with a frame budget that adapts.
 
     A passive policy object owned by one connection's single sender
-    task (no internal tasks or locks): the sender adds encoded frames,
-    asks :attr:`should_flush`, and uses :attr:`deadline_in` as its
-    poll timeout so a lone frame never waits longer than ``max_delay``.
+    task (no internal tasks, locks or timers): the sender adds encoded
+    frames, flushes when :attr:`should_flush` says a budget is met, and
+    flushes whatever is held before it waits for more — a frame never
+    sits here while the link is idle.
 
     ``note_backlog`` implements the paper-style hysteresis pair: when
-    the sender's outbound backlog reaches ``fat_threshold`` the frame
-    budget jumps to ``fat_frames`` (fewer, larger writes — throughput
-    over latency); once backlog falls to ``restore_threshold`` the
-    budget reverts to ``base_frames``.
+    the sender's outbound backlog reaches :data:`FAT_BACKLOG` the frame
+    budget jumps to :data:`FAT_FLUSH_FRAMES` (fewer, larger writes —
+    throughput over latency); once backlog falls to
+    :data:`RESTORE_BACKLOG` the budget reverts to :data:`FLUSH_FRAMES`.
     """
 
-    def __init__(
-        self,
-        writer: asyncio.StreamWriter,
-        stats: WireStats,
-        *,
-        max_bytes: int = 64 * 1024,
-        base_frames: int = 8,
-        fat_frames: int = 64,
-        max_delay: float = 0.002,
-        fat_threshold: int = 32,
-        restore_threshold: int = 8,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        if restore_threshold > fat_threshold:
-            raise ValueError("restore_threshold must be <= fat_threshold")
+    def __init__(self, writer: asyncio.StreamWriter, stats: WireStats):
         self._writer = writer
         self._stats = stats
-        self._clock = clock
-        self.max_bytes = max_bytes
-        self.base_frames = base_frames
-        self.fat_frames = fat_frames
-        self.max_delay = max_delay
-        self.fat_threshold = fat_threshold
-        self.restore_threshold = restore_threshold
-        self.frame_budget = base_frames
+        self.frame_budget = FLUSH_FRAMES
         self.fat_mode = False
         #: a closed/reset peer marks the flusher dead instead of letting
         #: the exception kill the writer loop (chaos drills close
@@ -234,7 +233,6 @@ class AdaptiveFlusher:
         # re-copy of bytes that were already contiguous
         self._chunks: List[bytes] = []
         self._bytes = 0
-        self._oldest: Optional[float] = None
 
     @property
     def pending_frames(self) -> int:
@@ -243,34 +241,24 @@ class AdaptiveFlusher:
     @property
     def should_flush(self) -> bool:
         return (
-            self._bytes >= self.max_bytes
+            self._bytes >= FLUSH_BYTES
             or len(self._chunks) >= self.frame_budget
         )
-
-    def deadline_in(self) -> Optional[float]:
-        """Seconds until the oldest buffered frame must ship (None when
-        the buffer is empty: the sender may block indefinitely)."""
-        if self._oldest is None:
-            return None
-        remaining = self._oldest + self.max_delay - self._clock()
-        return remaining if remaining > 0 else 0.0
 
     def add(self, frame: bytes) -> None:
         if self.dead:
             return
-        if not self._chunks:
-            self._oldest = self._clock()
         self._chunks.append(frame)
         self._bytes += len(frame)
 
     def note_backlog(self, depth: int) -> None:
-        if not self.fat_mode and depth >= self.fat_threshold:
+        if not self.fat_mode and depth >= FAT_BACKLOG:
             self.fat_mode = True
-            self.frame_budget = self.fat_frames
+            self.frame_budget = FAT_FLUSH_FRAMES
             self._stats.flusher_adaptations += 1
-        elif self.fat_mode and depth <= self.restore_threshold:
+        elif self.fat_mode and depth <= RESTORE_BACKLOG:
             self.fat_mode = False
-            self.frame_budget = self.base_frames
+            self.frame_budget = FLUSH_FRAMES
             self._stats.flusher_adaptations += 1
 
     async def flush(self, reason: str = "size") -> None:
@@ -280,7 +268,6 @@ class AdaptiveFlusher:
         sent = self._bytes
         self._chunks = []
         self._bytes = 0
-        self._oldest = None
         stats = self._stats
         if self.dead or self._writer.is_closing():
             # peer already gone: drop silently, the reader side of the
@@ -292,8 +279,8 @@ class AdaptiveFlusher:
             self._writer.writelines(chunks)
             stats.flushes += 1
             stats.bytes_sent += sent
-            if reason == "deadline":
-                stats.deadline_flushes += 1
+            if reason == "dry":
+                stats.dry_flushes += 1
             elif reason == "control":
                 stats.control_flushes += 1
             else:
@@ -370,7 +357,6 @@ class NetCentral:
         request_service_delay: float = 0.0,
         snapshot_fast_path: bool = False,
         fault_controller: Optional["LinkFaultController"] = None,
-        flusher_options: Optional[Dict[str, Any]] = None,
         site_name: str = "central",
         mirror_names: Optional[Sequence[str]] = None,
     ):
@@ -378,7 +364,6 @@ class NetCentral:
         self.config = config if config is not None else simple_mirroring()
         self.stats = WireStats()
         self.fault_controller = fault_controller
-        self.flusher_options = dict(flusher_options or {})
         self._t0 = time.monotonic()
         self.site_name = site_name
         if mirror_names is None:
@@ -582,7 +567,7 @@ class NetCentral:
         message leaves no trace in the connection's codec state, and a
         duplicated one is encoded twice (the second copy is nearly all
         interning references)."""
-        flusher = AdaptiveFlusher(writer, self.stats, **self.flusher_options)
+        flusher = AdaptiveFlusher(writer, self.stats)
         stats = self.stats
         faulty = self.fault_controller is not None
         # recycled once per connection: the fault controller only reads
@@ -590,25 +575,17 @@ class NetCentral:
         # per-event object churn on the hot path)
         envelope = _FrameEnvelope(kind="data", size=0)
         outbound = conn.outbound
-        while True:
-            # steady-state fast path: when frames are already queued,
-            # take them without arming a wait_for timer (each wait_for
-            # allocates a task + timer handle — pure overhead while the
-            # producer is ahead of us)
-            try:
+        while not flusher.dead:
+            # frames coalesce only while more are already queued behind
+            # them; when the queue runs dry the link is idle, so what is
+            # held ships now — batching follows load, not a clock
+            if outbound.empty():
+                if flusher.pending_frames:
+                    await flusher.flush("dry")
+                    continue  # the drain may have let more in
+                kind, item = await outbound.get()
+            else:
                 kind, item = outbound.get_nowait()
-            except asyncio.QueueEmpty:
-                timeout = flusher.deadline_in()
-                try:
-                    if timeout is None:
-                        kind, item = await outbound.get()
-                    else:
-                        kind, item = await asyncio.wait_for(
-                            outbound.get(), timeout=timeout
-                        )
-                except asyncio.TimeoutError:
-                    await flusher.flush("deadline")
-                    continue
             if kind == "close":
                 await flusher.flush("control")
                 break
@@ -644,8 +621,6 @@ class NetCentral:
                 await flusher.flush("control")
             elif flusher.should_flush:
                 await flusher.flush("size")
-            if flusher.dead:
-                break
         conn.closed = True
         # release a broadcast loop waiting for room here: no writer
         # will make any now (later frames skip a closed connection)
@@ -1479,7 +1454,6 @@ async def run_net_scenario(
     request_service_delay: float = 0.0,
     snapshot_fast_path: bool = False,
     fault_controller: Optional["LinkFaultController"] = None,
-    flusher_options: Optional[Dict[str, Any]] = None,
     subscribers: Sequence[Tuple[str, Any]] = (),
     host: str = "127.0.0.1",
 ) -> NetRunSummary:
@@ -1500,7 +1474,6 @@ async def run_net_scenario(
         request_service_delay=request_service_delay,
         snapshot_fast_path=snapshot_fast_path,
         fault_controller=fault_controller,
-        flusher_options=flusher_options,
     )
     # GC pacing: the hot path recycles its buffers, so the cyclic
     # collector's default gen-0 trigger (~700 container allocations)

@@ -188,26 +188,39 @@ def test_link_latency_injection_still_converges():
 
 # -------------------------------------------------------- adaptive flusher
 def test_flusher_size_trigger():
-    from repro.rt.net import WireStats
+    from repro.rt.net import FLUSH_BYTES, FLUSH_FRAMES, WireStats
 
-    f = AdaptiveFlusher(writer=None, stats=WireStats(), max_bytes=64, max_delay=1.0)
+    f = AdaptiveFlusher(writer=None, stats=WireStats())
     assert not f.should_flush
-    f.add(b"x" * 100)
+    f.add(b"x" * FLUSH_BYTES)  # one frame that fills the byte budget
     assert f.should_flush
-    assert f.deadline_in() is not None
+
+    f = AdaptiveFlusher(writer=None, stats=WireStats())
+    for _ in range(FLUSH_FRAMES - 1):
+        f.add(b"x")
+    assert not f.should_flush
+    f.add(b"x")  # the frame budget, well under the byte budget
+    assert f.should_flush
 
 
 def test_flusher_backlog_hysteresis():
-    from repro.rt.net import WireStats
+    from repro.rt.net import (
+        FAT_BACKLOG,
+        FAT_FLUSH_FRAMES,
+        FLUSH_FRAMES,
+        RESTORE_BACKLOG,
+        WireStats,
+    )
 
     stats = WireStats()
     f = AdaptiveFlusher(writer=None, stats=stats)
-    base = f.frame_budget
-    f.note_backlog(f.fat_threshold + 1)
-    assert f.frame_budget == f.fat_frames > base
+    assert f.frame_budget == FLUSH_FRAMES
+    f.note_backlog(FAT_BACKLOG + 1)
+    assert f.frame_budget == FAT_FLUSH_FRAMES > FLUSH_FRAMES
     # backlog between the thresholds: budget must stick (hysteresis)
-    f.note_backlog(f.restore_threshold + 1)
-    assert f.frame_budget == f.fat_frames
-    f.note_backlog(f.restore_threshold)
-    assert f.frame_budget == base
+    assert RESTORE_BACKLOG + 1 < FAT_BACKLOG
+    f.note_backlog(RESTORE_BACKLOG + 1)
+    assert f.frame_budget == FAT_FLUSH_FRAMES
+    f.note_backlog(RESTORE_BACKLOG)
+    assert f.frame_budget == FLUSH_FRAMES
     assert stats.flusher_adaptations == 2
