@@ -1,11 +1,12 @@
 #!/usr/bin/env python
-"""The mirroring framework running live on asyncio.
+"""The mirroring framework running live on asyncio, over loopback TCP.
 
 Same protocol code as the simulation backend — rule engines, the
-checkpoint 2PC, adaptation — but executed as real asyncio tasks with
-real queues.  Useful to see the system behave as software rather than
-as a model (per DESIGN.md, figures come from the calibrated simulation;
-this backend is the runnable prototype).
+checkpoint 2PC, adaptation — but executed as real asyncio tasks whose
+sites exchange binary wire frames over real sockets.  Useful to see the
+system behave as software rather than as a model (per DESIGN.md,
+figures come from the calibrated simulation; this backend is the
+runnable prototype).
 
 Run:  python examples/live_asyncio.py
 """
@@ -14,7 +15,7 @@ import asyncio
 
 from repro.core import selective_mirroring
 from repro.ois import FlightDataConfig, generate_script
-from repro.rt import AsyncMirroredServer
+from repro.rt.net import run_net_scenario
 
 
 async def main() -> None:
@@ -26,14 +27,14 @@ async def main() -> None:
             seed=13,
         )
     )
-    server = AsyncMirroredServer(
+    summary = await run_net_scenario(
+        script,
         n_mirrors=2,
-        mirror_config=selective_mirroring(overwrite_len=10),
-        request_service_delay=0.0005,
+        config=selective_mirroring(overwrite_len=10),
+        request_times=[0.0] * 20,
     )
-    summary = await server.run(script, request_times=[0.0] * 20)
 
-    print("=== live asyncio run (2 mirrors, selective mirroring) ===")
+    print("=== live run over TCP (2 mirrors, selective mirroring) ===")
     print(f"events in               : {summary.events_in}")
     print(f"events mirrored         : {summary.events_mirrored}")
     print(f"processed by central EDE: {summary.events_processed_central}")
@@ -46,11 +47,8 @@ async def main() -> None:
     print(f"wall time               : {summary.wall_seconds:.3f} s")
     print(f"mean update delay       : {summary.mean_update_delay * 1e3:.3f} ms "
           "(host-runtime timing, not the calibrated model)")
-
-    backup = server.central.backup
-    print(f"central backup queue    : {len(backup)} retained of "
-          f"{backup.total_appended} appended ({backup.total_trimmed} trimmed "
-          "by checkpoint commits)")
+    print(f"wire                    : {summary.wire.frames_sent} frames, "
+          f"{summary.wire.bytes_sent} bytes sent")
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ Usage::
     python -m repro modelcheck --protocol handoff    # shard handoff checker
     python -m repro codecsym               # wire-codec symmetry audit
     python -m repro chaos                  # seeded failure drills
-    python -m repro rt --net tcp           # live server over real sockets
+    python -m repro rt                     # live server over real sockets
 """
 
 from __future__ import annotations

@@ -1,15 +1,16 @@
-"""Live asyncio runtime: a second backend for the same mirroring core.
+"""Live runtime: the same mirroring core, served over TCP.
 
 The simulation backend (:mod:`repro.core.system`) produces the paper's
 figures with a calibrated cost model; this backend runs the identical
 protocol logic — rule engines, checkpoint state machines, adaptation —
-as real asyncio tasks, demonstrating the system live (DESIGN.md §2:
-"asyncio prototype easy; throughput numbers less faithful").
+as real asyncio tasks whose sites talk the binary wire format over
+sockets (:mod:`repro.rt.net`; sharded: :mod:`repro.rt.shards`),
+demonstrating the system live (DESIGN.md §2: "asyncio prototype easy;
+throughput numbers less faithful").
 """
 
 from .channels import AsyncChannel, AsyncSubscription
 from .sites import AsyncCentralSite, AsyncMainUnit, AsyncMirrorSite, EOS
-from .system import AsyncMirroredServer, AsyncRunSummary
 
 __all__ = [
     "AsyncChannel",
@@ -18,6 +19,4 @@ __all__ = [
     "AsyncMainUnit",
     "AsyncMirrorSite",
     "EOS",
-    "AsyncMirroredServer",
-    "AsyncRunSummary",
 ]

@@ -13,7 +13,7 @@ simulation backend while this one demonstrates the system live.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, List, Optional
 
 from ..core.events import EventBatch, UpdateEvent
 
@@ -30,7 +30,6 @@ class AsyncSubscription:
     """
 
     def __init__(self, name: str, capacity: int = 128,
-                 accepts: Optional[Callable[[Any], bool]] = None,
                  into: Optional[asyncio.Queue] = None,
                  tag: Optional[str] = None):
         self.name = name
@@ -38,7 +37,6 @@ class AsyncSubscription:
             into if into is not None else asyncio.Queue(maxsize=capacity)
         )
         self._tag = tag
-        self.accepts = accepts
         self.delivered = 0
         #: deepest the queue has ever been (how close backpressure came)
         self.high_watermark = 0
@@ -88,34 +86,19 @@ class AsyncChannel:
         self.subscriptions: List[AsyncSubscription] = []
         self.published = 0
 
-    def subscribe(
-        self,
-        name: str,
-        capacity: int = 128,
-        accepts: Optional[Callable[[Any], bool]] = None,
-        into: Optional[asyncio.Queue] = None,
-    ) -> AsyncSubscription:
-        """Add a subscriber with its own bounded queue — or, with
-        ``into``, one delivering ``(channel kind, payload)`` pairs into
-        a queue the consumer shares with its other subscriptions."""
-        sub = AsyncSubscription(
-            name, capacity=capacity, accepts=accepts, into=into,
-            tag=self.kind if into is not None else None,
-        )
+    def subscribe(self, name: str, into: asyncio.Queue) -> AsyncSubscription:
+        """Add a subscriber delivering ``(channel kind, payload)`` pairs
+        into ``into``, a queue the consumer shares with its other
+        subscriptions."""
+        sub = AsyncSubscription(name, into=into, tag=self.kind)
         self.subscriptions.append(sub)
         return sub
-
-    def unsubscribe(self, name: str) -> None:
-        """Remove all subscriptions registered under ``name``."""
-        self.subscriptions = [s for s in self.subscriptions if s.name != name]
 
     async def publish(self, payload: Any) -> int:
         """Deliver ``payload`` to every subscriber; returns deliveries."""
         self.published += 1
         count = 0
         for sub in self.subscriptions:
-            if sub.accepts is not None and not sub.accepts(payload):
-                continue
             await sub.put(payload)
             sub.delivered += 1
             count += 1
@@ -124,24 +107,14 @@ class AsyncChannel:
     async def publish_batch(self, events: List[UpdateEvent]) -> int:
         """Deliver ``events`` as one :class:`EventBatch` per subscriber.
 
-        Subscriber predicates are applied per *event*, so each
-        subscriber's batch carries exactly the members it would have
-        accepted one-by-one; subscribers with no accepted member get
-        nothing.  One queue put (one wakeup) per subscriber per batch is
-        the live-runtime counterpart of the simulation's one-wire-message
+        One queue put (one wakeup) per subscriber per batch is the
+        live-runtime counterpart of the simulation's one-wire-message
         batching.
         """
         self.published += 1
         count = 0
         for sub in self.subscriptions:
-            kept = (
-                events
-                if sub.accepts is None
-                else [ev for ev in events if sub.accepts(ev)]
-            )
-            if not kept:
-                continue
-            await sub.put(EventBatch(list(kept)))
+            await sub.put(EventBatch(list(events)))
             sub.delivered += 1
             count += 1
         return count

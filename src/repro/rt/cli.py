@@ -1,14 +1,12 @@
 """``python -m repro rt`` — run the live runtime from the command line.
 
-Backends:
+Every role speaks the binary wire format over localhost TCP
+(:mod:`repro.rt.net`):
 
-* ``--net none`` (default) — the in-process asyncio backend
-  (:class:`~repro.rt.system.AsyncMirroredServer`).
-* ``--net tcp`` — real localhost sockets speaking the binary wire
-  format (:mod:`repro.rt.net`); with ``--processes`` the mirrors and
-  the thin client run as separate OS processes (the deployment shape),
-  without it everything shares one event loop but still crosses TCP.
-* ``--net tcp --shards N`` — the sharded multi-central cluster
+* by default central, mirrors and the thin client share one event loop;
+  with ``--processes`` the mirrors and the client run as separate OS
+  processes (the deployment shape);
+* ``--shards N`` runs the sharded multi-central cluster
   (:mod:`repro.rt.shards`): the flight keyspace partitioned over N
   central shards behind an ingress router; with ``--processes`` each
   shard (central + its mirrors) is a real OS process.
@@ -32,19 +30,15 @@ __all__ = ["main"]
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro rt",
-        description="Run the live mirrored server (asyncio or TCP backend).",
-    )
-    parser.add_argument(
-        "--net", choices=("none", "tcp"), default="none",
-        help="transport backend: in-process queues (none) or real sockets (tcp)",
+        description="Run the live mirrored server over localhost TCP.",
     )
     parser.add_argument(
         "--processes", action="store_true",
-        help="with --net tcp: run mirrors and client as separate OS processes",
+        help="run mirrors and client (or each shard) as separate OS processes",
     )
     parser.add_argument(
         "--shards", type=int, default=0,
-        help="with --net tcp: partition the keyspace over N central "
+        help="partition the keyspace over N central "
              "shards behind an ingress router (0 = unsharded)",
     )
     parser.add_argument(
@@ -80,12 +74,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         raise SystemExit("--mirrors and --requests must be >= 0")
     if args.shards < 0 or args.handoffs < 0:
         raise SystemExit("--shards and --handoffs must be >= 0")
-    if args.shards and args.net != "tcp":
-        raise SystemExit("--shards requires --net tcp")
     if args.subscribers < 0:
         raise SystemExit("--subscribers must be >= 0")
-    if args.subscribers and args.net != "tcp":
-        raise SystemExit("--subscribers requires --net tcp")
     if args.subscribers and args.processes:
         raise SystemExit("--subscribers is not plumbed through --processes")
     script = generate_script(
@@ -137,7 +127,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(json.dumps(payload, indent=2, default=list))
         return 0
 
-    if args.net == "tcp" and args.processes:
+    if args.processes:
         from .net import NetProcessRunner
 
         result = NetProcessRunner(
@@ -146,37 +136,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(json.dumps(result, indent=2, default=list))
         return 0
 
-    if args.net == "tcp":
-        from .net import run_net_scenario
-
-        summary = asyncio.run(
-            run_net_scenario(
-                script=script,
-                n_mirrors=args.mirrors,
-                request_times=request_times,
-                subscribers=subscribers,
-            )
-        )
-        payload = asdict(summary)
-        payload["backend"] = "tcp(single-process)"
-        payload["replicas_consistent"] = summary.replicas_consistent
-        payload["events_per_second"] = (
-            summary.events_in / summary.wall_seconds
-            if summary.wall_seconds > 0
-            else 0.0
-        )
-        print(json.dumps(payload, indent=2, default=list))
-        return 0
-
-    from .system import AsyncMirroredServer
+    from .net import run_net_scenario
 
     summary = asyncio.run(
-        AsyncMirroredServer(n_mirrors=args.mirrors).run(
-            script, request_times=request_times
+        run_net_scenario(
+            script=script,
+            n_mirrors=args.mirrors,
+            request_times=request_times,
+            subscribers=subscribers,
         )
     )
     payload = asdict(summary)
-    payload["backend"] = "asyncio"
+    payload["backend"] = "tcp(single-process)"
     payload["replicas_consistent"] = summary.replicas_consistent
+    payload["events_per_second"] = (
+        summary.events_in / summary.wall_seconds
+        if summary.wall_seconds > 0
+        else 0.0
+    )
     print(json.dumps(payload, indent=2, default=list))
     return 0

@@ -1,8 +1,8 @@
-"""Real-socket runtime backend: the live server over localhost TCP.
+"""The live server over TCP.
 
-The asyncio backend in :mod:`repro.rt.system` wires sites together with
-in-process queues.  This module runs the *same* site objects over real
-TCP connections carrying the binary wire format (:mod:`repro.wire`):
+This module runs the asyncio site objects of :mod:`repro.rt.sites`
+over real TCP connections carrying the binary wire format
+(:mod:`repro.wire`):
 
 * the **central site** listens on a TCP port; each mirror's connection
   multiplexes mirrored events (EVENT/BATCH frames), checkpoint control
@@ -36,7 +36,7 @@ Two ways to run the topology:
   benchmarks, and what ``tests/rt`` exercises.
 * :class:`NetProcessRunner` — central, mirrors and client as separate
   OS processes (``multiprocessing`` spawn), the deployment shape of
-  ``python -m repro rt --net tcp``.
+  ``python -m repro rt --processes``.
 
 Link chaos (:mod:`repro.faults.link`) plugs into the frame send path:
 an optional :class:`~repro.faults.link.LinkFaultController` is
@@ -52,6 +52,7 @@ import json
 import time
 from collections import deque
 from dataclasses import dataclass, field, fields
+from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -97,7 +98,6 @@ from .sites import (
     AsyncCentralSite,
     AsyncMirrorSite,
 )
-from .system import AsyncRunSummary
 from .tasks import TaskSupervisor
 
 __all__ = [
@@ -193,12 +193,40 @@ class WireStats:
 
 
 @dataclass
-class NetRunSummary(AsyncRunSummary):
-    """Live-run summary plus wire-level accounting."""
+class NetRunSummary:
+    """What a live run produced: counters, consistency evidence and
+    wire-level accounting."""
 
+    events_in: int = 0
+    events_mirrored: int = 0
+    events_processed_central: int = 0
+    updates_distributed: int = 0
+    requests_served: int = 0
+    checkpoint_rounds: int = 0
+    checkpoint_commits: int = 0
+    adaptations: int = 0
+    reversions: int = 0
+    #: snapshot serving accounting, aggregated across all sites
+    snapshot_builds: int = 0
+    snapshot_cache_hits: int = 0
+    delta_snapshots_served: int = 0
+    bytes_saved_by_delta: int = 0
+    adaptation_log: List[tuple] = field(default_factory=list)
+    replica_digests: List[tuple] = field(default_factory=list)
+    wall_seconds: float = 0.0
+    #: seconds from central's stamp to its local apply, averaged
+    mean_update_delay: float = 0.0
+    #: channel backpressure evidence: deepest any subscription queue ran
+    #: and how many publisher puts blocked on a full queue
+    channel_high_watermark: int = 0
+    channel_blocked_puts: int = 0
     wire: WireStats = field(default_factory=WireStats)
     #: per-subscriber result dicts (client_id, acks, received events)
     subscriber_results: List[Dict[str, Any]] = field(default_factory=list)
+
+    @property
+    def replicas_consistent(self) -> bool:
+        return len(set(self.replica_digests)) <= 1
 
 
 class AdaptiveFlusher:
@@ -354,8 +382,6 @@ class NetCentral:
         n_mirrors: int,
         config: Optional[MirrorConfig] = None,
         adaptation: bool = False,
-        request_service_delay: float = 0.0,
-        snapshot_fast_path: bool = False,
         fault_controller: Optional["LinkFaultController"] = None,
         site_name: str = "central",
         mirror_names: Optional[Sequence[str]] = None,
@@ -382,10 +408,6 @@ class NetCentral:
             adaptation=controller, site=site_name,
         )
         self.site.main.distribute_updates = True
-        self.site.main.request_service_delay = request_service_delay
-        if snapshot_fast_path:
-            self.site.main.coalesce_requests = True
-            self.site.main.serve_cached_snapshots = True
         self.site.main.delta_snapshots = self.config.delta_snapshots
         self.site.main.delta_fallback_fraction = self.config.delta_fallback_fraction
         self.connections: Dict[str, _MirrorConnection] = {}
@@ -431,6 +453,29 @@ class NetCentral:
         self.port = self._server.sockets[0].getsockname()[1]
         self._broadcast_tasks = [asyncio.create_task(self._broadcast_loop())]
         return self.port
+
+    async def run(self) -> None:
+        """Run the central site: its receiving, sending and control
+        tasks and its main unit's event loop, until the stream has
+        ended and ``site.ctrl_in`` has taken EOS.  Supervised: the first
+        of the four to fail cancels the others and its exception is
+        raised."""
+        site = self.site
+        tasks = TaskSupervisor()
+        spawned = [
+            tasks.spawn(site.receiving_task()),
+            tasks.spawn(site.sending_task()),
+            tasks.spawn(site.control_task()),
+            tasks.spawn(site.main.event_loop()),
+        ]
+
+        async def finished() -> None:
+            await asyncio.gather(*spawned)
+
+        try:
+            await tasks.guard(finished())
+        finally:
+            await tasks.cancel()
 
     async def _distribute(self, kind: str, frame: Any) -> None:
         """Queue one frame for every live mirror, waiting for room
@@ -780,12 +825,17 @@ class _FrameReader:
 
     async def next_chunk(self) -> Optional[List[Any]]:
         """Return every message pending or, failing that, completed by
-        the next read; None once the peer closed."""
+        the next read; None once the peer closed or reset."""
         pending = self._pending
         decode = self._decoder.decode_body
         stats = self._stats
         while not pending:
-            data = await self._reader.read(READ_BYTES)
+            try:
+                data = await self._reader.read(READ_BYTES)
+            except (ConnectionResetError, BrokenPipeError):
+                # a peer that died mid-stream: it reset the connection,
+                # or a write to it failed first
+                data = b""
             if not data:
                 return None
             frames = self._splitter.feed(data)
@@ -1253,9 +1303,7 @@ class NetMirror:
     Also listens on its own port for thin-client REQUEST traffic.
     """
 
-    def __init__(self, name: str, config: Optional[MirrorConfig] = None,
-                 request_service_delay: float = 0.0,
-                 snapshot_fast_path: bool = False):
+    def __init__(self, name: str, config: Optional[MirrorConfig] = None):
         self.name = name
         self.config = config if config is not None else simple_mirroring()
         self.stats = WireStats()
@@ -1265,10 +1313,6 @@ class NetMirror:
         self.ctrl_sub = AsyncSubscription(f"{name}.ctrl", capacity=CONTROL_BOUND)
         self.reply_to: asyncio.Queue = asyncio.Queue(maxsize=CONTROL_BOUND)
         self.site = AsyncMirrorSite(name, self.data_sub, self.ctrl_sub, self.reply_to)
-        self.site.main.request_service_delay = request_service_delay
-        if snapshot_fast_path:
-            self.site.main.coalesce_requests = True
-            self.site.main.serve_cached_snapshots = True
         self.site.main.delta_snapshots = self.config.delta_snapshots
         self.site.main.delta_fallback_fraction = self.config.delta_fallback_fraction
         self.port: Optional[int] = None
@@ -1407,12 +1451,11 @@ class NetMirror:
 
 
 async def _run_client(
-    host: str, ports: Sequence[int], request_times: Sequence[float],
-    stats: WireStats, time_factor: float = 0.0,
+    host: str, ports: Sequence[int], n_requests: int, stats: WireStats,
 ) -> List[float]:
     """Round-robin thin client: one connection per target port, issuing
-    ``request_times`` requests and awaiting each RESPONSE.  Returns
-    request latencies (seconds)."""
+    ``n_requests`` requests one after another and awaiting each
+    RESPONSE.  Returns request latencies (seconds)."""
     conns: List[Tuple[asyncio.StreamWriter, _FrameReader, WireEncoder]] = []
     for port in ports:
         reader, writer = await asyncio.open_connection(host, port)
@@ -1421,12 +1464,7 @@ async def _run_client(
         await writer.drain()
         conns.append((writer, _FrameReader(reader, stats), encoder))
     latencies: List[float] = []
-    start = time.monotonic()
-    for i, at in enumerate(sorted(request_times)):
-        if time_factor > 0:
-            delay = start + at * time_factor - time.monotonic()
-            if delay > 0:
-                await asyncio.sleep(delay)
+    for i in range(n_requests):
         writer, frames, encoder = conns[i % len(conns)]
         issued = time.monotonic()
         request = InitStateRequest(client_id=f"thin{i}", issued_at=issued)
@@ -1451,8 +1489,6 @@ async def run_net_scenario(
     request_times: Sequence[float] = (),
     config: Optional[MirrorConfig] = None,
     adaptation: bool = False,
-    request_service_delay: float = 0.0,
-    snapshot_fast_path: bool = False,
     fault_controller: Optional["LinkFaultController"] = None,
     subscribers: Sequence[Tuple[str, Any]] = (),
     host: str = "127.0.0.1",
@@ -1460,6 +1496,8 @@ async def run_net_scenario(
     """Run one full scenario over real loopback sockets (single event
     loop, every byte through TCP).
 
+    One thin client issues ``len(request_times)`` requests, one after
+    another, round-robin over the mirrors (central when mirror-less).
     ``subscribers`` is a sequence of ``(client_id, predicate)`` pairs:
     each opens a subscriber connection (round-robin over the mirror
     client ports, the central port when mirror-less), registers its
@@ -1471,8 +1509,6 @@ async def run_net_scenario(
         n_mirrors=n_mirrors,
         config=config,
         adaptation=adaptation,
-        request_service_delay=request_service_delay,
-        snapshot_fast_path=snapshot_fast_path,
         fault_controller=fault_controller,
     )
     # GC pacing: the hot path recycles its buffers, so the cyclic
@@ -1492,14 +1528,10 @@ async def run_net_scenario(
     client_stats = WireStats()
     site = central.site
 
-    async def drive() -> Tuple[List[float], List[Dict[str, Any]]]:
+    async def drive() -> List[Dict[str, Any]]:
         port = await central.start(host=host)
         mirrors.extend(
-            NetMirror(
-                f"mirror{i+1}", config=central.config,
-                request_service_delay=request_service_delay,
-                snapshot_fast_path=snapshot_fast_path,
-            )
+            NetMirror(f"mirror{i+1}", config=central.config)
             for i in range(n_mirrors)
         )
         client_ports: List[int] = []
@@ -1529,12 +1561,7 @@ async def run_net_scenario(
         for ready in sub_ready:
             await ready.wait()
 
-        central_tasks = [
-            tasks.spawn(site.receiving_task()),
-            tasks.spawn(site.sending_task()),
-            tasks.spawn(site.control_task()),
-            tasks.spawn(site.main.event_loop()),
-        ]
+        central_run = tasks.spawn(central.run())
 
         async def source() -> None:
             # feed in chunks, as a socket would: one data_in hop per
@@ -1550,29 +1577,28 @@ async def run_net_scenario(
             await site.data_in.put(EOS)
 
         drivers = [tasks.spawn(source())]
-        latencies: List[float] = []
         if request_times:
             drivers.append(
                 tasks.spawn(
-                    _run_client(host, client_ports, request_times, client_stats)
+                    _run_client(
+                        host, client_ports, len(request_times), client_stats
+                    )
                 )
             )
-        results = await asyncio.gather(*drivers)
-        if request_times:
-            latencies = results[1]
+        await asyncio.gather(*drivers)
         await site.stream_done.wait()
         await central.shutdown_stream()
         await central.wait_mirrors_done()
         await asyncio.gather(*mirror_tasks)
         await site.ctrl_in.put(EOS)
-        await asyncio.gather(*central_tasks)
+        await central_run
         subscriber_results = await asyncio.gather(*sub_tasks)
         await central.close()
-        return latencies, list(subscriber_results)
+        return list(subscriber_results)
 
     try:
         t0 = time.monotonic()
-        latencies, subscriber_results = await tasks.guard(drive())
+        subscriber_results = await tasks.guard(drive())
     finally:
         await tasks.cancel()
         await central.close()
@@ -1608,9 +1634,7 @@ async def run_net_scenario(
         replica_digests=[site.main.ede.state_digest()]
         + [m.site.main.ede.state_digest() for m in mirrors],
         wall_seconds=time.monotonic() - t0,
-        mean_update_delay=(
-            sum(latencies) / len(latencies) if latencies else 0.0
-        ),
+        mean_update_delay=site.main.update_delays.mean(),
         channel_high_watermark=max((s.high_watermark for s in subs), default=0),
         channel_blocked_puts=sum(s.blocked_puts for s in subs),
         wire=stats,
@@ -1619,7 +1643,7 @@ async def run_net_scenario(
 
 
 # --------------------------------------------------------------------------
-# Multiprocess deployment shape (python -m repro rt --net tcp)
+# Multiprocess deployment shape (python -m repro rt --processes)
 # --------------------------------------------------------------------------
 def _mirror_process_main(name: str, host: str, port: int,
                          client_port: int, result_path: str) -> None:
@@ -1652,9 +1676,7 @@ def _client_process_main(host: str, ports: List[int], n_requests: int,
 
     async def main() -> None:
         stats = WireStats()
-        latencies = await _run_client(
-            host, ports, [0.0] * n_requests, stats
-        )
+        latencies = await _run_client(host, ports, n_requests, stats)
         # terminal report write: the run is over, nothing shares this loop
         with open(result_path, "w", encoding="utf-8") as fh:  # lint: allow-async-blocking
             json.dump(
@@ -1669,6 +1691,23 @@ def _client_process_main(host: str, ports: List[int], n_requests: int,
             )
 
     asyncio.run(main())
+
+
+def _preassign_ports(host: str, count: int) -> List[int]:
+    """Grab free port numbers synchronously (called before the event
+    loop starts: bind-and-release must not run inside a coroutine)."""
+    import socket
+
+    ports: List[int] = []
+    placeholders = []
+    for _ in range(count):
+        s = socket.socket()
+        s.bind((host, 0))
+        ports.append(s.getsockname()[1])
+        placeholders.append(s)
+    for s in placeholders:
+        s.close()
+    return ports
 
 
 async def _join_process(
@@ -1700,40 +1739,21 @@ class NetProcessRunner:
 
     def __init__(self, n_mirrors: int = 1, n_requests: int = 0,
                  script: Optional[EventScript] = None,
-                 config: Optional[MirrorConfig] = None,
                  host: str = "127.0.0.1"):
         self.n_mirrors = n_mirrors
         self.n_requests = n_requests
         self.script = script if script is not None else generate_script(
             FlightDataConfig()
         )
-        self.config = config
         self.host = host
-
-    def _preassign_ports(self, count: int) -> List[int]:
-        """Grab free port numbers synchronously (called before the event
-        loop starts: bind-and-release must not run inside a coroutine)."""
-        import socket
-
-        ports: List[int] = []
-        placeholders = []
-        for _ in range(count):
-            s = socket.socket()
-            s.bind((self.host, 0))
-            ports.append(s.getsockname()[1])
-            placeholders.append(s)
-        for s in placeholders:
-            s.close()
-        return ports
 
     def run(self) -> Dict[str, Any]:
         import multiprocessing
         import tempfile
-        from pathlib import Path
 
         ctx = multiprocessing.get_context("spawn")
         # pre-assign client ports so children can bind deterministically
-        client_ports = self._preassign_ports(self.n_mirrors)
+        client_ports = _preassign_ports(self.host, self.n_mirrors)
         with tempfile.TemporaryDirectory(prefix="repro-net-") as tmp:
             tmpdir = Path(tmp)
             summary = asyncio.run(
@@ -1742,13 +1762,14 @@ class NetProcessRunner:
             return summary
 
     async def _drive(
-        self, ctx: Any, tmpdir: str, client_ports: List[int]
+        self, ctx: Any, tmpdir: Path, client_ports: List[int]
     ) -> Dict[str, Any]:
-        central = NetCentral(n_mirrors=self.n_mirrors, config=self.config)
+        central = NetCentral(n_mirrors=self.n_mirrors)
         port = await central.start(host=self.host)
+        site = central.site
 
+        tasks = TaskSupervisor()
         procs = []
-        central_tasks: List[asyncio.Task] = []
         client_proc = None
         try:
             mirror_results = []
@@ -1764,13 +1785,7 @@ class NetProcessRunner:
                 procs.append(proc)
             await central.mirrors_connected.wait()
 
-            site = central.site
-            central_tasks = [
-                asyncio.create_task(site.receiving_task()),
-                asyncio.create_task(site.sending_task()),
-                asyncio.create_task(site.control_task()),
-                asyncio.create_task(site.main.event_loop()),
-            ]
+            central_run = tasks.spawn(central.run())
 
             client_result = str(tmpdir / "client.json")
             if self.n_requests > 0:
@@ -1781,17 +1796,20 @@ class NetProcessRunner:
                 )
                 client_proc.start()
 
+            async def stream() -> None:
+                for se in self.script.fresh_events():
+                    await site.data_in.put(se.event)
+                await site.data_in.put(EOS)
+                await site.stream_done.wait()
+                if client_proc is not None:
+                    await _join_process(client_proc)
+                await central.shutdown_stream()
+                await central.wait_mirrors_done()
+                await site.ctrl_in.put(EOS)
+                await central_run
+
             t0 = time.monotonic()
-            for se in self.script.fresh_events():
-                await site.data_in.put(se.event)
-            await site.data_in.put(EOS)
-            await site.stream_done.wait()
-            if client_proc is not None:
-                await _join_process(client_proc)
-            await central.shutdown_stream()
-            await central.wait_mirrors_done()
-            await site.ctrl_in.put(EOS)
-            await asyncio.gather(*central_tasks)
+            await tasks.guard(stream())
             await central.close()
             wall = time.monotonic() - t0
             for proc in procs:
@@ -1800,11 +1818,7 @@ class NetProcessRunner:
             # a failed or cancelled run must not leak child processes or
             # the bound port: cancel whatever is still running, SIGTERM
             # + join any live child (terminate() is SIGTERM on POSIX)
-            leftovers = [t for t in central_tasks if not t.done()]
-            for task in leftovers:
-                task.cancel()
-            if leftovers:
-                await asyncio.gather(*leftovers, return_exceptions=True)
+            await tasks.cancel()
             await central.close()
             children = procs + ([client_proc] if client_proc is not None else [])
             for proc in children:

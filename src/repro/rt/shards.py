@@ -41,7 +41,7 @@ Two deployment shapes, mirroring :mod:`repro.rt.net`:
 * :func:`run_sharded_scenario` — all shards in one process/event loop,
   every byte over loopback TCP (tests, determinism checks);
 * :class:`ShardProcessRunner` — each shard as a real OS process
-  (``python -m repro rt --net tcp --shards N --processes``), spawned
+  (``python -m repro rt --shards N --processes``), spawned
   with the ``multiprocessing`` spawn context so children re-import a
   clean interpreter.
 """
@@ -65,7 +65,14 @@ from ..shard.partition import ShardMap, make_partitioner, shard_name
 from ..sub.messages import SubAck, Subscribe
 from ..sub.predicate import Predicate, canonical, route_keys, to_nodes
 from ..wire import EOS as WIRE_EOS, Hello, WireEncoder
-from .net import NetCentral, NetMirror, WireStats, _FrameReader, _join_process
+from .net import (
+    NetCentral,
+    NetMirror,
+    WireStats,
+    _FrameReader,
+    _join_process,
+    _preassign_ports,
+)
 from .sites import EOS
 from .tasks import TaskSupervisor
 
@@ -137,8 +144,6 @@ class ShardRuntime:
         index: int,
         n_mirrors: int = 1,
         config: Optional[MirrorConfig] = None,
-        request_service_delay: float = 0.0,
-        snapshot_fast_path: bool = False,
         clock: Callable[[], float] = time.monotonic,
     ):
         self.index = index
@@ -152,18 +157,11 @@ class ShardRuntime:
         self.central = NetCentral(
             n_mirrors,
             config=config,
-            request_service_delay=request_service_delay,
-            snapshot_fast_path=snapshot_fast_path,
             site_name=self.central_site_name,
             mirror_names=self.mirror_names,
         )
         self.mirrors = [
-            NetMirror(
-                name,
-                config=self.central.config,
-                request_service_delay=request_service_delay,
-                snapshot_fast_path=snapshot_fast_path,
-            )
+            NetMirror(name, config=self.central.config)
             for name in self.mirror_names
         ]
         #: this shard's private failure domain
@@ -179,7 +177,7 @@ class ShardRuntime:
         #: :meth:`run_to_completion` with its exception
         self._tasks = TaskSupervisor()
         self._mirror_tasks: List[asyncio.Task] = []
-        self._central_tasks: List[asyncio.Task] = []
+        self._central_run: Optional[asyncio.Task] = None
 
     @property
     def client_port(self) -> int:
@@ -219,13 +217,7 @@ class ShardRuntime:
         ]
         await self.central.mirrors_connected.wait()
         self._beat_all()
-        site = self.central.site
-        self._central_tasks = [
-            self._tasks.spawn(site.receiving_task()),
-            self._tasks.spawn(site.sending_task()),
-            self._tasks.spawn(site.control_task()),
-            self._tasks.spawn(site.main.event_loop()),
-        ]
+        self._central_run = self._tasks.spawn(self.central.run())
         return self.port
 
     async def run_to_completion(self) -> None:
@@ -243,7 +235,8 @@ class ShardRuntime:
         await self.central.wait_mirrors_done()
         await asyncio.gather(*self._mirror_tasks)
         await site.ctrl_in.put(EOS)
-        await asyncio.gather(*self._central_tasks)
+        assert self._central_run is not None  # set by start()
+        await self._central_run
         await self.central.close()
 
     async def abort(self) -> None:
@@ -729,8 +722,6 @@ async def run_sharded_scenario(
     config: Optional[MirrorConfig] = None,
     request_keys: Sequence[str] = (),
     router_batch: int = 16,
-    request_service_delay: float = 0.0,
-    snapshot_fast_path: bool = False,
     subscriptions: Sequence[Tuple[str, Any]] = (),
     host: str = "127.0.0.1",
 ) -> ShardedRunSummary:
@@ -746,13 +737,7 @@ async def run_sharded_scenario(
     if script is None:
         script = generate_script(FlightDataConfig())
     shards = [
-        ShardRuntime(
-            i,
-            n_mirrors=n_mirrors,
-            config=config,
-            request_service_delay=request_service_delay,
-            snapshot_fast_path=snapshot_fast_path,
-        )
+        ShardRuntime(i, n_mirrors=n_mirrors, config=config)
         for i in range(n_shards)
     ]
     router: Optional[IngressRouter] = None
@@ -855,7 +840,7 @@ async def run_sharded_scenario(
 
 
 # --------------------------------------------------------------------------
-# Multiprocess deployment (python -m repro rt --net tcp --shards N --processes)
+# Multiprocess deployment (python -m repro rt --shards N --processes)
 # --------------------------------------------------------------------------
 def _shard_process_main(
     index: int,
@@ -955,30 +940,14 @@ class ShardProcessRunner:
         self.router_batch = router_batch
         self.host = host
 
-    def _preassign_ports(self, count: int) -> List[int]:
-        """Grab free port numbers synchronously (called before the event
-        loop starts: bind-and-release must not run inside a coroutine)."""
-        import socket
-
-        ports: List[int] = []
-        placeholders = []
-        for _ in range(count):
-            s = socket.socket()
-            s.bind((self.host, 0))
-            ports.append(s.getsockname()[1])
-            placeholders.append(s)
-        for s in placeholders:
-            s.close()
-        return ports
-
     def run(self) -> Dict[str, Any]:
         import multiprocessing
         import tempfile
 
         ctx = multiprocessing.get_context("spawn")
         serving_per_shard = max(1, self.n_mirrors)
-        ports = self._preassign_ports(
-            self.n_shards * (1 + serving_per_shard)
+        ports = _preassign_ports(
+            self.host, self.n_shards * (1 + serving_per_shard)
         )
         with tempfile.TemporaryDirectory(prefix="repro-shards-") as tmp:
             return asyncio.run(self._drive(ctx, Path(tmp), ports))

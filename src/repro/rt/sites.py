@@ -7,6 +7,7 @@ objects* the simulation uses: :class:`~repro.core.rules.RuleEngine`,
 :class:`~repro.core.checkpoint.CheckpointCoordinator` /
 :class:`MainUnitCheckpointer`, :class:`~repro.core.queues.BackupQueue`
 and :class:`~repro.core.adaptation.AdaptationController`.
+:mod:`repro.rt.net` serves these sites over TCP.
 """
 
 from __future__ import annotations
@@ -82,9 +83,6 @@ READY_BOUND = 64
 #: ``data_sub`` fills and the mirror stops reading its socket.
 CENTRAL_INBOX_BOUND = 256
 MIRROR_INBOX_BOUND = 8
-#: ``main.requests`` holds in-process initial-state requests.  Full: the
-#: request driver blocks.  Drained by ``request_loop``.
-REQUESTS_BOUND = 256
 #: ``ctrl_in`` / ``reply_to`` hold checkpoint votes on their way to the
 #: coordinator: at most one per site per round in flight.
 CONTROL_BOUND = 256
@@ -136,8 +134,6 @@ class AsyncMainUnit:
         self,
         site: str,
         clock: Callable[[], float] = time.monotonic,
-        request_service_delay: float = 0.0,
-        engine_factory: Optional[Callable[[], Any]] = None,
         inbox_bound: int = CENTRAL_INBOX_BOUND,
     ):
         self.site = site
@@ -145,28 +141,25 @@ class AsyncMainUnit:
         #: wall-clock seconds each initial-state request takes to serve
         #: (stands in for the snapshot-build CPU cost the simulation
         #: backend models explicitly)
-        self.request_service_delay = request_service_delay
-        #: business logic: anything with process(event) -> outputs and
-        #: state_digest(); defaults to the airline EDE.  Engines exposing
-        #: .state.snapshot() serve real snapshots; others get a stub.
-        self.ede = engine_factory() if engine_factory is not None else EventDerivationEngine()
+        self.request_service_delay = 0.0
+        #: business logic: the airline EDE, or anything else with
+        #: process(event) -> outputs and state_digest().  Engines
+        #: exposing .state.snapshot() serve real snapshots; others get
+        #: a stub.
+        self.ede: Any = EventDerivationEngine()
         self.checkpointer = MainUnitCheckpointer(site)
         self.inbox: asyncio.Queue = asyncio.Queue(maxsize=inbox_bound)
-        self.requests: asyncio.Queue = asyncio.Queue(maxsize=REQUESTS_BOUND)
         #: distributed updates, their delays (seconds, with the running
         #: total) and served responses: counted, not retained
         self.updates = RecentWindow()
         self.update_delays = RecentWindow()
         self.responses = RecentWindow()
-        #: requests in service: raised by whoever took the request off
-        #: its queue or socket, lowered as each response is built
+        #: requests decoded off a client socket and not yet answered
+        #: (the monitored pending-request buffer): raised per chunk,
+        #: lowered as each response is built
         self._pending_requests = 0
         self.distribute_updates = False
-        #: snapshot fast path (all off = the original serve-from-scratch
-        #: behaviour; AsyncMirroredServer(snapshot_fast_path=True) wires
-        #: these on for every site)
-        self.coalesce_requests = False
-        self.serve_cached_snapshots = False
+        #: delta serving to resuming clients (from the mirror config)
         self.delta_snapshots = False
         self.delta_fallback_fraction = 0.25
         #: fast-path accounting (mirrors RunMetrics in the sim backend)
@@ -180,10 +173,6 @@ class AsyncMainUnit:
         self.shard_out: Optional[asyncio.Queue] = None
         self.handoffs_out = 0
         self.transfers_in = 0
-
-    def pending_requests(self) -> int:
-        """Outstanding request count (queued + in service)."""
-        return self.requests.qsize() + self._pending_requests
 
     async def event_loop(self) -> None:
         """Drain the inbox through the business logic until EOS.
@@ -259,50 +248,6 @@ class AsyncMainUnit:
         elif isinstance(item, ShardTransfer):
             install_transfer(self.ede, item)
             self.transfers_in += 1
-
-    async def request_loop(self) -> None:
-        """Serve initial-state requests until EOS.
-
-        With ``coalesce_requests`` on, every request already queued when
-        one is picked up is drained into the same service batch: the
-        snapshot-build delay is paid once for the whole batch instead of
-        once per request (the coalescing the simulation backend models
-        with shared build events).  All flags off reproduces the
-        original serve-from-scratch loop exactly.
-        """
-        while True:
-            request = await self.requests.get()
-            if request == EOS:
-                break
-            batch = [request]
-            if self.coalesce_requests:
-                while True:
-                    try:
-                        batch.append(self.requests.get_nowait())
-                    except asyncio.QueueEmpty:
-                        break
-            eos_drained = EOS in batch
-            live = [r for r in batch if r != EOS]
-            self._pending_requests += len(live)
-            state = getattr(self.ede, "state", None)
-            if self.request_service_delay > 0:
-                if self.serve_cached_snapshots and state is not None:
-                    # one build amortised over the batch; a fresh cache
-                    # skips the build delay entirely
-                    if not state.cache_fresh:
-                        await asyncio.sleep(self.request_service_delay)
-                else:
-                    for _ in live:
-                        await asyncio.sleep(self.request_service_delay)
-            # the straddle is the point: _pending_requests is a monitor-
-            # visible in-service gauge, raised before the service delay
-            # and drained per response
-            for req in live:
-                self.responses.append(self._serve_one(req, state))
-                self._pending_requests -= 1  # lint: allow-async-interleaving
-            await asyncio.sleep(0)
-            if eos_drained:
-                break
 
     def _serve_one(
         self, request: InitStateRequest, state: Any
@@ -403,7 +348,7 @@ class AsyncCentralSite:
         return {
             MONITOR_READY_QUEUE: float(self.ready.qsize()),
             MONITOR_BACKUP_QUEUE: float(len(self.backup)),
-            MONITOR_PENDING_REQUESTS: float(self.main.pending_requests()),
+            MONITOR_PENDING_REQUESTS: float(self.main._pending_requests),
         }
 
     async def receiving_task(self) -> None:
@@ -611,7 +556,7 @@ class AsyncMirrorSite:
         return {
             MONITOR_READY_QUEUE: float(self.data_in.level()),
             MONITOR_BACKUP_QUEUE: float(len(self.backup)),
-            MONITOR_PENDING_REQUESTS: float(self.main.pending_requests()),
+            MONITOR_PENDING_REQUESTS: float(self.main._pending_requests),
         }
 
     async def receiving_task(self) -> None:

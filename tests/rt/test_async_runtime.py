@@ -1,4 +1,4 @@
-"""Tests for the live asyncio runtime."""
+"""Tests for the live runtime: asyncio sites over loopback TCP."""
 
 import asyncio
 
@@ -14,17 +14,77 @@ from repro.core import (
 )
 from repro.core.adaptation import MONITOR_PENDING_REQUESTS
 from repro.ois import FlightDataConfig, generate_script
-from repro.rt import AsyncChannel, AsyncMirroredServer
+from repro.ois.clients import InitStateRequest, InitStateResponse
+from repro.rt import AsyncChannel, AsyncSubscription
+from repro.rt.net import (
+    NetCentral,
+    NetMirror,
+    WireStats,
+    _FrameReader,
+    _run_client,
+    run_net_scenario,
+)
+from repro.rt.sites import EOS
+from repro.rt.tasks import TaskSupervisor
+from repro.wire import Hello, WireEncoder
+
+HOST = "127.0.0.1"
 
 
 def run(coro):
-    return asyncio.run(coro)
+    return asyncio.run(asyncio.wait_for(coro, timeout=60))
 
 
 def script(**kw):
     defaults = dict(n_flights=4, positions_per_flight=30, seed=31)
     defaults.update(kw)
     return generate_script(FlightDataConfig(**defaults))
+
+
+async def serve(sc, central, mirrors, before=None, after=None):
+    """Stream ``sc`` through ``central`` and ``mirrors`` over loopback
+    TCP, composed as ``run_net_scenario`` composes them but with the
+    site objects in the caller's hands.  ``before`` and ``after`` get
+    the client ports (the mirrors', or central's when there are none):
+    ``before`` runs ahead of the first event, ``after`` once central
+    has taken the whole stream, before shutdown."""
+    site = central.site
+    tasks = TaskSupervisor()
+    try:
+        port = await central.start(host=HOST)
+        ports = [await m.serve_clients(host=HOST) for m in mirrors] or [port]
+        runs = [tasks.spawn(m.run(HOST, port)) for m in mirrors]
+        await central.mirrors_connected.wait()
+        central_run = tasks.spawn(central.run())
+
+        async def drive():
+            if before is not None:
+                await before(ports)
+            for se in sc.fresh_events():
+                await site.data_in.put([se.event])
+            await site.data_in.put(EOS)
+            await site.stream_done.wait()
+            if after is not None:
+                await after(ports)
+            await central.shutdown_stream()
+            await central.wait_mirrors_done()
+            await asyncio.gather(*runs)
+            await site.ctrl_in.put(EOS)
+            await central_run
+
+        await tasks.guard(drive())
+    finally:
+        await tasks.cancel()
+        await central.close()
+        for mirror in mirrors:
+            await mirror.close()
+
+
+async def until(condition, timeout=10.0):
+    deadline = asyncio.get_running_loop().time() + timeout
+    while not condition():
+        assert asyncio.get_running_loop().time() < deadline
+        await asyncio.sleep(0.001)
 
 
 # ------------------------------------------------------------ AsyncChannel
@@ -34,52 +94,58 @@ def test_channel_kind_validated():
 
 
 def test_channel_fanout_and_filters():
+    """Every subscriber gets every payload, tagged with the channel's
+    kind, so a consumer sharing one queue between channels can tell
+    (filter) the sources apart — in publish order."""
+
     async def scenario():
-        ch = AsyncChannel("c")
-        all_sub = ch.subscribe("all")
-        filtered = ch.subscribe("odd", accepts=lambda p: p % 2 == 1)
-        for i in range(4):
-            await ch.publish(i)
-        return all_sub.delivered, filtered.delivered, all_sub.level()
+        data, ctrl = AsyncChannel("d"), AsyncChannel("c", kind="control")
+        shared, other = asyncio.Queue(), asyncio.Queue()
+        subs = [data.subscribe("one", into=shared),
+                ctrl.subscribe("one", into=shared),
+                data.subscribe("two", into=other)]
+        for i in range(3):
+            await data.publish(i)
+        await ctrl.publish("chkpt")
+        await data.publish_batch([se.event for se in script().fresh_events()][:2])
+        drained = [shared.get_nowait() for _ in range(shared.qsize())]
+        return [s.delivered for s in subs], drained, other.qsize()
 
-    total, odd, level = run(scenario())
-    assert total == 4 and odd == 2 and level == 4
-
-
-def test_channel_unsubscribe():
-    async def scenario():
-        ch = AsyncChannel("c")
-        sub = ch.subscribe("s")
-        ch.unsubscribe("s")
-        return await ch.publish("x")
-
-    assert run(scenario()) == 0
+    delivered, drained, other = run(scenario())
+    assert delivered == [4, 1, 4] and other == 4
+    assert drained[:4] == [("data", 0), ("data", 1), ("data", 2),
+                           ("control", "chkpt")]
+    kind, batch = drained[4]
+    assert kind == "data" and len(batch.events) == 2
 
 
 def test_channel_backpressure_blocks_publisher():
     async def scenario():
         ch = AsyncChannel("c")
-        ch.subscribe("slow", capacity=2)
+        sub = ch.subscribe("slow", into=asyncio.Queue(maxsize=2))
         await ch.publish(1)
         await ch.publish(2)
         with pytest.raises(asyncio.TimeoutError):
             await asyncio.wait_for(ch.publish(3), timeout=0.05)
-        return True
+        return sub.high_watermark, sub.blocked_puts
 
-    assert run(scenario())
+    assert run(scenario()) == (2, 1)
+
+
+def test_subscription_owns_a_bounded_queue_by_default():
+    async def scenario():
+        sub = AsyncSubscription("own", capacity=1)
+        await sub.put("x")
+        with pytest.raises(asyncio.TimeoutError):
+            await asyncio.wait_for(sub.put("y"), timeout=0.05)
+        return await sub.get(), sub.level(), sub.blocked_puts
+
+    assert run(scenario()) == ("x", 0, 1)
 
 
 # --------------------------------------------------------------- full runs
-def test_server_validates_args():
-    with pytest.raises(ValueError):
-        AsyncMirroredServer(n_mirrors=-1)
-    with pytest.raises(ValueError):
-        AsyncMirroredServer(time_factor=-1)
-
-
 def test_live_run_processes_everything():
-    server = AsyncMirroredServer(n_mirrors=2)
-    summary = run(server.run(script()))
+    summary = run(run_net_scenario(script(), n_mirrors=2))
     assert summary.events_processed_central == summary.events_in
     assert summary.events_mirrored == summary.events_in  # simple mirroring
     assert summary.updates_distributed >= summary.events_in
@@ -87,60 +153,62 @@ def test_live_run_processes_everything():
 
 
 def test_live_replicas_converge():
-    server = AsyncMirroredServer(n_mirrors=3)
-    summary = run(server.run(script(positions_per_flight=50)))
+    summary = run(run_net_scenario(script(positions_per_flight=50), n_mirrors=3))
+    assert len(summary.replica_digests) == 4
     assert summary.replicas_consistent
 
 
 def test_live_selective_mirroring_cuts_traffic():
-    server = AsyncMirroredServer(
-        n_mirrors=1, mirror_config=selective_mirroring(10)
-    )
     sc = script(positions_per_flight=50, include_delta=False)
-    summary = run(server.run(sc))
+    summary = run(run_net_scenario(sc, n_mirrors=1, config=selective_mirroring(10)))
     assert summary.events_mirrored == 20  # 200 positions / 10
     assert summary.events_processed_central == 200
 
 
 def test_live_checkpoints_commit():
-    server = AsyncMirroredServer(n_mirrors=2)
-    summary = run(server.run(script(positions_per_flight=60)))
+    summary = run(run_net_scenario(script(positions_per_flight=60), n_mirrors=2))
     assert summary.checkpoint_rounds > 0
     assert summary.checkpoint_commits > 0
 
 
 def test_live_backup_queues_trimmed():
-    server = AsyncMirroredServer(n_mirrors=1)
-    run(server.run(script(positions_per_flight=60)))
-    central_backup = server.central.backup
-    assert central_backup.total_trimmed > 0
-    assert len(central_backup) < central_backup.total_appended
+    central = NetCentral(1)
+    mirrors = [NetMirror("mirror1")]
+    run(serve(script(positions_per_flight=60), central, mirrors))
+    for backup in (central.site.backup, mirrors[0].site.backup):
+        assert backup.total_trimmed > 0
+        assert len(backup) < backup.total_appended
 
 
 def test_live_requests_served_round_robin():
-    server = AsyncMirroredServer(n_mirrors=2)
-    summary = run(server.run(script(), request_times=[0.0] * 6))
-    assert summary.requests_served == 6
-    by_site = {
-        m.site: len(m.main.responses) for m in server.mirrors
-    }
+    central = NetCentral(2)
+    mirrors = [NetMirror(name) for name in central.mirror_names]
+    latencies = []
+
+    async def client(ports):
+        latencies.extend(await _run_client(HOST, ports, 6, WireStats()))
+
+    run(serve(script(), central, mirrors, after=client))
+    assert len(latencies) == 6
+    by_site = {m.name: len(m.site.main.responses) for m in mirrors}
     assert by_site == {"mirror1": 3, "mirror2": 3}
 
 
 def test_live_requests_to_central_without_mirrors():
-    server = AsyncMirroredServer(n_mirrors=0)
-    summary = run(server.run(script(), request_times=[0.0, 0.0]))
-    assert summary.requests_served == 2
-    assert len(server.central.main.responses) == 2
+    summary = run(run_net_scenario(script(), n_mirrors=0, request_times=[0.0, 0.0]))
+    assert summary.requests_served == 2  # central's own: there is no mirror
 
 
 def test_live_no_mirrors_still_checkpoints_locally():
-    server = AsyncMirroredServer(n_mirrors=0)
-    summary = run(server.run(script(positions_per_flight=60)))
+    summary = run(run_net_scenario(script(positions_per_flight=60), n_mirrors=0))
     assert summary.checkpoint_commits == summary.checkpoint_rounds > 0
 
 
 def test_live_adaptation_triggers():
+    """200 requests pipelined on one connection to a mirror that takes
+    2 ms per request: its votes carry the pending-request count past
+    the primary threshold, central adapts at a commit, and the mirror
+    applies the piggybacked command."""
     cfg = adaptive_normal()
     cfg.adapt_directives.append(
         AdaptDirective(param=PARAM_MIRROR_FUNCTION, function_name="adaptive_reduced")
@@ -148,102 +216,78 @@ def test_live_adaptation_triggers():
     cfg.monitors[MONITOR_PENDING_REQUESTS] = MonitorSpec(
         MONITOR_PENDING_REQUESTS, primary=3, secondary=2
     )
-    server = AsyncMirroredServer(
-        n_mirrors=1, mirror_config=cfg, adaptation=True,
-        request_service_delay=0.002,
-    )
-    # flood one mirror with slow-to-serve requests so its pending buffer
-    # trips the primary threshold at a checkpoint round
-    summary = run(
-        server.run(script(positions_per_flight=200), request_times=[0.0] * 200)
-    )
-    assert summary.adaptations >= 1
-    assert summary.adaptation_log[0][1] == "adapt"
-    assert server.mirrors[0].applied_config is not None
+    central = NetCentral(1, config=cfg, adaptation=True)
+    mirror = NetMirror("mirror1", config=cfg)
+    mirror.site.main.request_service_delay = 0.002
+    answered = []
+    conn = {}
 
+    async def flood(ports):
+        reader, writer = await asyncio.open_connection(HOST, ports[0])
+        encoder = WireEncoder()
+        writer.write(encoder.encode_hello(Hello("client", "flood")) + b"".join(
+            encoder.encode_request(InitStateRequest(f"thin{i}", 0.0))
+            for i in range(200)
+        ))
+        conn["writer"] = writer
 
-def test_live_snapshot_fast_path_coalesces_and_caches():
-    """With the fast path on, a burst of slow-to-serve requests is
-    coalesced into a handful of snapshot builds instead of paying the
-    build delay once per request."""
-    server = AsyncMirroredServer(
-        n_mirrors=1, snapshot_fast_path=True, request_service_delay=0.005,
-    )
-    summary = run(server.run(script(), request_times=[0.0] * 40))
-    assert summary.requests_served == 40
-    assert summary.snapshot_builds + summary.snapshot_cache_hits == 40
-    assert summary.snapshot_cache_hits > 0
-    # without coalescing, 40 requests x 5 ms would take >= 0.2 s alone
-    assert summary.wall_seconds < 0.2
+        async def read():
+            frames = _FrameReader(reader, WireStats())
+            while len(answered) < 200:
+                chunk = await frames.next_chunk()
+                assert chunk is not None
+                answered.extend(m for m in chunk if isinstance(m, InitStateResponse))
 
+        conn["reader"] = asyncio.create_task(read())
+        await until(lambda: mirror.site.main._pending_requests >= 3)
 
-def test_live_fast_path_off_by_default():
-    server = AsyncMirroredServer(n_mirrors=1)
-    summary = run(server.run(script(), request_times=[0.0] * 3))
-    assert summary.requests_served == 3
-    for m in [server.central.main] + [mm.main for mm in server.mirrors]:
-        assert not m.coalesce_requests
-        assert not m.serve_cached_snapshots
-    # accounting still ticks: every request either built or hit
-    assert summary.snapshot_builds + summary.snapshot_cache_hits == 3
+    async def drain(ports):
+        await conn["reader"]
+        conn["writer"].close()
+
+    run(serve(script(positions_per_flight=200), central, [mirror],
+              before=flood, after=drain))
+    assert len(answered) == 200
+    assert central.site.adaptation.adaptations >= 1
+    assert central.site.adaptation_log[0][1] == "adapt"
+    assert mirror.site.applied_config is not None
+    assert mirror.site.applied_config.function_name == "adaptive_normal+adapted"
 
 
 def test_live_delta_serving_for_resuming_clients():
-    from repro.ois.clients import InitStateRequest
-
+    """A client resuming from its last view's generation, over its own
+    socket, is answered with the delta."""
     cfg = simple_mirroring()
     cfg.delta_snapshots = True
     # the tiny 4-flight script makes even a 1-flight delta ~26% of the
     # full view; raise the fallback bound so the delta path is taken
     cfg.delta_fallback_fraction = 0.5
+    central = NetCentral(0, config=cfg)
+    main = central.site.main
+    responses = []
 
-    async def scenario():
-        server = AsyncMirroredServer(
-            n_mirrors=0, mirror_config=cfg, snapshot_fast_path=True,
-        )
-        server._build()
-        central = server.central
-        tasks = [
-            asyncio.create_task(central.receiving_task()),
-            asyncio.create_task(central.sending_task()),
-            asyncio.create_task(central.control_task()),
-            asyncio.create_task(central.main.event_loop()),
-            asyncio.create_task(central.main.request_loop()),
-        ]
-        for se in script(positions_per_flight=60).fresh_events():
-            await central.data_in.put(se.event)
-        await central.data_in.put("__end_of_stream__")
-        await central.stream_done.wait()
-        while central.main.inbox.qsize():
-            await asyncio.sleep(0.001)
-        # first request: full view; second resumes from its generation
-        await central.main.requests.put(
-            InitStateRequest(client_id="c1", issued_at=0.0)
-        )
-        while not central.main.responses:
-            await asyncio.sleep(0.001)
-        first = central.main.responses[0]
-        assert not first.delta and first.generation > 0
+    async def resume(ports):
+        await until(lambda: main.inbox.empty() and main.ede.processed)
+        reader, writer = await asyncio.open_connection(HOST, ports[0])
+        frames = _FrameReader(reader, WireStats())
+        encoder = WireEncoder()
+        writer.write(encoder.encode_hello(Hello("client", "c1")))
+        writer.write(encoder.encode_request(InitStateRequest("c1", 0.0)))
+        responses.append(await frames.next_message())
         # one more mutation so the resume has something to pick up —
         # a single changed flight easily beats the fallback fraction
-        central.main.ede.state.touch(
-            central.main.ede.state.flights()[0].flight_id
-        )
-        await central.main.requests.put(
-            InitStateRequest(
-                client_id="c1", issued_at=0.0,
-                resume_generation=first.generation,
-            )
-        )
-        while len(central.main.responses) < 2:
-            await asyncio.sleep(0.001)
-        await central.main.requests.put("__end_of_stream__")
-        await central.ctrl_in.put("__end_of_stream__")
-        await asyncio.gather(*tasks)
-        return central.main
+        main.ede.state.touch(main.ede.state.flights()[0].flight_id)
+        writer.write(encoder.encode_request(InitStateRequest(
+            "c1", 0.0, resume_generation=responses[0].generation,
+        )))
+        responses.append(await frames.next_message())
+        writer.write(encoder.encode_eos())
+        assert await frames.next_message() is None  # served, then hung up
+        writer.close()
 
-    main = run(scenario())
-    second = main.responses[1]
+    run(serve(script(positions_per_flight=60), central, [], after=resume))
+    first, second = responses
+    assert not first.delta and first.generation > 0
     assert second.delta
     assert second.snapshot_size < second.full_size
     assert main.delta_snapshots_served == 1
@@ -252,8 +296,9 @@ def test_live_delta_serving_for_resuming_clients():
 
 def test_live_run_deterministic_event_accounting():
     def go():
-        server = AsyncMirroredServer(n_mirrors=1, mirror_config=selective_mirroring(5))
-        summary = run(server.run(script(seed=99)))
+        summary = run(run_net_scenario(
+            script(seed=99), n_mirrors=1, config=selective_mirroring(5),
+        ))
         return (
             summary.events_in,
             summary.events_mirrored,
@@ -264,18 +309,7 @@ def test_live_run_deterministic_event_accounting():
     assert go() == go()
 
 
-def test_live_time_factor_paces_replay():
-    sc = script(n_flights=2, positions_per_flight=5, position_rate=100.0)
-    fast = AsyncMirroredServer(n_mirrors=0, time_factor=0.0)
-    paced = AsyncMirroredServer(n_mirrors=0, time_factor=1.0)
-    t_fast = run(fast.run(sc)).wall_seconds
-    t_paced = run(paced.run(sc)).wall_seconds
-    # the script spans ~0.09 s of event time; paced replay honours it
-    assert t_paced > t_fast
-    assert t_paced >= 0.08
-
-
-def test_live_games_domain_runs_on_injected_engine():
+def test_live_games_domain_runs_on_injected_engine(monkeypatch):
     """The games business logic replaces the airline EDE in the live
     runtime; replicas still converge on the scoreboard digest."""
     from repro.apps.games import (
@@ -285,21 +319,21 @@ def test_live_games_domain_runs_on_injected_engine():
         generate_games_script,
     )
 
+    monkeypatch.setattr("repro.rt.sites.EventDerivationEngine", ScoreboardEngine)
     wl = GamesWorkload(n_contests=6, score_updates_per_contest=30,
                        score_rate=5000.0, seed=13)
     games_script = generate_games_script(wl)
-    server = AsyncMirroredServer(
-        n_mirrors=2,
-        mirror_config=games_mirroring(overwrite_scores=5),
-        engine_factory=ScoreboardEngine,
-    )
-    summary = run(server.run(games_script, request_times=[0.0] * 4))
+    summary = run(run_net_scenario(
+        games_script, n_mirrors=2,
+        config=games_mirroring(overwrite_scores=5),
+        request_times=[0.0] * 4,
+    ))
     assert summary.events_processed_central == len(games_script)
     assert summary.events_mirrored < len(games_script)
     assert summary.requests_served == 4
-    # every mirror converged on the same final scoreboard for the
-    # contests it saw finals for
-    central = server.central.main.ede
-    for mirror in server.mirrors:
-        assert mirror.main.ede.finals == central.finals
-        assert mirror.main.ede.medals == central.medals
+    # every mirror converged on the same finals and medal table as
+    # central (digest: scores, finals, medals)
+    central, *mirrors = summary.replica_digests
+    assert central[1] and central[2]
+    for mirror in mirrors:
+        assert mirror[1:] == central[1:]

@@ -85,9 +85,7 @@ async def drill():
         for mirror in mirrors:
             tasks.spawn(mirror.run(HOST, port))
         await central.mirrors_connected.wait()
-        for coro in (site.receiving_task(), site.sending_task(),
-                     site.control_task(), site.main.event_loop()):
-            tasks.spawn(coro)
+        tasks.spawn(central.run())
 
         encoder = WireEncoder()
         sub_reader, sub_writer = await asyncio.open_connection(HOST, client_ports[0])
@@ -138,7 +136,6 @@ async def drill():
                 (site.ready, sites.READY_BOUND),
                 (site.ctrl_in, sites.CONTROL_BOUND),
                 (site.main.inbox, sites.CENTRAL_INBOX_BOUND),
-                (site.main.requests, sites.REQUESTS_BOUND),
                 (central._uplink, net.UPLINK_BOUND),
             ]
             for conn in central.connections.values():
@@ -149,7 +146,6 @@ async def drill():
                     (mirror.ctrl_sub.queue, sites.CONTROL_BOUND),
                     (mirror.reply_to, sites.CONTROL_BOUND),
                     (mirror.site.main.inbox, sites.MIRROR_INBOX_BOUND),
-                    (mirror.site.main.requests, sites.REQUESTS_BOUND),
                 ]
             for queue, bound in bounded:
                 assert queue.maxsize == bound > 0

@@ -1,8 +1,7 @@
 """Tests for the TCP socket backend (`repro.rt.net`).
 
-Every byte crosses a real loopback socket here: the scenario driver
-builds the same topology as the in-memory asyncio runtime, but mirror
-traffic travels as binary wire frames through the adaptive flusher.
+Every byte crosses a real loopback socket here: mirror traffic travels
+as binary wire frames through the adaptive flusher.
 """
 
 import asyncio
@@ -12,7 +11,7 @@ from repro.core import simple_mirroring
 from repro.faults.link import LinkFaultController
 from repro.faults.plan import FaultPlan
 from repro.ois import FlightDataConfig, generate_script
-from repro.rt import AsyncMirroredServer
+from repro.ois.ede import EventDerivationEngine
 from repro.rt.net import AdaptiveFlusher, run_net_scenario
 
 
@@ -46,15 +45,16 @@ def test_net_scenario_roundtrip():
 
 
 def test_net_matches_in_memory_runtime():
-    """Final replica state is backend-independent: the same script
-    produces the same digests whether mirror traffic crosses an
-    in-memory channel or a real socket."""
+    """Final replica state is transport-independent: every replica a
+    TCP run leaves equals the script applied offline, in memory, to a
+    fresh engine."""
     sc = script(positions_per_flight=40)
-    mem = run(AsyncMirroredServer(n_mirrors=2).run(sc))
+    offline = EventDerivationEngine()
+    for se in sc.fresh_events():
+        offline.process(se.event)
     net = run(run_net_scenario(sc, n_mirrors=2))
-    assert mem.replica_digests[0] == net.replica_digests[0]
-    assert set(map(str, mem.replica_digests)) == set(map(str, net.replica_digests))
-    assert net.events_processed_central == mem.events_processed_central
+    assert net.replica_digests == [offline.state_digest()] * 3
+    assert net.events_processed_central == offline.processed == len(sc)
 
 
 def test_net_serves_client_requests():

@@ -19,7 +19,7 @@ from repro.core.events import FAA_POSITION, EventBatch, UpdateEvent
 from repro.ois import FlightDataConfig, generate_script
 from repro.ois.clients import InitStateRequest, InitStateResponse
 from repro.ois.ede import EventDerivationEngine
-from repro.rt import AsyncMirroredServer, net
+from repro.rt import net, sites
 from repro.rt.net import (
     NetCentral,
     NetMirror,
@@ -76,9 +76,15 @@ def ends_with_boom(coro):
     assert time.monotonic() - t0 < 5.0
 
 
-def test_failing_engine_fails_the_in_memory_run():
-    server = AsyncMirroredServer(n_mirrors=2, engine_factory=FailingEngine)
-    ends_with_boom(server.run(script()))
+def test_failing_engine_on_a_mirror_fails_the_net_scenario(monkeypatch):
+    mirror_init = sites.AsyncMirrorSite.__init__
+
+    def failing_mirror(self, *args, **kwargs):
+        mirror_init(self, *args, **kwargs)
+        self.main.ede = FailingEngine()
+
+    monkeypatch.setattr(sites.AsyncMirrorSite, "__init__", failing_mirror)
+    ends_with_boom(run_net_scenario(script(), n_mirrors=2))
 
 
 def test_failing_engine_fails_the_net_scenario(monkeypatch):
@@ -132,13 +138,10 @@ def test_recent_window_counts_everything_and_keeps_the_tail():
 
 def test_run_summaries_keep_their_counts():
     sc = script()
-    mem = run(AsyncMirroredServer(n_mirrors=1).run(sc, request_times=[0.0] * 3))
-    assert mem.updates_distributed >= len(sc)  # one per event + derived
-    assert mem.requests_served == 3
-    assert mem.mean_update_delay > 0.0
     tcp = run(run_net_scenario(sc, n_mirrors=1, request_times=[0.0] * 3))
-    assert tcp.updates_distributed == mem.updates_distributed
+    assert tcp.updates_distributed >= len(sc)  # one per event + derived
     assert tcp.requests_served == 3
+    assert tcp.mean_update_delay > 0.0
 
 
 # --------------------------------------------------- pending requests over TCP
@@ -166,9 +169,7 @@ def test_pipelined_requests_show_in_the_pending_gauge():
             client_port = await mirror.serve_clients(host=HOST)
             tasks.spawn(mirror.run(HOST, port))
             await central.mirrors_connected.wait()
-            for coro in (site.receiving_task(), site.sending_task(),
-                         site.control_task(), site.main.event_loop()):
-                tasks.spawn(coro)
+            tasks.spawn(central.run())
 
             async def feed():
                 i = 0
@@ -191,7 +192,7 @@ def test_pipelined_requests_show_in_the_pending_gauge():
                 answered += sum(isinstance(m, InitStateResponse) for m in chunk)
             writer.close()
             assert len(mirror.site.main.responses) == 200
-            assert mirror.site.main.pending_requests() == 0
+            assert mirror.site.main._pending_requests == 0
         finally:
             await tasks.cancel()
             await central.close()
@@ -355,9 +356,7 @@ def test_mirror_attaching_mid_burst_keeps_every_decoder_in_sync():
             port = await central.start(host=HOST)
             first_run = tasks.spawn(first.run(HOST, port))
             await central.mirrors_connected.wait()
-            for coro in (site.receiving_task(), site.sending_task(),
-                         site.control_task(), site.main.event_loop()):
-                tasks.spawn(coro)
+            tasks.spawn(central.run())
 
             async def drive():
                 late_run = None

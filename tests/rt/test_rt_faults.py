@@ -1,16 +1,20 @@
-"""Tests for wall-clock fault hooks in the live asyncio runtime."""
+"""A mirror that dies mid-stream, over real sockets.
+
+Cancelling a mirror's ``NetMirror.run`` closes its socket with data
+still unread, so the kernel answers with a reset — what ``kill -9`` of
+a mirror process does to its peers.  Central must take that as the end
+of the mirror's stream: no handler may die with an unhandled exception,
+the stream goes on, and the surviving mirror stays consistent.
+"""
 
 import asyncio
 
-import pytest
-
 from repro.ois import FlightDataConfig, generate_script
-from repro.rt import AsyncMirroredServer
-from repro.rt.faults import AsyncFaultInjector, AsyncFaultPlan
+from repro.rt.net import NetCentral, NetMirror
+from repro.rt.sites import EOS
+from repro.rt.tasks import TaskSupervisor
 
-
-def run(coro):
-    return asyncio.run(coro)
+HOST = "127.0.0.1"
 
 
 def script(**kw):
@@ -19,61 +23,71 @@ def script(**kw):
     return generate_script(FlightDataConfig(**defaults))
 
 
-def test_plan_orders_crashes_and_validates():
-    plan = (AsyncFaultPlan()
-            .crash_site(0.2, "mirror2")
-            .crash_site(0.1, "mirror1"))
-    assert len(plan) == 2
-    assert [c.site for c in plan.crashes()] == ["mirror1", "mirror2"]
-    with pytest.raises(ValueError):
-        AsyncFaultPlan().crash_site(-0.1, "mirror1")
+def run_drill(sc, crash_after=None):
+    """Stream ``sc`` through central and two mirrors; once mirror1 has
+    applied ``crash_after`` events (never, when None) cancel its run.
+    Returns the central, the mirrors and whatever reached the loop's
+    exception handler."""
+    unhandled = []
+
+    async def main():
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: unhandled.append(context)
+        )
+        central = NetCentral(2)
+        mirrors = [NetMirror(name) for name in central.mirror_names]
+        site = central.site
+        tasks = TaskSupervisor()
+        try:
+            port = await central.start(host=HOST)
+            runs = [tasks.spawn(m.run(HOST, port)) for m in mirrors]
+            await central.mirrors_connected.wait()
+            central_run = tasks.spawn(central.run())
+
+            async def drive():
+                for se in sc.fresh_events():
+                    await site.data_in.put([se.event])
+                    if (crash_after is not None and not runs[0].done()
+                            and mirrors[0].site.main.ede.processed >= crash_after):
+                        runs[0].cancel()
+                await site.data_in.put(EOS)
+                await site.stream_done.wait()
+                await central.shutdown_stream()
+                await central.wait_mirrors_done()
+                await asyncio.gather(*runs, return_exceptions=True)
+                await site.ctrl_in.put(EOS)
+                await central_run
+
+            await tasks.guard(drive())
+        finally:
+            await tasks.cancel()
+            await central.close()
+            for mirror in mirrors:
+                await mirror.close()
+        return central, mirrors
+
+    central, mirrors = asyncio.run(asyncio.wait_for(main(), timeout=30))
+    return central, mirrors, unhandled
 
 
 def test_mirror_crash_mid_run_leaves_survivors_consistent():
-    server = AsyncMirroredServer(n_mirrors=2, time_factor=0.02)
-    injector = AsyncFaultInjector(AsyncFaultPlan().crash_site(0.2, "mirror1"))
-    summary = run(server.run(
-        script(), request_times=[0.5, 1.0, 1.5], fault_injector=injector,
-    ))
-    assert server.crashed == {"mirror1"}
-    assert injector.records and injector.records[0][0] == "mirror1"
+    sc = script(positions_per_flight=200)
+    central, (crashed, survivor), unhandled = run_drill(sc, crash_after=100)
+    # the reset reached central's connection handler as end of stream
+    assert unhandled == []
     # central processed the whole stream despite the dead mirror
-    assert summary.events_processed_central == summary.events_in
-    # consistency evidence covers exactly the survivors
-    assert len(summary.replica_digests) == 2
-    assert summary.replicas_consistent
-    # every request was served by an alive site
-    assert summary.requests_served == 3
-
-
-def test_requests_reroute_around_crashed_mirror():
-    server = AsyncMirroredServer(n_mirrors=1, time_factor=0.02)
-    injector = AsyncFaultInjector(AsyncFaultPlan().crash_site(0.0, "mirror1"))
-    summary = run(server.run(
-        script(), request_times=[0.5, 1.0], fault_injector=injector,
-    ))
-    # the only mirror is dead: requests fall back to central
-    assert summary.requests_served == 2
-    assert len(summary.replica_digests) == 1
-
-
-def test_central_crash_is_rejected():
-    server = AsyncMirroredServer(n_mirrors=1, time_factor=0.02)
-    injector = AsyncFaultInjector(AsyncFaultPlan().crash_site(0.0, "central"))
-    with pytest.raises(ValueError):
-        run(server.run(script(), fault_injector=injector))
-
-
-def test_crash_of_unknown_site_is_rejected():
-    server = AsyncMirroredServer(n_mirrors=1, time_factor=0.02)
-    injector = AsyncFaultInjector(AsyncFaultPlan().crash_site(0.0, "mirror9"))
-    with pytest.raises(ValueError):
-        run(server.run(script(), fault_injector=injector))
+    assert central.site.main.ede.processed == len(sc)
+    assert 100 <= crashed.site.main.ede.processed < len(sc)
+    # the survivor applied everything and agrees with central
+    assert survivor.site.main.ede.processed == len(sc)
+    assert survivor.site.main.ede.state_digest() == central.site.main.ede.state_digest()
 
 
 def test_run_without_injector_unchanged():
-    server = AsyncMirroredServer(n_mirrors=1)
-    summary = run(server.run(script()))
-    assert server.crashed == set()
-    assert summary.replicas_consistent
-    assert len(summary.replica_digests) == 2
+    """The same drill with no crash: every replica converges."""
+    sc = script()
+    central, mirrors, unhandled = run_drill(sc)
+    assert unhandled == []
+    digests = {m.site.main.ede.state_digest() for m in mirrors}
+    assert digests == {central.site.main.ede.state_digest()}
+    assert central.site.coordinator.rounds_committed > 0
