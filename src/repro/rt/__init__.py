@@ -9,12 +9,12 @@ demonstrating the system live (DESIGN.md §2: "asyncio prototype easy;
 throughput numbers less faithful").
 """
 
-from .channels import AsyncChannel, AsyncSubscription
+from .channels import AsyncSubscription, Channel
 from .sites import AsyncCentralSite, AsyncMainUnit, AsyncMirrorSite, EOS
 
 __all__ = [
-    "AsyncChannel",
     "AsyncSubscription",
+    "Channel",
     "AsyncCentralSite",
     "AsyncMainUnit",
     "AsyncMirrorSite",

@@ -1,42 +1,35 @@
-"""Asyncio event channels for the live runtime.
+"""Channels for the live runtime.
 
 The live runtime (see :mod:`repro.rt`) re-uses every piece of pure
 protocol logic from :mod:`repro.core` — rule engines, checkpoint state
 machines, the adaptation controller, the EDE — but executes them as
-asyncio tasks communicating over these channels instead of simulated
-processes.  Per the reproduction bands in DESIGN.md, this backend is
+asyncio tasks.  Per the reproduction bands in DESIGN.md, this backend is
 the *runnable prototype*: its timing reflects the host Python runtime,
 not the paper's calibrated cost model, so figures come from the
 simulation backend while this one demonstrates the system live.
+
+A site publishes on a :class:`Channel`, which hands each payload
+straight to the link it is bound to (the TCP layer's encoder and
+per-connection corks) — no queue and no task between them.  A mirror
+site consumes through :class:`AsyncSubscription` queues that its socket
+reader fills.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, List, Optional
+from typing import Any, Protocol, Tuple
 
-from ..core.events import EventBatch, UpdateEvent
 
-__all__ = ["AsyncSubscription", "AsyncChannel"]
+__all__ = ["AsyncSubscription", "Channel", "Link"]
 
 
 class AsyncSubscription:
-    """One subscriber: a bounded queue (bound = backpressure depth).
+    """One consumer's bounded queue (bound = backpressure depth)."""
 
-    With ``into`` the subscription delivers into a queue its consumer
-    shares between several subscriptions instead of one of its own;
-    items then arrive as ``(tag, payload)`` so the consumer can tell
-    the sources apart, in the order they were published.
-    """
-
-    def __init__(self, name: str, capacity: int = 128,
-                 into: Optional[asyncio.Queue] = None,
-                 tag: Optional[str] = None):
+    def __init__(self, name: str, capacity: int = 128):
         self.name = name
-        self.queue: asyncio.Queue = (
-            into if into is not None else asyncio.Queue(maxsize=capacity)
-        )
-        self._tag = tag
+        self.queue: asyncio.Queue = asyncio.Queue(maxsize=capacity)
         self.delivered = 0
         #: deepest the queue has ever been (how close backpressure came)
         self.high_watermark = 0
@@ -50,8 +43,6 @@ class AsyncSubscription:
         coupling), but the stall is counted so a run can report how
         often publishers were held up and how deep queues ran.
         """
-        if self._tag is not None:
-            item = (self._tag, item)
         try:
             self.queue.put_nowait(item)
         except asyncio.QueueFull:
@@ -63,58 +54,46 @@ class AsyncSubscription:
 
     async def get(self) -> Any:
         """Await the next delivered payload."""
-        item = await self.queue.get()
-        return item
+        return await self.queue.get()
 
     def level(self) -> int:
         """Items currently queued for this subscriber."""
         return self.queue.qsize()
 
 
-class AsyncChannel:
-    """Named fan-out channel: publish awaits space at every subscriber.
+class Link(Protocol):
+    """Where a site's channels deliver: :meth:`send` takes one payload
+    (a control payload leaves at once, with whatever data is held);
+    :meth:`drain` ships what is held and waits while any peer's
+    transport is past its high-water mark."""
 
-    A slow subscriber therefore exerts backpressure on publishers, the
-    same coupling the simulated transport models with bounded inboxes.
-    """
+    def send(self, kind: str, payload: Any) -> None: ...
 
-    def __init__(self, name: str, kind: str = "data"):
+    async def drain(self) -> None: ...
+
+
+class Channel:
+    """A site's named outbound channel: :meth:`publish` hands the payload,
+    tagged with the channel's kind, to the bound link synchronously, so
+    every peer sees events and control in publish order."""
+
+    #: nothing queues on a channel; kept for callers that total
+    #: per-subscription backpressure counters
+    subscriptions: Tuple[AsyncSubscription, ...] = ()
+
+    def __init__(self, name: str, link: Link, kind: str = "data"):
         if kind not in ("data", "control"):
             raise ValueError(f"channel kind must be 'data' or 'control', got {kind!r}")
         self.name = name
         self.kind = kind
-        self.subscriptions: List[AsyncSubscription] = []
+        self.link = link
         self.published = 0
 
-    def subscribe(self, name: str, into: asyncio.Queue) -> AsyncSubscription:
-        """Add a subscriber delivering ``(channel kind, payload)`` pairs
-        into ``into``, a queue the consumer shares with its other
-        subscriptions."""
-        sub = AsyncSubscription(name, into=into, tag=self.kind)
-        self.subscriptions.append(sub)
-        return sub
-
-    async def publish(self, payload: Any) -> int:
-        """Deliver ``payload`` to every subscriber; returns deliveries."""
+    def publish(self, payload: Any) -> None:
+        """Deliver ``payload`` to the link."""
         self.published += 1
-        count = 0
-        for sub in self.subscriptions:
-            await sub.put(payload)
-            sub.delivered += 1
-            count += 1
-        return count
+        self.link.send(self.kind, payload)
 
-    async def publish_batch(self, events: List[UpdateEvent]) -> int:
-        """Deliver ``events`` as one :class:`EventBatch` per subscriber.
-
-        One queue put (one wakeup) per subscriber per batch is the
-        live-runtime counterpart of the simulation's one-wire-message
-        batching.
-        """
-        self.published += 1
-        count = 0
-        for sub in self.subscriptions:
-            await sub.put(EventBatch(list(events)))
-            sub.delivered += 1
-            count += 1
-        return count
+    async def drain(self) -> None:
+        """Ship what the link holds; wait only on a backed-up peer."""
+        await self.link.drain()

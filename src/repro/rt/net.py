@@ -9,25 +9,23 @@ over real TCP connections carrying the binary wire format
   traffic (CHKPT/COMMIT down, CHKPT_REP up) and stream shutdown (EOS)
   on one socket.  Because every mirror receives an identical outbound
   frame sequence, the central side encodes each message **once** (one
-  shared interning table) and fans the same bytes out to all
-  connections — per-connection writers only pace, fault-inject and
-  flush;
+  shared interning table) and appends the same bytes to every
+  connection's cork;
 * each **mirror site** additionally listens on its own port so thin
   clients can ask it for initial state (REQUEST/RESPONSE frames) — the
   paper's read-scaling story exercised over real sockets;
 * **clients** connect round-robin, mirroring the request balancer of
   the other backends.
 
-Outbound event frames pass through an :class:`AdaptiveFlusher` — a
-coalescer that ships the buffered frames when they reach a byte budget
-or a frame budget, or when the connection's outbound queue runs dry:
-frames gather only while more are already waiting behind them, never
-against a clock.  The frame budget *adapts* with the same hysteresis
-shape as the paper's adaptation rules (§3.2.2): sustained sender backlog
-above a threshold fattens batches (throughput mode), and the budget
-reverts once the backlog falls back below a restore level (latency mode).
-Control frames always flush immediately: checkpoint latency bounds
-backup-queue growth, so it is never traded for throughput.
+Publishing is synchronous: the central site's sending task encodes,
+corks and writes a whole run itself — no queue, broadcast task or
+writer task sits between it and the transports.  Each connection's
+:class:`AdaptiveFlusher` (the cork) hands what it holds to the
+transport in one ``writelines`` when the run is done; a control frame
+leaves at once, with whatever data it follows, because checkpoint
+latency bounds backup-queue growth.  Back-pressure is the transport's:
+after a run the sending task waits on any connection whose transport
+is past its high-water mark, so the slowest mirror paces the stream.
 
 Two ways to run the topology:
 
@@ -40,8 +38,9 @@ Two ways to run the topology:
 
 Link chaos (:mod:`repro.faults.link`) plugs into the frame send path:
 an optional :class:`~repro.faults.link.LinkFaultController` is
-consulted per frame, and its drop / delay / duplicate verdicts are
-applied to the real socket writes.
+consulted per frame and connection, and its drop / delay / duplicate
+verdicts are applied to the real socket writes (a delay holds that
+connection's cork behind a timer).
 """
 
 from __future__ import annotations
@@ -58,6 +57,7 @@ from typing import (
     Any,
     Awaitable,
     Callable,
+    Deque,
     Dict,
     Iterable,
     Iterator,
@@ -90,7 +90,7 @@ from ..wire import (
     WireDecoder,
     WireEncoder,
 )
-from .channels import AsyncChannel, AsyncSubscription
+from .channels import AsyncSubscription, Channel
 from .sites import (
     CONTROL_BOUND,
     EOS,
@@ -117,33 +117,10 @@ __all__ = [
 #: frames it completes travel each hop together, so this also bounds
 #: what a connection holds decoded but not yet queued.
 READ_BYTES = 16 * 1024
-#: ``NetCentral._uplink`` holds mirrored events and control messages on
-#: their way to the encoder.  Full: ``sending_task`` (for a COMMIT,
-#: ``control_task``) blocks in ``publish``.  Drained by the broadcast
-#: loop, which blocks only on a full ``outbound``.
-UPLINK_BOUND = 128
-#: ``_MirrorConnection.outbound`` holds encoded frames for one mirror.
-#: Full: the broadcast loop blocks — the slowest mirror paces the stream.
-#: Drained by the connection's writer loop, which blocks only on its
-#: socket: a mirror that stops reading holds the stream in central's
-#: TCP send buffer.
-OUTBOUND_BOUND = 256
-#: What one mirror connection's :class:`AdaptiveFlusher` may hold between
-#: ``outbound`` and the socket.  Nobody waits on it: frames gather only
-#: while ``outbound`` has more behind them, and the writer loop ships
-#: them when either budget is met, a control frame arrives or
-#: ``outbound`` runs dry — then it blocks only on its socket.
+#: What one mirror connection's cork may hold before it is written out
+#: mid-run; a run of :data:`~repro.rt.sites.MAX_RUN_EVENTS` ordinary
+#: events stays well under it, so it leaves in one write.
 FLUSH_BYTES = 64 * 1024
-#: Frames per write while the writer keeps up with the broadcast loop.
-FLUSH_FRAMES = 8
-#: Frames per write once ``outbound`` backs up to :data:`FAT_BACKLOG`
-#: (fewer, larger writes drain it faster), until it has fallen back to
-#: :data:`RESTORE_BACKLOG`; both are depths of ``outbound``, so both sit
-#: below :data:`OUTBOUND_BOUND`, and the gap between them is the
-#: hysteresis that keeps the budget from flapping.
-FAT_FLUSH_FRAMES = 64
-FAT_BACKLOG = 32
-RESTORE_BACKLOG = 8
 #: ``NetMirror.data_sub`` holds runs of events off the central
 #: connection.  Full: the mirror's reader blocks and stops reading its
 #: socket.  Drained by the mirror's ``receiving_task``.
@@ -171,7 +148,6 @@ class WireStats:
     #: always 0 (no flush waits on a clock); benchmarks/e2e/measure.py reads it
     deadline_flushes: int = 0
     control_flushes: int = 0
-    flusher_adaptations: int = 0
     encode_ns: int = 0
     decode_ns: int = 0
     frames_dropped: int = 0
@@ -230,66 +206,45 @@ class NetRunSummary:
 
 
 class AdaptiveFlusher:
-    """Output coalescing by size, with a frame budget that adapts.
+    """One mirror connection's cork.
 
-    A passive policy object owned by one connection's single sender
-    task (no internal tasks, locks or timers): the sender adds encoded
-    frames, flushes when :attr:`should_flush` says a budget is met, and
-    flushes whatever is held before it waits for more — a frame never
-    sits here while the link is idle.
-
-    ``note_backlog`` implements the paper-style hysteresis pair: when
-    the sender's outbound backlog reaches :data:`FAT_BACKLOG` the frame
-    budget jumps to :data:`FAT_FLUSH_FRAMES` (fewer, larger writes —
-    throughput over latency); once backlog falls to
-    :data:`RESTORE_BACKLOG` the budget reverts to :data:`FLUSH_FRAMES`.
+    A passive object owned by the central site's sending path (no
+    tasks, locks or queues): frames are added while a run is being
+    mirrored, and :meth:`flush` hands everything held to the transport
+    in one ``writelines`` when the run — or a control frame — is done,
+    so a frame never sits here while the link is idle.  Frames are kept
+    as the immutable bytes the encoder produced (often shared across all
+    connections by the SharedFrameCache): no per-frame bytearray append,
+    no re-copy of bytes that were already contiguous.  A cork that
+    reaches :data:`FLUSH_BYTES` is written out at once.
     """
 
     def __init__(self, writer: asyncio.StreamWriter, stats: WireStats):
         self._writer = writer
         self._stats = stats
-        self.frame_budget = FLUSH_FRAMES
-        self.fat_mode = False
-        #: a closed/reset peer marks the flusher dead instead of letting
-        #: the exception kill the writer loop (chaos drills close
-        #: sockets mid-stream); once dead, adds and flushes are no-ops
+        #: a closed/reset peer marks the cork dead instead of letting the
+        #: exception kill the sending task (chaos drills close sockets
+        #: mid-stream); once dead, adds and flushes are no-ops
         self.dead = False
-        # buffer *chain*: frames are kept as the immutable bytes objects
-        # the encoder produced (often shared across all connections by
-        # the SharedFrameCache) and handed to the transport in one
-        # writelines() per flush — no per-frame bytearray append, no
-        # re-copy of bytes that were already contiguous
         self._chunks: List[bytes] = []
         self._bytes = 0
+        self._high_water = writer.transport.get_write_buffer_limits()[1]
 
-    @property
-    def pending_frames(self) -> int:
+    def qsize(self) -> int:
+        """Frames held for the next write."""
         return len(self._chunks)
-
-    @property
-    def should_flush(self) -> bool:
-        return (
-            self._bytes >= FLUSH_BYTES
-            or len(self._chunks) >= self.frame_budget
-        )
 
     def add(self, frame: bytes) -> None:
         if self.dead:
             return
         self._chunks.append(frame)
         self._bytes += len(frame)
+        if self._bytes >= FLUSH_BYTES:
+            self.flush("size")
 
-    def note_backlog(self, depth: int) -> None:
-        if not self.fat_mode and depth >= FAT_BACKLOG:
-            self.fat_mode = True
-            self.frame_budget = FAT_FLUSH_FRAMES
-            self._stats.flusher_adaptations += 1
-        elif self.fat_mode and depth <= RESTORE_BACKLOG:
-            self.fat_mode = False
-            self.frame_budget = FLUSH_FRAMES
-            self._stats.flusher_adaptations += 1
-
-    async def flush(self, reason: str = "size") -> None:
+    def flush(self, reason: str = "dry") -> None:
+        """Write everything held in one ``writelines``.  ``reason`` is
+        ``"dry"`` (a run is done), ``"control"`` or ``"size"``."""
         if not self._chunks:
             return
         chunks = self._chunks
@@ -303,23 +258,33 @@ class AdaptiveFlusher:
             self.dead = True
             stats.dead_connection_flushes += 1
             return
+        self._writer.writelines(chunks)
+        stats.flushes += 1
+        stats.bytes_sent += sent
+        if reason == "dry":
+            stats.dry_flushes += 1
+        elif reason == "control":
+            stats.control_flushes += 1
+        else:
+            stats.size_flushes += 1
+
+    @property
+    def backed_up(self) -> bool:
+        """The transport holds more than its high-water mark (its
+        protocol has paused writing)."""
+        return (
+            not self.dead
+            and self._writer.transport.get_write_buffer_size() > self._high_water
+        )
+
+    async def drain(self) -> None:
+        """Wait until the transport is below its low-water mark."""
         try:
-            self._writer.writelines(chunks)
-            stats.flushes += 1
-            stats.bytes_sent += sent
-            if reason == "dry":
-                stats.dry_flushes += 1
-            elif reason == "control":
-                stats.control_flushes += 1
-            else:
-                stats.size_flushes += 1
             await self._writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            # the transport died under us (peer reset / chaos kill):
-            # mark the connection dead so the writer loop winds down
-            # instead of crashing the serving task
+        except ConnectionError:
+            # the transport died under us (peer reset / chaos kill)
             self.dead = True
-            stats.dead_connection_flushes += 1
+            self._stats.dead_connection_flushes += 1
 
 
 @dataclass
@@ -331,36 +296,12 @@ class _FrameEnvelope:
     size: int
 
 
-async def _apply_link_faults(
-    faults: Optional["LinkFaultController"], envelope: _FrameEnvelope,
-    src: str, dst: str, now: float, stats: WireStats,
-) -> int:
-    """Consult the controller; returns number of copies to send (0 =
-    dropped), sleeping out any injected delay."""
-    if faults is None:
-        return 1
-    verdict = faults.on_send(envelope, src, dst, now)
-    if verdict is None:
-        return 1
-    if verdict.drop:
-        stats.frames_dropped += 1
-        return 0
-    if verdict.delay > 0:
-        await asyncio.sleep(verdict.delay)
-    if verdict.duplicates:
-        stats.frames_duplicated += verdict.duplicates
-    return 1 + verdict.duplicates
-
-
 class _MirrorConnection:
     """Central-side state for one connected mirror."""
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, writer: asyncio.StreamWriter, stats: WireStats):
         self.name = name
-        #: outbound work for this connection's writer: (kind, item) where
-        #: item is pre-encoded bytes (shared-encode fast path) or the
-        #: message object itself (fault-injection path)
-        self.outbound: asyncio.Queue = asyncio.Queue(maxsize=OUTBOUND_BOUND)
+        self.cork = AdaptiveFlusher(writer, stats)
         #: connection-local encoder, used only under fault injection —
         #: the codec's cross-frame state (interning tables, uid deltas)
         #: means a dropped or duplicated *frame* would desynchronize the
@@ -368,13 +309,62 @@ class _MirrorConnection:
         self.encoder = WireEncoder()
         self.done = asyncio.Event()
         self.closed = False
+        #: fault path: frames behind a delay verdict, (release time,
+        #: frame) in send order, and the timer that releases the head
+        self._delayed: Deque[Tuple[float, bytes]] = deque()
+        self._timer: Optional[asyncio.TimerHandle] = None
+
+    @property
+    def outbound(self) -> AdaptiveFlusher:
+        """What waits for this connection's transport: the cork."""
+        return self.cork
+
+    def send(self, frame: bytes, delay: float = 0.0) -> None:
+        """Cork ``frame``; with a ``delay`` (a fault verdict) it waits
+        that long, and every later frame waits behind it, in order."""
+        if not delay and not self._delayed:
+            self.cork.add(frame)
+            return
+        loop = asyncio.get_running_loop()
+        release = loop.time() + delay
+        if self._delayed:
+            release = max(release, self._delayed[-1][0])
+        else:
+            self.cork.flush("dry")  # what precedes the delayed frame
+        self._delayed.append((release, frame))
+        if self._timer is None:
+            self._timer = loop.call_at(release, self._release)
+
+    def _release(self) -> None:
+        """Timer: move every frame now due into the cork and write it."""
+        delayed = self._delayed
+        due = max(delayed[0][0], asyncio.get_running_loop().time())
+        while delayed and delayed[0][0] <= due:
+            self.cork.add(delayed.popleft()[1])
+        self.cork.flush("dry")
+        self._timer = None
+        if delayed:
+            self._timer = asyncio.get_running_loop().call_at(
+                delayed[0][0], self._release
+            )
+
+    def close(self) -> None:
+        """Stop sending: cancel a pending release, write what is held."""
+        self.closed = True
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        self._delayed.clear()
+        self.cork.flush("control")
 
 
 class NetCentral:
     """Central site served over TCP.
 
     Wraps an :class:`AsyncCentralSite` whose mirror/control channels
-    fan out to per-connection sender tasks instead of local queues.
+    are bound to this object: :meth:`send` encodes each message once and
+    corks it for every live mirror connection, :meth:`drain` writes the
+    corks out at the end of a run.
     """
 
     def __init__(
@@ -395,8 +385,6 @@ class NetCentral:
         if mirror_names is None:
             mirror_names = [f"mirror{i+1}" for i in range(n_mirrors)]
         self.mirror_names = list(mirror_names)
-        mirror_channel = AsyncChannel(f"net.{site_name}.data")
-        ctrl_channel = AsyncChannel(f"net.{site_name}.ctrl", kind="control")
         participants = {site_name} | set(self.mirror_names)
         controller = (
             AdaptationController(self.config, registry=default_registry())
@@ -404,13 +392,18 @@ class NetCentral:
             else None
         )
         self.site = AsyncCentralSite(
-            self.config, mirror_channel, ctrl_channel, participants,
+            self.config,
+            Channel(f"net.{site_name}.data", self),
+            Channel(f"net.{site_name}.ctrl", self, kind="control"),
+            participants,
             adaptation=controller, site=site_name,
         )
         self.site.main.distribute_updates = True
         self.site.main.delta_snapshots = self.config.delta_snapshots
         self.site.main.delta_fallback_fraction = self.config.delta_fallback_fraction
         self.connections: Dict[str, _MirrorConnection] = {}
+        #: the connections a publish reaches: attached, not yet closed
+        self._live: List[_MirrorConnection] = []
         self.mirrors_connected = asyncio.Event()
         if n_mirrors == 0:
             self.mirrors_connected.set()
@@ -418,29 +411,22 @@ class NetCentral:
         self._conn_tasks: List[asyncio.Task] = []
         self.port: Optional[int] = None
         # shared-encode fan-out: every mirror connection carries an
-        # identical outbound frame sequence (events + control broadcasts),
-        # so the central site's channels are subscribed ONCE and each
-        # message is encoded a single time into the SharedFrameCache;
-        # per-connection writers then pace, fault-inject and flush the
-        # same immutable bytes independently.  A mirror attaching after
-        # the stream started invalidates the cache generation: the cache
-        # hands back a RESET frame that is broadcast to every member so
-        # all decoders restart from the same clean interning state.
-        # Both subscriptions deliver into the one queue the broadcast
-        # loop drains: mirrors see events and control in publish order.
-        self._uplink: asyncio.Queue = asyncio.Queue(maxsize=UPLINK_BOUND)
-        self._data_sub = self.site.mirror_channel.subscribe(
-            "net.uplink", into=self._uplink
-        )
-        self._ctrl_sub = self.site.ctrl_channel.subscribe(
-            "net.uplink", into=self._uplink
-        )
+        # identical outbound frame sequence (events + control messages),
+        # so each message is encoded a single time into the
+        # SharedFrameCache and the same immutable bytes go to every
+        # cork.  A mirror attaching after the stream started invalidates
+        # the cache generation: the cache hands back a RESET frame that
+        # goes to every member so all decoders restart from the same
+        # clean interning state.
         self.shared = SharedFrameCache()
         #: content-based subscription fan-out riding the same push path;
         #: inert (guarded no-ops) until a subscriber connects
         self.subfan = SubscriptionFanout(self.stats)
-        self._eos_pending = 2  # data channel + control channel
-        self._broadcast_tasks: List[asyncio.Task] = []
+        #: set by shutdown_stream: nothing is sent after EOS
+        self._ended = False
+        # recycled: the fault controller only reads kind/size, so one
+        # mutable envelope serves every frame
+        self._envelope = _FrameEnvelope(kind="data", size=0)
 
     def _elapsed(self) -> float:
         return time.monotonic() - self._t0
@@ -451,7 +437,6 @@ class NetCentral:
             _tracked_handler(self._on_connection, self._conn_tasks), host, port
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        self._broadcast_tasks = [asyncio.create_task(self._broadcast_loop())]
         return self.port
 
     async def run(self) -> None:
@@ -477,76 +462,88 @@ class NetCentral:
         finally:
             await tasks.cancel()
 
-    async def _distribute(self, kind: str, frame: Any) -> None:
-        """Queue one frame for every live mirror, waiting for room
-        (broadcast loop only: every mirror sees the same order)."""
-        item = (kind, frame)
-        for conn in self.connections.values():
-            if not conn.closed:
-                if conn.outbound.full():
-                    await conn.outbound.put(item)
-                else:
-                    conn.outbound.put_nowait(item)
+    # -- the site's link (see repro.rt.channels.Link) -----------------------
+    def send(self, kind: str, payload: Any) -> None:
+        """Cork one message for every live mirror; a control message
+        leaves at once, with whatever data it follows.
 
-    async def _broadcast_loop(self) -> None:
-        """Encode each outbound message exactly once; fan the same bytes
-        out to every live mirror connection's writer.
-
-        Under fault injection the message *object* is fanned out instead
-        and each connection encodes with its own table: link faults are
-        per destination, and the decoder on the other end can only stay
-        in sync (interning, uid deltas) with frames it actually receives
-        — so a dropped message must never have been encoded for that
-        connection at all.
-        """
-        stats = self.stats
-        faulty = self.fault_controller is not None
-        uplink = self._uplink
-        subfan = self.subfan
-        unflushed = 0
-        while True:
-            if unflushed and (uplink.empty() or unflushed >= 64):
-                # one subscriber write per run of events: when the
-                # queue runs dry, or the run gets long
-                subfan.flush()
-                unflushed = 0
-            kind, payload = await uplink.get()
-            if kind == "attach":
-                await self._attach(payload)
-                continue
-            if payload == EOS:
-                self._eos_pending -= 1
-                if self._eos_pending > 0:
-                    continue
-                # EOS bypasses fault injection (a chaos-dropped shutdown
-                # frame would wedge the topology, not exercise it)
-                subfan.eos()
-                await self._distribute(
-                    "eos", None if faulty else self.shared.encode_eos()
-                )
-                break
-            if kind == "data":
-                # subscription lane: matched-set fan-out on the same
-                # payload the mirrors get (link faults model the
-                # central->mirror links, not the subscriber port)
-                subfan.fanout(payload)
-                unflushed += 1
-            if faulty:
-                await self._distribute(kind, payload)
-                continue
+        Under fault injection each connection encodes with its own
+        table (see :meth:`_send_faulty`); otherwise the message is
+        encoded once and the same bytes go to every cork."""
+        if self._ended:
+            return
+        if kind == "data":
+            # subscription lane: matched-set fan-out on the same payload
+            # the mirrors get (link faults model the central->mirror
+            # links, not the subscriber port)
+            self.subfan.fanout(payload)
+        live = self._live
+        if self.fault_controller is not None:
+            for conn in live:
+                self._send_faulty(conn, kind, payload)
+        else:
+            stats = self.stats
             t0 = time.perf_counter_ns()
             frame = self.shared.encode(payload)
             stats.encode_ns += time.perf_counter_ns() - t0
-            await self._distribute(kind, frame)
+            stats.frames_sent += len(live)
+            for conn in live:
+                conn.cork.add(frame)
+        if kind == "control":
+            self._flush("control")
 
-    async def _attach(self, conn: _MirrorConnection) -> None:
-        """Admit a mirror connection to the fan-out — from inside the
-        broadcast loop, between two messages, so the RESET of a late
-        attach reaches every member after the old generation's last
-        frame and before the new one's first."""
-        if conn.closed:
-            return
+    async def drain(self) -> None:
+        """End of a run: write every cork out in one ``writelines``
+        each, push the subscribers' share, then wait on any mirror whose
+        transport is past its high-water mark — the slowest mirror paces
+        the stream."""
+        self._flush("dry")
+        self.subfan.flush()
+        backed_up = [conn.cork for conn in self._live if conn.cork.backed_up]
+        for cork in backed_up:
+            await cork.drain()
+
+    def _flush(self, reason: str) -> None:
+        for conn in self._live:
+            conn.cork.flush(reason)
+
+    def _send_faulty(self, conn: _MirrorConnection, kind: str, payload: Any) -> None:
+        """The controller judges the message for this connection; the
+        survivors are encoded on the connection's own codec state — a
+        dropped message leaves no trace in it, and a duplicated one is
+        encoded twice (the second copy is nearly all interning
+        references).  The controller sees the message's modeled size, so
+        size-conditioned link rules see comparable values."""
+        stats = self.stats
+        envelope = self._envelope
+        envelope.kind = kind
+        envelope.size = getattr(payload, "size", 0)
+        verdict = self.fault_controller.on_send(
+            envelope, self.site_name, conn.name, self._elapsed()
+        )
+        copies, delay = 1, 0.0
+        if verdict is not None:
+            if verdict.drop:
+                stats.frames_dropped += 1
+                return
+            delay = verdict.delay
+            copies += verdict.duplicates
+            stats.frames_duplicated += verdict.duplicates
+        for _ in range(copies):
+            t0 = time.perf_counter_ns()
+            frame = conn.encoder.encode_message(payload)
+            stats.encode_ns += time.perf_counter_ns() - t0
+            stats.frames_sent += 1
+            conn.send(frame, delay)
+
+    def _attach(self, conn: _MirrorConnection) -> None:
+        """Admit a mirror connection to the fan-out.  Publishing is
+        synchronous and every run ends with its corks written, so this
+        runs between two publishes: the RESET of a late attach reaches
+        every member after the old generation's last frame and before
+        the new one's first."""
         self.connections[conn.name] = conn
+        self._live.append(conn)
         if self.fault_controller is None:
             # join the shared broadcast group; a late attach (the cache
             # already carries interning/uid state some decoder never
@@ -555,7 +552,10 @@ class NetCentral:
             reset_frame = self.shared.attach(conn.name)
             if reset_frame is not None:
                 self.stats.shared_resets += 1
-                await self._distribute("data", reset_frame)
+                self.stats.frames_sent += len(self._live)
+                for member in self._live:
+                    member.cork.add(reset_frame)
+                self._flush("control")
         if len(self.connections) >= self.n_mirrors:
             self.mirrors_connected.set()
 
@@ -582,9 +582,8 @@ class NetCentral:
         self, name: str, writer: asyncio.StreamWriter,
         frames: "_FrameReader",
     ) -> None:
-        conn = _MirrorConnection(name)
-        sender = asyncio.create_task(self._writer_loop(conn, writer))
-        await self._uplink.put(("attach", conn))
+        conn = _MirrorConnection(name, writer, self.stats)
+        self._attach(conn)
         try:
             while True:
                 msg = await frames.next_message()
@@ -593,84 +592,12 @@ class NetCentral:
                 if not isinstance(msg, Hello):
                     await self.site.ctrl_in.put(msg)
         finally:
-            conn.closed = True  # stop the broadcast fan-out to this one
+            self._live.remove(conn)  # stop the fan-out to this one
             if self.fault_controller is None:
                 self.shared.detach(name)
-            await conn.outbound.put(("close", b""))
-            await asyncio.gather(sender, return_exceptions=True)
+            conn.close()
             writer.close()
             conn.done.set()
-
-    async def _writer_loop(
-        self, conn: _MirrorConnection, writer: asyncio.StreamWriter,
-    ) -> None:
-        """Pace, fault-inject and flush outbound frames for one
-        connection.  Without a fault controller the items are frames the
-        broadcast loop already encoded (shared bytes, zero per-connection
-        encode work); with one, the items are message objects and this
-        loop encodes the survivors on ``conn.encoder`` — a dropped
-        message leaves no trace in the connection's codec state, and a
-        duplicated one is encoded twice (the second copy is nearly all
-        interning references)."""
-        flusher = AdaptiveFlusher(writer, self.stats)
-        stats = self.stats
-        faulty = self.fault_controller is not None
-        # recycled once per connection: the fault controller only reads
-        # kind/size, so one mutable envelope serves every frame (no
-        # per-event object churn on the hot path)
-        envelope = _FrameEnvelope(kind="data", size=0)
-        outbound = conn.outbound
-        while not flusher.dead:
-            # frames coalesce only while more are already queued behind
-            # them; when the queue runs dry the link is idle, so what is
-            # held ships now — batching follows load, not a clock
-            if outbound.empty():
-                if flusher.pending_frames:
-                    await flusher.flush("dry")
-                    continue  # the drain may have let more in
-                kind, item = await outbound.get()
-            else:
-                kind, item = outbound.get_nowait()
-            if kind == "close":
-                await flusher.flush("control")
-                break
-            if kind == "eos":
-                stats.frames_sent += 1
-                flusher.add(conn.encoder.encode_eos() if faulty else item)
-                await flusher.flush("control")
-                continue
-            if faulty:
-                # the message object travels here; the controller sees
-                # its modeled size so size-conditioned link rules see
-                # comparable values, and survivors are encoded on this
-                # connection's own codec state
-                envelope.kind = kind
-                envelope.size = getattr(item, "size", 0)
-                copies = await _apply_link_faults(
-                    self.fault_controller, envelope,
-                    self.site_name, conn.name, self._elapsed(), stats,
-                )
-                for _ in range(copies):
-                    t0 = time.perf_counter_ns()
-                    frame = conn.encoder.encode_message(item)
-                    stats.encode_ns += time.perf_counter_ns() - t0
-                    stats.frames_sent += 1
-                    flusher.add(frame)
-            else:
-                # clean fast path: item is the shared pre-encoded frame;
-                # nothing is allocated between queue and buffer chain
-                stats.frames_sent += 1
-                flusher.add(item)
-            flusher.note_backlog(outbound.qsize())
-            if kind == "control":
-                await flusher.flush("control")
-            elif flusher.should_flush:
-                await flusher.flush("size")
-        conn.closed = True
-        # release a broadcast loop waiting for room here: no writer
-        # will make any now (later frames skip a closed connection)
-        while not outbound.empty():
-            outbound.get_nowait()
 
     async def _serve_source(
         self, writer: asyncio.StreamWriter, frames: "_FrameReader",
@@ -734,27 +661,34 @@ class NetCentral:
             await writer.drain()
 
     async def shutdown_stream(self) -> None:
-        """Propagate end-of-stream to every mirror connection."""
-        await self.site.mirror_channel.publish(EOS)
-        await self.site.ctrl_channel.publish(EOS)
+        """Propagate end-of-stream to every mirror connection and every
+        subscriber; nothing is sent after it."""
+        if self._ended:
+            return
+        self._ended = True
+        # EOS bypasses fault injection (a chaos-dropped shutdown frame
+        # would wedge the topology, not exercise it)
+        self.subfan.eos()
+        faulty = self.fault_controller is not None
+        frame = None if faulty else self.shared.encode_eos()
+        for conn in self._live:
+            self.stats.frames_sent += 1
+            conn.send(conn.encoder.encode_eos() if faulty else frame)
+        self._flush("control")
 
     async def wait_mirrors_done(self) -> None:
         for conn in self.connections.values():
             await conn.done.wait()
 
     async def close(self) -> None:
-        """Stop broadcast tasks and close the listener (idempotent, so
-        error-path ``finally`` blocks can call it unconditionally)."""
-        tasks, self._broadcast_tasks = self._broadcast_tasks, []
-        for task in tasks:
-            task.cancel()
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
+        """Close the listener and every connection still being served
+        (idempotent, so error-path ``finally`` blocks can call it
+        unconditionally)."""
+        server, self._server = self._server, None
+        if server is not None:
             self.stats.frames_shared += self.shared.frames_shared
             self.stats.shared_encodes_saved += self.shared.encodes_saved
             self.subfan.collect_shared_stats()
-        server, self._server = self._server, None
-        if server is not None:
             server.close()
             await server.wait_closed()
         # the listener spawns one handler task per accepted connection;
@@ -1798,7 +1732,7 @@ class NetProcessRunner:
 
             async def stream() -> None:
                 for se in self.script.fresh_events():
-                    await site.data_in.put(se.event)
+                    await site.data_in.put([se.event])
                 await site.data_in.put(EOS)
                 await site.stream_done.wait()
                 if client_proc is not None:

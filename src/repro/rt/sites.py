@@ -42,7 +42,7 @@ from ..shard.handoff import (
     extract_transfer,
     install_transfer,
 )
-from .channels import AsyncChannel, AsyncSubscription
+from .channels import AsyncSubscription, Channel
 
 __all__ = [
     "EOS",
@@ -56,38 +56,45 @@ EOS = "__end_of_stream__"
 
 # -- memory budget ---------------------------------------------------------
 # Every queue is bounded and a full queue blocks its producer, so a burst
-# is held in the *sender's* TCP buffer, not in this heap.  The data path,
+# is held in the *sender's* TCP buffer, not in this heap.  Each queue
+# item is a *run* — the events one TCP read completed, at most
+# MAX_RUN_EVENTS of them — so a queue hop is paid per run, not per
+# event.  The data path,
 #
-#   source reader -> data_in -> ready -> {inbox, uplink} -> outbound
-#     -> socket -> mirror reader -> data_sub -> mirror inbox
+#   source reader -> data_in -> ready -> inbox
+#                                     -> cork -> transport -> socket
+#     -> mirror reader -> data_sub -> mirror inbox
 #
 # has no cycle: each queue is drained by a task that blocks only on
 # queues to its right, and the ends (a main unit's event loop, the
-# kernel) block on nothing.  The control path does loop (CHKPT down,
-# CHKPT_REP up, COMMIT down), but the protocol sets its volume, not the
-# load — one round collects at a time — so its queues never fill.
-# (rt/net.py declares the socket layer's share: uplink, outbound, data_sub.)
+# kernel) block on nothing.  ``sending_task`` writes each run to every
+# mirror's transport itself and, after the run, waits on any transport
+# past its high-water mark — so a transport holds at most its mark plus
+# one run, and the slowest mirror paces the stream.  The control path
+# does loop (CHKPT down, CHKPT_REP up, COMMIT down), but the protocol
+# sets its volume, not the load — one round collects at a time — so its
+# queues never fill.  (rt/net.py declares the socket layer's share.)
 
-#: ``data_in`` holds chunks of events (one TCP read's worth, at most
-#: :data:`MAX_RUN_EVENTS` each).  Full: the source connection's reader
-#: blocks and stops reading — the source sees TCP back-pressure.
-#: Drained by ``receiving_task``.
+#: ``data_in`` holds runs.  Full: the source connection's reader blocks
+#: and stops reading — the source sees TCP back-pressure.  Drained by
+#: ``receiving_task``.
 DATA_IN_BOUND = 8
-#: ``ready`` holds stamped events (the paper's ready queue, a monitored
-#: variable).  Full: ``receiving_task`` blocks.  Drained by ``sending_task``.
-READY_BOUND = 64
-#: ``main.inbox`` of the central site holds single events (or one batch
-#: per mirrored batch).  Full: ``sending_task`` blocks.  Drained by
-#: ``event_loop``.  A mirror's holds runs of at most
-#: :data:`MAX_RUN_EVENTS`; full: its ``receiving_task`` blocks, then
+#: ``ready`` holds stamped runs (the paper's ready queue; its monitored
+#: variable counts the events in them).  Full: ``receiving_task``
+#: blocks.  Drained by ``sending_task``.
+READY_BOUND = 1
+#: ``main.inbox`` of the central site holds runs (one EventBatch each).
+#: Full: ``sending_task`` blocks.  Drained by ``event_loop``.  Together
+#: with ``ready`` it holds at most 2 * MAX_RUN_EVENTS = 256 events.  A
+#: mirror's holds runs too; full: its ``receiving_task`` blocks, then
 #: ``data_sub`` fills and the mirror stops reading its socket.
-CENTRAL_INBOX_BOUND = 256
+CENTRAL_INBOX_BOUND = 1
 MIRROR_INBOX_BOUND = 8
 #: ``ctrl_in`` / ``reply_to`` hold checkpoint votes on their way to the
 #: coordinator: at most one per site per round in flight.
 CONTROL_BOUND = 256
 #: Most events one queue item carries over TCP.
-MAX_RUN_EVENTS = 256
+MAX_RUN_EVENTS = 128
 #: Events ``event_loop`` applies before it yields to the other tasks.
 EVENT_LOOP_BUDGET = 512
 
@@ -177,10 +184,9 @@ class AsyncMainUnit:
     async def event_loop(self) -> None:
         """Drain the inbox through the business logic until EOS.
 
-        Accepts whole :class:`EventBatch` items as well as single
-        events: batched mirror transports forward a batch as one queue
-        item, paying the asyncio hop once per batch instead of once per
-        event.  Whatever is already queued is applied back to back; the
+        Accepts whole :class:`EventBatch` items (a run) as well as
+        single events, paying the asyncio hop once per item.  Whatever
+        is already queued is applied back to back; the
         loop yields to the other tasks when the inbox runs dry or after
         :data:`EVENT_LOOP_BUDGET` events, whichever comes first."""
         inbox = self.inbox
@@ -311,8 +317,8 @@ class AsyncCentralSite:
     def __init__(
         self,
         config: MirrorConfig,
-        mirror_channel: AsyncChannel,
-        ctrl_channel: AsyncChannel,
+        mirror_channel: Channel,
+        ctrl_channel: Channel,
         participants: set,
         adaptation: Optional[AdaptationController] = None,
         clock: Callable[[], float] = time.monotonic,
@@ -329,6 +335,9 @@ class AsyncCentralSite:
         self.data_in: asyncio.Queue = asyncio.Queue(maxsize=DATA_IN_BOUND)
         self.ctrl_in: asyncio.Queue = asyncio.Queue(maxsize=CONTROL_BOUND)
         self.ready: asyncio.Queue = asyncio.Queue(maxsize=READY_BOUND)
+        #: events on ``ready`` or in the run in hand not yet mirrored (the
+        #: monitored ready queue, counted in events as its thresholds are)
+        self.ready_events = 0
         self.backup = BackupQueue()
         self.engine = config.build_engine()
         self.coordinator = CheckpointCoordinator(participants)
@@ -346,42 +355,41 @@ class AsyncCentralSite:
     def monitor_readings(self) -> Dict[str, float]:
         """Central-site monitored variables."""
         return {
-            MONITOR_READY_QUEUE: float(self.ready.qsize()),
+            MONITOR_READY_QUEUE: float(self.ready_events),
             MONITOR_BACKUP_QUEUE: float(len(self.backup)),
             MONITOR_PENDING_REQUESTS: float(self.main._pending_requests),
         }
 
     async def receiving_task(self) -> None:
-        """Stamp incoming events and feed the ready queue.
-
-        Accepts either single events or lists of events per queue item:
-        a chunked feed pays the ``data_in`` hop once per chunk (the
-        stamping itself is identical either way)."""
+        """Stamp each incoming run whole and queue it as one item."""
+        ready = self.ready
+        clock = self.clock
         while True:
             item = await self.data_in.get()
             if item == EOS:
-                await self.ready.put(EOS)
+                await ready.put(EOS)
                 break
             if isinstance(item, ShardControl):
                 # no stamp (control frames carry no vt); queue position
                 # alone orders it against the surrounding events
-                await self.ready.put(item)
+                await ready.put(item)
                 continue
-            events = item if type(item) is list else (item,)
-            ready = self.ready
-            clock = self.clock
-            for event in events:
-                self.clock_vt = self.clock_vt.advanced(event.stream, event.seqno)
-                stamped = event.stamped(self.clock_vt, clock())
-                # a put on a non-full queue never blocks: skip the
-                # per-event coroutine when there is room
-                if ready.full():
-                    await ready.put(stamped)
-                else:
-                    ready.put_nowait(stamped)
+            vt = self.clock_vt
+            now = clock()
+            run = []
+            for event in item:
+                vt = vt.advanced(event.stream, event.seqno)
+                run.append(event.stamped(vt, now))
+            self.clock_vt = vt
+            await ready.put(run)
+            self.ready_events += len(run)
 
     async def sending_task(self) -> None:
-        """fwd() everything; mirror() what the rules pass; checkpoint."""
+        """fwd() each run; mirror() what the rules pass; checkpoint.
+
+        The run goes to the main unit as one item, then out to the
+        mirrors; once the run is written, the task waits only on a
+        mirror whose transport is past its high-water mark."""
         while True:
             item = await self.ready.get()
             if item == EOS:
@@ -390,53 +398,51 @@ class AsyncCentralSite:
             if isinstance(item, ShardControl):
                 await self._shard_barrier(item)
                 continue
+            await self.main.inbox.put(EventBatch(item))  # fwd(): EDE sees everything
+            self._mirror_run(item)
+            await self.mirror_channel.drain()
+
+    def _mirror_run(self, run: List[UpdateEvent]) -> None:
+        """Run the rules over ``run`` a slice at a time and publish what
+        they pass, initiating a checkpoint every ``checkpoint_freq``
+        events.  With ``batch_size`` > 1 a slice is one mirrored batch
+        (a checkpoint waits for the batch that crosses its boundary);
+        otherwise each passed event travels alone and a slice ends at
+        the next checkpoint boundary.  Config and engine are read per
+        slice: a commit inside the run may have swapped them."""
+        start, end = 0, len(run)
+        while start < end:
+            freq = self.config.checkpoint_freq
             batch_size = self.config.batch_size
-            if batch_size <= 1:
-                outs: List[UpdateEvent] = []
-                for passed in self.engine.on_receive(item):
-                    outs.extend(self.engine.on_send(passed))
-                await self.main.inbox.put(item)  # fwd(): EDE sees everything
-                await self._mirror(outs)
-                self.processed_events += 1
-                if self.processed_events % self.config.checkpoint_freq == 0:
-                    await self._initiate_checkpoint()
-                continue
-            # batch path: drain events already waiting on the ready queue
-            # (never awaiting more — an empty queue ships what's in hand)
-            members = [item]
-            eos_seen = False
-            pending_ctrl: Optional[ShardControl] = None
-            while len(members) < batch_size:
-                try:
-                    nxt = self.ready.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if nxt == EOS:
-                    eos_seen = True
-                    break
-                if isinstance(nxt, ShardControl):
-                    # barrier: ship what's in hand first, then the frame
-                    pending_ctrl = nxt
-                    break
-                members.append(nxt)
+            before = self.processed_events
+            step = batch_size if batch_size > 1 else freq - before % freq
+            members = run[start:start + step]
+            start += step
             outs = self.engine.forward_many(members)
-            drained = len(members)
-            # fwd(): the local EDE sees everything, one inbox hop per
-            # batch (its event loop unpacks EventBatch items)
-            if drained == 1:
-                await self.main.inbox.put(item)
+            if batch_size > 1 and len(outs) > 1:
+                self.mirror_channel.publish(EventBatch(outs))
+                self.backup.extend(outs)
+                self.mirrored_events += len(outs)
             else:
-                await self.main.inbox.put(EventBatch(members))
-            await self._mirror_batch(outs)
-            for _ in range(drained):
-                self.processed_events += 1
-                if self.processed_events % self.config.checkpoint_freq == 0:
-                    await self._initiate_checkpoint()
-            if pending_ctrl is not None:
-                await self._shard_barrier(pending_ctrl)
-            if eos_seen:
-                await self._finish_stream()
-                break
+                self._mirror(outs)
+            self.processed_events = before + len(members)
+            # the rest of the run still waits, as on the paper's queue
+            self.ready_events -= len(members)
+            for _ in range(self.processed_events // freq - before // freq):
+                self._initiate_checkpoint()
+
+    def _flush_rules(self) -> None:
+        """Mirror what the rules still hold, one event at a time."""
+        for out in self.engine.flush("receive"):
+            self._mirror(self.engine.on_send(out))
+        for out in self.engine.flush("send"):
+            self._mirror([out])
+
+    def _mirror(self, outs: List[UpdateEvent]) -> None:
+        for out in outs:
+            self.mirror_channel.publish(out)
+        self.backup.extend(outs)
+        self.mirrored_events += len(outs)
 
     async def _shard_barrier(self, ctrl: ShardControl) -> None:
         """Pass a handoff control frame through in strict stream order.
@@ -448,40 +454,20 @@ class AsyncCentralSite:
         rules (control must never be filtered or coalesced) and the
         backup queue (it carries no vector timestamp to trim by).
         """
-        for out in self.engine.flush("receive"):
-            await self._mirror(self.engine.on_send(out))
-        for out in self.engine.flush("send"):
-            await self._mirror([out])
+        self._flush_rules()
         await self.main.inbox.put(ctrl)
-        await self.mirror_channel.publish(ctrl)
+        self.mirror_channel.publish(ctrl)
+        await self.mirror_channel.drain()
 
     async def _finish_stream(self) -> None:
-        for out in self.engine.flush("receive"):
-            await self._mirror(self.engine.on_send(out))
-        for out in self.engine.flush("send"):
-            await self._mirror([out])
+        self._flush_rules()
         # the closing round must run: nothing after it would absorb it
-        await self._initiate_checkpoint(final=True)
+        self._initiate_checkpoint(final=True)
+        await self.mirror_channel.drain()
         await self.main.inbox.put(EOS)
         self.stream_done.set()
 
-    async def _mirror(self, outs: List[UpdateEvent]) -> None:
-        for out in outs:
-            await self.mirror_channel.publish(out)
-            self.backup.append(out)
-            self.mirrored_events += 1
-
-    async def _mirror_batch(self, outs: List[UpdateEvent]) -> None:
-        if not outs:
-            return
-        if len(outs) == 1:
-            await self._mirror(outs)
-            return
-        await self.mirror_channel.publish_batch(outs)
-        self.backup.extend(outs)
-        self.mirrored_events += len(outs)
-
-    async def _initiate_checkpoint(self, final: bool = False) -> None:
+    def _initiate_checkpoint(self, final: bool = False) -> None:
         """Every ``checkpoint_freq`` events: start a round, unless the
         previous one is still collecting (it is then left to commit;
         see :meth:`CheckpointCoordinator.initiate_if_idle`)."""
@@ -495,9 +481,9 @@ class AsyncCentralSite:
         reply = self.main.checkpointer.on_chkpt(msg, self.monitor_readings())
         commit = self.coordinator.on_reply(reply)
         if commit is not None:
-            await self._broadcast_commit(commit)
+            self._broadcast_commit(commit)
             return
-        await self.ctrl_channel.publish(msg)
+        self.ctrl_channel.publish(msg)
 
     async def control_task(self) -> None:
         """Collect checkpoint votes; broadcast commits."""
@@ -508,9 +494,9 @@ class AsyncCentralSite:
             if isinstance(msg, ChkptRepMsg):
                 commit = self.coordinator.on_reply(msg)
                 if commit is not None:
-                    await self._broadcast_commit(commit)
+                    self._broadcast_commit(commit)
 
-    async def _broadcast_commit(self, commit: CommitMsg) -> None:
+    def _broadcast_commit(self, commit: CommitMsg) -> None:
         if self.adaptation is not None:
             monitored = dict(self.coordinator.monitored_view())
             for index, value in self.monitor_readings().items():
@@ -523,7 +509,7 @@ class AsyncCentralSite:
                     (self.clock(), command.action, command.config.function_name)
                 )
         self.backup.trim(self.main.checkpointer.on_commit(commit))
-        await self.ctrl_channel.publish(commit)
+        self.ctrl_channel.publish(commit)
 
 
 class AsyncMirrorSite:

@@ -15,7 +15,7 @@ from repro.core import (
 from repro.core.adaptation import MONITOR_PENDING_REQUESTS
 from repro.ois import FlightDataConfig, generate_script
 from repro.ois.clients import InitStateRequest, InitStateResponse
-from repro.rt import AsyncChannel, AsyncSubscription
+from repro.rt import AsyncSubscription, Channel
 from repro.rt.net import (
     NetCentral,
     NetMirror,
@@ -87,49 +87,64 @@ async def until(condition, timeout=10.0):
         await asyncio.sleep(0.001)
 
 
-# ------------------------------------------------------------ AsyncChannel
+# ------------------------------------------------------------ Channel
+class RecordingLink:
+    """A link that keeps what it is sent; ``backed_up`` makes
+    :meth:`drain` wait until ``released`` is set."""
+
+    def __init__(self):
+        self.sent = []
+        self.drains = 0
+        self.backed_up = False
+        self.released = asyncio.Event()
+
+    def send(self, kind, payload):
+        self.sent.append((kind, payload))
+
+    async def drain(self):
+        self.drains += 1
+        if self.backed_up:
+            await self.released.wait()
+
+
 def test_channel_kind_validated():
     with pytest.raises(ValueError):
-        AsyncChannel("c", kind="gossip")
+        Channel("c", RecordingLink(), kind="gossip")
 
 
 def test_channel_fanout_and_filters():
-    """Every subscriber gets every payload, tagged with the channel's
-    kind, so a consumer sharing one queue between channels can tell
-    (filter) the sources apart — in publish order."""
-
-    async def scenario():
-        data, ctrl = AsyncChannel("d"), AsyncChannel("c", kind="control")
-        shared, other = asyncio.Queue(), asyncio.Queue()
-        subs = [data.subscribe("one", into=shared),
-                ctrl.subscribe("one", into=shared),
-                data.subscribe("two", into=other)]
-        for i in range(3):
-            await data.publish(i)
-        await ctrl.publish("chkpt")
-        await data.publish_batch([se.event for se in script().fresh_events()][:2])
-        drained = [shared.get_nowait() for _ in range(shared.qsize())]
-        return [s.delivered for s in subs], drained, other.qsize()
-
-    delivered, drained, other = run(scenario())
-    assert delivered == [4, 1, 4] and other == 4
-    assert drained[:4] == [("data", 0), ("data", 1), ("data", 2),
-                           ("control", "chkpt")]
-    kind, batch = drained[4]
-    assert kind == "data" and len(batch.events) == 2
+    """Every payload reaches the link at once, tagged with its channel's
+    kind, so the link can tell (filter) the sources apart — in publish
+    order, data and control interleaved as they were published."""
+    link = RecordingLink()
+    data, ctrl = Channel("d", link), Channel("c", link, kind="control")
+    for i in range(3):
+        data.publish(i)
+    ctrl.publish("chkpt")
+    data.publish(3)
+    assert link.sent == [("data", 0), ("data", 1), ("data", 2),
+                         ("control", "chkpt"), ("data", 3)]
+    assert (data.published, ctrl.published) == (4, 1)
+    assert data.subscriptions == ctrl.subscriptions == ()
 
 
 def test_channel_backpressure_blocks_publisher():
-    async def scenario():
-        ch = AsyncChannel("c")
-        sub = ch.subscribe("slow", into=asyncio.Queue(maxsize=2))
-        await ch.publish(1)
-        await ch.publish(2)
-        with pytest.raises(asyncio.TimeoutError):
-            await asyncio.wait_for(ch.publish(3), timeout=0.05)
-        return sub.high_watermark, sub.blocked_puts
+    """Publishing never waits; the publisher's drain does, for as long
+    as the link is backed up."""
 
-    assert run(scenario()) == (2, 1)
+    async def scenario():
+        link = RecordingLink()
+        ch = Channel("c", link)
+        ch.publish(1)
+        link.backed_up = True
+        ch.publish(2)
+        with pytest.raises(asyncio.TimeoutError):
+            await asyncio.wait_for(asyncio.shield(ch.drain()), timeout=0.05)
+        link.released.set()
+        await ch.drain()
+        return [p for _, p in link.sent], link.drains
+
+    assert run(scenario()) == ([1, 2], 2)
 
 
 def test_subscription_owns_a_bounded_queue_by_default():

@@ -6,6 +6,7 @@ One ``NetCentral`` and two ``NetMirror`` on loopback, composed the way
 events from a source socket while a ``MatchAll`` subscriber reads the
 push stream and a client pipelines requests.  After each burst has
 drained, every queue is empty and never ran past its declared bound,
+no mirror transport held more than its high-water mark plus one run,
 the backup queue stayed within what the bounds and the checkpoint rule
 allow, the change journal is within its horizon, and task, descriptor
 and heap counts are where they were after the first burst.
@@ -64,6 +65,19 @@ async def drill():
     delivered = bytearray(BURSTS * BURST_EVENTS)  # per event, by seqno - 1
     responses = []
     readings = []
+    # what each mirror connection's transport held after each write
+    buffer_peak = {name: 0 for name in central.mirror_names}
+    real_flush = net.AdaptiveFlusher.flush
+
+    def flush(cork, reason="dry"):
+        real_flush(cork, reason)
+        if not cork.dead:
+            name = next(c.name for c in central.connections.values()
+                        if c.cork is cork)
+            held = cork._writer.transport.get_write_buffer_size()
+            buffer_peak[name] = max(buffer_peak[name], held)
+
+    net.AdaptiveFlusher.flush = flush
 
     async def subscriber(reader):
         frames = _FrameReader(reader, stats)
@@ -104,8 +118,14 @@ async def drill():
         await until(lambda: mirrors[0].subfan.active, "subscription registered")
 
         mains = [site.main] + [m.site.main for m in mirrors]
+        high_water = max(
+            conn.cork._high_water for conn in central.connections.values()
+        )
+        min_frame, run_bytes = 1 << 30, 0
         for burst in range(BURSTS):
             frames = burst_blob(src_encoder, burst)
+            min_frame = min(min_frame, min(len(f) for f in frames))
+            run_bytes = max(run_bytes, sites.MAX_RUN_EVENTS * max(map(len, frames)))
             step = BURST_EVENTS // REQUESTS_PER_BURST
             for k in range(REQUESTS_PER_BURST):
                 src_writer.write(b"".join(frames[k * step:(k + 1) * step]))
@@ -136,10 +156,7 @@ async def drill():
                 (site.ready, sites.READY_BOUND),
                 (site.ctrl_in, sites.CONTROL_BOUND),
                 (site.main.inbox, sites.CENTRAL_INBOX_BOUND),
-                (central._uplink, net.UPLINK_BOUND),
             ]
-            for conn in central.connections.values():
-                bounded.append((conn.outbound, net.OUTBOUND_BOUND))
             for mirror in mirrors:
                 bounded += [
                     (mirror.data_sub.queue, net.MIRROR_DATA_BOUND),
@@ -156,15 +173,30 @@ async def drill():
                 subs += [mirror.data_sub, mirror.ctrl_sub]
             for sub in subs:
                 assert sub.high_watermark <= sub.queue.maxsize
+            # ready and the central inbox hold runs: no more events
+            # between them than the per-event queues they replaced
+            assert (
+                (sites.READY_BOUND + sites.CENTRAL_INBOX_BOUND)
+                * sites.MAX_RUN_EVENTS <= 64 + 256
+            )
+
+            # -- a transport holds its high-water mark plus one run at most
+            for conn in central.connections.values():
+                assert conn.cork.qsize() == 0
+                assert buffer_peak[conn.name] <= high_water + run_bytes, (
+                    buffer_peak, high_water, run_bytes)
 
             # -- the backup queue is bounded by what can be in flight
-            # between central's mirror() and the slowest mirror's apply,
+            # between central's stamp and the slowest mirror's apply,
             # twice over (a round commits what its predecessor's flight
-            # time let through), plus the events between two rounds
+            # time let through), plus the events between two rounds:
+            # ready and the inbox in runs, the run in hand, a transport
+            # at its high-water mark, and the mirror's queues in runs
             in_flight = (
-                net.UPLINK_BOUND + net.OUTBOUND_BOUND
-                + (net.MIRROR_DATA_BOUND + sites.MIRROR_INBOX_BOUND)
+                (sites.READY_BOUND + sites.CENTRAL_INBOX_BOUND + 1
+                 + net.MIRROR_DATA_BOUND + sites.MIRROR_INBOX_BOUND)
                 * sites.MAX_RUN_EVENTS
+                + high_water // min_frame
             )
             allowed = (
                 2 * in_flight
@@ -199,6 +231,7 @@ async def drill():
     try:
         await tasks.guard(body())
     finally:
+        net.AdaptiveFlusher.flush = real_flush
         await tasks.cancel()
         await central.close()
         for mirror in mirrors:

@@ -1,18 +1,28 @@
 """Tests for the TCP socket backend (`repro.rt.net`).
 
-Every byte crosses a real loopback socket here: mirror traffic travels
-as binary wire frames through the adaptive flusher.
+Every byte of the round trips crosses a real loopback socket: mirror
+traffic travels as binary wire frames through each connection's cork.
 """
 
 import asyncio
 from dataclasses import replace
 
 from repro.core import simple_mirroring
-from repro.faults.link import LinkFaultController
+from repro.core.checkpoint import ChkptMsg
+from repro.core.events import VectorTimestamp
+from repro.faults.link import LinkFaultController, LinkVerdict
 from repro.faults.plan import FaultPlan
 from repro.ois import FlightDataConfig, generate_script
 from repro.ois.ede import EventDerivationEngine
-from repro.rt.net import AdaptiveFlusher, run_net_scenario
+from repro.rt.net import (
+    FLUSH_BYTES,
+    AdaptiveFlusher,
+    NetCentral,
+    WireStats,
+    _MirrorConnection,
+    run_net_scenario,
+)
+from repro.wire import FrameSplitter, WireDecoder
 
 
 def run(coro):
@@ -186,41 +196,103 @@ def test_link_latency_injection_still_converges():
     assert summary.wire.frames_dropped == 0
 
 
-# -------------------------------------------------------- adaptive flusher
-def test_flusher_size_trigger():
-    from repro.rt.net import FLUSH_BYTES, FLUSH_FRAMES, WireStats
+# ------------------------------------------------------ fault-path cork
+class RecordingWriter:
+    """A ``StreamWriter`` stand-in that keeps every byte written."""
 
-    f = AdaptiveFlusher(writer=None, stats=WireStats())
-    assert not f.should_flush
-    f.add(b"x" * FLUSH_BYTES)  # one frame that fills the byte budget
-    assert f.should_flush
+    def __init__(self):
+        self.data = bytearray()
+        self.writes = 0
+        self.transport = self
 
-    f = AdaptiveFlusher(writer=None, stats=WireStats())
-    for _ in range(FLUSH_FRAMES - 1):
-        f.add(b"x")
-    assert not f.should_flush
-    f.add(b"x")  # the frame budget, well under the byte budget
-    assert f.should_flush
+    def get_write_buffer_limits(self):
+        return 16 * 1024, 64 * 1024
+
+    def get_write_buffer_size(self):
+        return 0
+
+    def is_closing(self):
+        return False
+
+    def writelines(self, chunks):
+        self.writes += 1
+        for chunk in chunks:
+            self.data += chunk
+
+    def decoded(self):
+        decoder = WireDecoder()
+        return [decoder.decode_body(mtype, body)
+                for mtype, body in FrameSplitter().feed(bytes(self.data))]
 
 
-def test_flusher_backlog_hysteresis():
-    from repro.rt.net import (
-        FAT_BACKLOG,
-        FAT_FLUSH_FRAMES,
-        FLUSH_FRAMES,
-        RESTORE_BACKLOG,
-        WireStats,
+class DelayThenDuplicate:
+    """Delays the ``k``-th message to ``slow`` and duplicates every
+    control message to ``dup``."""
+
+    def __init__(self, k, delay, slow="mirror1", dup="mirror2"):
+        self.k, self.delay, self.slow, self.dup = k, delay, slow, dup
+        self.seen = 0
+
+    def on_send(self, message, src, dst, now):
+        if dst == self.slow:
+            self.seen += 1
+            if self.seen == self.k:
+                return LinkVerdict(delay=self.delay)
+        elif dst == self.dup and message.kind == "control":
+            return LinkVerdict(duplicates=1)
+        return None
+
+
+def test_delay_holds_later_frames_in_order_on_that_connection_only():
+    events = [se.event for se in script(n_flights=2, positions_per_flight=3)
+              .fresh_events()]
+    chkpt = ChkptMsg.from_wire(1, VectorTimestamp())
+
+    async def scenario():
+        central = NetCentral(2, fault_controller=DelayThenDuplicate(3, 0.02))
+        slow, fast = RecordingWriter(), RecordingWriter()
+        for name, writer in (("mirror1", slow), ("mirror2", fast)):
+            central._attach(_MirrorConnection(name, writer, central.stats))
+        for event in events:
+            central.send("data", event)
+        await central.drain()
+        central.send("control", chkpt)
+        held = slow.decoded()
+        await asyncio.sleep(0.05)
+        return held, slow, fast, central.stats
+
+    held, slow, fast, stats = run(scenario())
+    assert held == events[:2]  # frame 3 and everything behind it wait
+    assert slow.decoded() == events + [chkpt]
+    assert slow.writes == 2  # what preceded the delay, then the release
+    # the other mirror's frames left at once, its control frame twice,
+    # each copy decodable because each was encoded on its own table
+    assert fast.decoded() == events + [chkpt, chkpt]
+    assert stats.frames_duplicated == 1
+    assert stats.frames_sent == 2 * len(events) + 3
+
+
+def test_delayed_and_duplicated_frames_still_converge():
+    summary = run(
+        run_net_scenario(
+            script(n_flights=2, positions_per_flight=20),
+            n_mirrors=2,
+            config=batched(),
+            fault_controller=DelayThenDuplicate(3, 0.005),
+        )
     )
+    assert summary.wire.frames_duplicated > 0
+    assert summary.wire.frames_dropped == 0
+    assert summary.replicas_consistent
 
-    stats = WireStats()
-    f = AdaptiveFlusher(writer=None, stats=stats)
-    assert f.frame_budget == FLUSH_FRAMES
-    f.note_backlog(FAT_BACKLOG + 1)
-    assert f.frame_budget == FAT_FLUSH_FRAMES > FLUSH_FRAMES
-    # backlog between the thresholds: budget must stick (hysteresis)
-    assert RESTORE_BACKLOG + 1 < FAT_BACKLOG
-    f.note_backlog(RESTORE_BACKLOG + 1)
-    assert f.frame_budget == FAT_FLUSH_FRAMES
-    f.note_backlog(RESTORE_BACKLOG)
-    assert f.frame_budget == FLUSH_FRAMES
-    assert stats.flusher_adaptations == 2
+
+# ------------------------------------------------------------------ cork
+def test_flusher_size_trigger():
+    """A cork that reaches the byte budget is written out mid-run."""
+    writer = RecordingWriter()
+    f = AdaptiveFlusher(writer, WireStats())
+    f.add(b"x" * (FLUSH_BYTES - 1))
+    assert writer.writes == 0 and f.qsize() == 1
+    f.add(b"x")  # the budget: out at once, without waiting for the run
+    assert writer.writes == 1 and f.qsize() == 0
+    assert len(writer.data) == FLUSH_BYTES

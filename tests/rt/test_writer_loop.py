@@ -1,31 +1,49 @@
-"""``NetCentral._writer_loop`` flushes when its queue runs dry, never on
-a clock: driven here with a recording stub in place of the socket, so
-every assertion is about turns of the event loop, not about time."""
+"""The central's mirror link writes from the sending path itself: each
+connection's cork (``AdaptiveFlusher``) holds what a run publishes and
+hands it to the transport in one ``writelines`` when the run is done,
+never on a clock.  Driven here with a recording stub in place of the
+socket, so every assertion is about writes and turns of the event
+loop, not about time."""
 
 import asyncio
+from dataclasses import replace
 
+from repro.core.checkpoint import ChkptMsg
+from repro.core.events import FAA_POSITION, UpdateEvent, VectorTimestamp
 from repro.core.functions import simple_mirroring
 from repro.ois.flightdata import FlightDataConfig, generate_script
 from repro.rt.net import (
-    FLUSH_FRAMES,
+    FLUSH_BYTES,
     NetCentral,
     _MirrorConnection,
     run_net_scenario,
 )
+from repro.rt.sites import EOS
+from repro.wire import SharedFrameCache
 
-#: Turns of the loop an idle writer may take to ship what it was given:
-#: one to wake from ``outbound.get()``, and slack for the flush.  The
-#: deadline this replaces took 2 ms — hundreds of turns of an idle loop.
-TURNS = 5
+#: The transport's high-water mark the stub reports (asyncio's default).
+HIGH_WATER = 64 * 1024
+
+
+class RecordingTransport:
+    def __init__(self):
+        self.buffered = 0
+
+    def get_write_buffer_limits(self):
+        return HIGH_WATER // 4, HIGH_WATER
+
+    def get_write_buffer_size(self):
+        return self.buffered
 
 
 class RecordingWriter:
-    """What the writer loop needs of a ``StreamWriter``; keeps each
+    """What the cork needs of a ``StreamWriter``; keeps each
     ``writelines`` call as one list of frames."""
 
     def __init__(self, closing: bool = False):
         self.writes = []
         self.closing = closing
+        self.transport = RecordingTransport()
 
     def is_closing(self) -> bool:
         return self.closing
@@ -34,108 +52,195 @@ class RecordingWriter:
         self.writes.append(list(chunks))
 
     async def drain(self) -> None:
-        pass
+        if self.transport.buffered:
+            await asyncio.sleep(0)  # the peer reads
+            self.transport.buffered = 0
 
 
-def drive(scenario, closing: bool = False):
-    """Run ``scenario(conn, writer, central, turns)`` beside a writer
-    loop on a fresh connection; returns the timers armed on the loop
-    meanwhile, and checks the loop ends once told to close."""
+def position(i):
+    return UpdateEvent(
+        kind=FAA_POSITION, stream="faa", seqno=i, key=f"DL{i % 5}",
+        payload={"lat": float(i), "lon": -84.0, "alt": 30000.0},
+    )
 
-    async def main():
-        loop = asyncio.get_running_loop()
-        timers = []
-        for name in ("call_later", "call_at"):
-            real = getattr(loop, name)
 
-            def spy(*args, _real=real, _name=name, **kwargs):
-                timers.append(_name)
-                return _real(*args, **kwargs)
-
-            setattr(loop, name, spy)
-
-        central = NetCentral(n_mirrors=1)
-        conn = _MirrorConnection("mirror1")
+def attach(central, n=1, closing=False):
+    """Attach ``n`` recording mirror connections; returns their writers."""
+    writers = []
+    for i in range(n):
         writer = RecordingWriter(closing)
-        task = asyncio.ensure_future(central._writer_loop(conn, writer))
+        central._attach(_MirrorConnection(f"mirror{i + 1}", writer, central.stats))
+        writers.append(writer)
+    return writers
 
-        async def turns(n=TURNS):
-            for _ in range(n):
-                await asyncio.sleep(0)
 
-        await turns()  # the loop is parked on its empty queue
-        await scenario(conn, writer, central, turns)
-        if not task.done():
-            conn.outbound.put_nowait(("close", b""))
-            await turns()
-        assert task.done() and task.exception() is None
-        assert conn.closed
-        return timers
+def finishes_without_yielding(coro) -> bool:
+    """True when ``coro`` runs to completion in the turn it starts in."""
+    try:
+        coro.send(None)
+    except StopIteration:
+        return True
+    coro.close()
+    return False
 
-    return asyncio.run(main())
+
+def spy_timers(loop):
+    timers = []
+    for name in ("call_later", "call_at"):
+        real = getattr(loop, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            timers.append(_name)
+            return _real(*args, **kwargs)
+
+        setattr(loop, name, spy)
+    return timers
 
 
 def test_lone_frame_on_an_idle_link_leaves_at_once_with_no_timer():
-    async def scenario(conn, writer, central, turns):
-        conn.outbound.put_nowait(("data", b"frame-1"))
-        await turns()
-        assert writer.writes == [[b"frame-1"]]
+    async def scenario():
+        timers = spy_timers(asyncio.get_running_loop())
+        central = NetCentral(n_mirrors=1)
+        (writer,) = attach(central)
+        event = position(1)
+        central.send("data", event)
+        assert writer.writes == []  # corked until the run is done
+        assert finishes_without_yielding(central.drain())
+        frame = SharedFrameCache().encode(event)
+        assert writer.writes == [[frame]]
         assert central.stats.dry_flushes == 1
         assert central.stats.frames_sent == 1
-        assert central.stats.bytes_sent == len(b"frame-1")
+        assert central.stats.bytes_sent == len(frame)
+        return timers
 
-    assert drive(scenario) == []
+    assert asyncio.run(scenario()) == []
 
 
 def test_frames_queued_together_leave_in_one_write():
-    async def scenario(conn, writer, central, turns):
+    async def scenario():
+        central = NetCentral(n_mirrors=2)
+        writers = attach(central, 2)
         for i in range(3):
-            conn.outbound.put_nowait(("data", b"frame-%d" % i))
-        await turns()
-        assert writer.writes == [[b"frame-0", b"frame-1", b"frame-2"]]
-        assert central.stats.flushes == central.stats.dry_flushes == 1
+            central.send("data", position(i + 1))
+        await central.drain()
+        assert central.stats.flushes == central.stats.dry_flushes == 2
+        return writers
 
-    assert drive(scenario) == []
+    first, second = asyncio.run(scenario())
+    assert [len(w) for w in first.writes] == [3]
+    assert first.writes == second.writes  # the same bytes, encoded once
 
 
-def test_backlog_leaves_by_frame_budget_then_the_rest_when_dry():
-    async def scenario(conn, writer, central, turns):
-        for i in range(FLUSH_FRAMES + 2):
-            conn.outbound.put_nowait(("data", b"%d" % i))
-        await turns()
-        assert [len(w) for w in writer.writes] == [FLUSH_FRAMES, 2]
+def test_backlog_leaves_by_byte_budget_then_the_rest_when_dry():
+    async def scenario():
+        central = NetCentral(n_mirrors=1)
+        (writer,) = attach(central)
+        cork = central.connections["mirror1"].cork
+        big = b"x" * (FLUSH_BYTES // 2)
+        for _ in range(3):
+            cork.add(big)
+        assert [len(w) for w in writer.writes] == [2]
+        assert cork.qsize() == 1
+        await central.drain()
+        assert [len(w) for w in writer.writes] == [2, 1]
         assert central.stats.size_flushes == 1
         assert central.stats.dry_flushes == 1
 
-    assert drive(scenario) == []
+    asyncio.run(scenario())
 
 
 def test_control_frame_flushes_at_once_with_what_was_held():
-    async def scenario(conn, writer, central, turns):
-        conn.outbound.put_nowait(("data", b"event"))
-        conn.outbound.put_nowait(("control", b"chkpt"))
-        conn.outbound.put_nowait(("data", b"later"))
-        await turns()
-        assert writer.writes == [[b"event", b"chkpt"], [b"later"]]
+    async def scenario():
+        central = NetCentral(n_mirrors=1)
+        (writer,) = attach(central)
+        central.send("data", position(1))
+        central.send("control", ChkptMsg.from_wire(1, VectorTimestamp()))
+        assert [len(w) for w in writer.writes] == [2]  # no drain needed
+        central.send("data", position(2))
+        await central.drain()
+        assert [len(w) for w in writer.writes] == [2, 1]
         assert central.stats.control_flushes == 1
         assert central.stats.dry_flushes == 1
 
-    assert drive(scenario) == []
+    asyncio.run(scenario())
 
 
 def test_dead_transport_still_empties_the_queue():
-    async def scenario(conn, writer, central, turns):
+    async def scenario():
+        central = NetCentral(n_mirrors=1)
+        (writer,) = attach(central, closing=True)
         for i in range(3):
-            conn.outbound.put_nowait(("data", b"frame-%d" % i))
-        await turns()
-        # the peer is gone: nothing written, nothing left queued for a
-        # broadcast loop to block behind, and the loop has wound down
+            central.send("data", position(i + 1))
+        await central.drain()
+        # the peer is gone: nothing written, nothing held for the
+        # sending path to block behind, and the cork stays dead
+        cork = central.connections["mirror1"].outbound
         assert writer.writes == []
-        assert conn.outbound.empty()
-        assert conn.closed
+        assert cork.qsize() == 0 and cork.dead and not cork.backed_up
+        assert central.stats.dead_connection_flushes == 1
+        central.send("data", position(4))
+        await central.drain()
+        assert cork.qsize() == 0
         assert central.stats.dead_connection_flushes == 1
 
-    assert drive(scenario, closing=True) == []
+    asyncio.run(scenario())
+
+
+def test_a_backed_up_transport_paces_the_sending_path():
+    async def scenario():
+        central = NetCentral(n_mirrors=2)
+        slow, fast = attach(central, 2)
+        slow.transport.buffered = HIGH_WATER + 1
+        central.send("data", position(1))
+        assert not finishes_without_yielding(central.drain())
+        assert len(slow.writes) == len(fast.writes) == 1  # written first
+        await central.drain()
+        assert slow.transport.buffered == 0
+
+    asyncio.run(scenario())
+
+
+def test_one_chunk_costs_one_hop_per_queue_and_one_write_per_mirror():
+    """A 256-event source chunk crosses ``ready`` and ``main.inbox`` as
+    one item each and reaches every mirror in one ``writelines``, whose
+    bytes are a fresh shared encoding of the same events."""
+
+    async def scenario():
+        config = replace(simple_mirroring(), checkpoint_freq=10_000)
+        central = NetCentral(n_mirrors=2, config=config)
+        writers = attach(central, 2)
+        site = central.site
+        puts = {"ready": [], "inbox": []}
+        for name, queue in (("ready", site.ready), ("inbox", site.main.inbox)):
+            # every put, awaited or not, ends in put_nowait
+            def spy(item, _real=queue.put_nowait, _seen=puts[name]):
+                _seen.append(item)
+                return _real(item)
+
+            queue.put_nowait = spy
+        tasks = [
+            asyncio.ensure_future(site.receiving_task()),
+            asyncio.ensure_future(site.sending_task()),
+            asyncio.ensure_future(site.main.event_loop()),
+        ]
+        await site.data_in.put([position(i + 1) for i in range(256)])
+        while site.main.ede.processed < 256:
+            await asyncio.sleep(0)
+        counts = {name: len(items) for name, items in puts.items()}
+        run = puts["inbox"][0].events
+        await site.data_in.put(EOS)
+        await asyncio.gather(*tasks)
+        return counts, run, writers
+
+    counts, run, writers = asyncio.run(scenario())
+    assert counts == {"ready": 1, "inbox": 1}
+    assert len(run) == 256
+    cache = SharedFrameCache()
+    expected = b"".join(cache.encode(event) for event in run)
+    for writer in writers:
+        assert b"".join(writer.writes[0]) == expected
+        # the stream's close: the final checkpoint round, written at once
+        assert len(writer.writes) == 2
 
 
 def test_live_run_counts_dry_flushes_and_no_deadline_flushes():
