@@ -10,9 +10,9 @@ simulation backend while this one demonstrates the system live.
 
 A site publishes on a :class:`Channel`, which hands each payload
 straight to the link it is bound to (the TCP layer's encoder and
-per-connection corks) — no queue and no task between them.  A mirror
-site consumes through :class:`AsyncSubscription` queues that its socket
-reader fills.
+per-connection corks) — no queue and no task between them.  A mirror's
+socket reader puts each run on its main unit's inbox through an
+:class:`AsyncSubscription`, which counts how often the inbox was full.
 """
 
 from __future__ import annotations
@@ -25,12 +25,12 @@ __all__ = ["AsyncSubscription", "Channel", "Link"]
 
 
 class AsyncSubscription:
-    """One consumer's bounded queue (bound = backpressure depth)."""
+    """The put side of one consumer's bounded queue (bound =
+    backpressure depth)."""
 
-    def __init__(self, name: str, capacity: int = 128):
+    def __init__(self, name: str, queue: asyncio.Queue):
         self.name = name
-        self.queue: asyncio.Queue = asyncio.Queue(maxsize=capacity)
-        self.delivered = 0
+        self.queue = queue
         #: deepest the queue has ever been (how close backpressure came)
         self.high_watermark = 0
         #: puts that found the queue full and had to block the publisher
@@ -52,14 +52,6 @@ class AsyncSubscription:
         if depth > self.high_watermark:
             self.high_watermark = depth
 
-    async def get(self) -> Any:
-        """Await the next delivered payload."""
-        return await self.queue.get()
-
-    def level(self) -> int:
-        """Items currently queued for this subscriber."""
-        return self.queue.qsize()
-
 
 class Link(Protocol):
     """Where a site's channels deliver: :meth:`send` takes one payload
@@ -77,8 +69,8 @@ class Channel:
     tagged with the channel's kind, to the bound link synchronously, so
     every peer sees events and control in publish order."""
 
-    #: nothing queues on a channel; kept for callers that total
-    #: per-subscription backpressure counters
+    #: nothing queues on a channel; kept because benchmarks/e2e/server.py's
+    #: ``_counters`` still walks it, until ROADMAP 1(e)
     subscriptions: Tuple[AsyncSubscription, ...] = ()
 
     def __init__(self, name: str, link: Link, kind: str = "data"):

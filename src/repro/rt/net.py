@@ -26,6 +26,9 @@ leaves at once, with whatever data it follows, because checkpoint
 latency bounds backup-queue growth.  Back-pressure is the transport's:
 after a run the sending task waits on any connection whose transport
 is past its high-water mark, so the slowest mirror paces the stream.
+Every reply the socket layer sends back — a mirror's checkpoint vote,
+a client's response, a shard's transfer — is written in the turn that
+produces it.
 
 Two ways to run the topology:
 
@@ -52,6 +55,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from types import SimpleNamespace
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -78,7 +82,7 @@ from ..core.events import EventBatch, UpdateEvent
 from ..core.functions import default_registry, simple_mirroring
 from ..ois.clients import InitStateRequest, InitStateResponse
 from ..ois.flightdata import EventScript, FlightDataConfig, generate_script
-from ..shard.handoff import ShardControl
+from ..shard.handoff import ShardControl, ShardTransfer
 from ..sub.messages import SubAck, Subscribe, Unsubscribe
 from ..sub.registry import SubscriptionRegistry
 from ..wire import (
@@ -91,13 +95,7 @@ from ..wire import (
     WireEncoder,
 )
 from .channels import AsyncSubscription, Channel
-from .sites import (
-    CONTROL_BOUND,
-    EOS,
-    MAX_RUN_EVENTS,
-    AsyncCentralSite,
-    AsyncMirrorSite,
-)
+from .sites import EOS, MAX_RUN_EVENTS, AsyncCentralSite, AsyncMirrorSite
 from .tasks import TaskSupervisor
 
 __all__ = [
@@ -121,10 +119,6 @@ READ_BYTES = 16 * 1024
 #: mid-run; a run of :data:`~repro.rt.sites.MAX_RUN_EVENTS` ordinary
 #: events stays well under it, so it leaves in one write.
 FLUSH_BYTES = 64 * 1024
-#: ``NetMirror.data_sub`` holds runs of events off the central
-#: connection.  Full: the mirror's reader blocks and stops reading its
-#: socket.  Drained by the mirror's ``receiving_task``.
-MIRROR_DATA_BOUND = 8
 #: Bytes a subscriber's transport may hold unsent.  Past it the
 #: subscriber is too slow for the stream it asked for: it is
 #: disconnected, its registrations die with the connection, and it
@@ -192,8 +186,8 @@ class NetRunSummary:
     wall_seconds: float = 0.0
     #: seconds from central's stamp to its local apply, averaged
     mean_update_delay: float = 0.0
-    #: channel backpressure evidence: deepest any subscription queue ran
-    #: and how many publisher puts blocked on a full queue
+    #: backpressure evidence: deepest any mirror's inbox ran (in runs)
+    #: and how many of its socket reader's puts found it full
     channel_high_watermark: int = 0
     channel_blocked_puts: int = 0
     wire: WireStats = field(default_factory=WireStats)
@@ -398,7 +392,6 @@ class NetCentral:
             participants,
             adaptation=controller, site=site_name,
         )
-        self.site.main.distribute_updates = True
         self.site.main.delta_snapshots = self.config.delta_snapshots
         self.site.main.delta_fallback_fraction = self.config.delta_fallback_fraction
         self.connections: Dict[str, _MirrorConnection] = {}
@@ -607,17 +600,22 @@ class NetCentral:
         The sharded runtime (:mod:`repro.rt.shards`) feeds each shard's
         central site over one ordered TCP connection instead of an
         in-process queue: EVENT/BATCH frames enter ``data_in`` exactly
-        where the local source coroutine would put them, handoff
+        where the local source coroutine would put them, and handoff
         tombstones and transfer installs ride the same connection (their
         ordering against events is the handoff protocol's correctness
-        argument), and the shard's own transfer *replies* travel back on
-        this socket from the main unit's ``shard_out`` queue.
+        argument).  The shard's own transfer *replies* travel back on
+        this socket: the main unit's ``shard_out`` sink writes each in
+        the turn that extracts the flight — no queue, no task, no drain.
+        The protocol bounds what the transport holds: one transfer per
+        tombstone the router sent.
         """
-        main = self.site.main
-        out = main.shard_out
-        if out is None:
-            out = main.shard_out = asyncio.Queue()
-        reply_task = asyncio.create_task(self._transfer_writer(writer, out))
+        encoder = WireEncoder()
+
+        def reply(transfer: ShardTransfer) -> None:
+            if not writer.is_closing():
+                _reply(writer, self.stats, encoder.encode_message, transfer)
+
+        self.site.main.shard_out = reply
         data_in = self.site.data_in
         try:
             while True:
@@ -635,30 +633,8 @@ class NetCentral:
         finally:
             # by the time the router sends EOS it has received every
             # transfer reply (it only closes the stream when no handoff
-            # is pending), so the writer drains nothing after this
-            await out.put(None)
-            await asyncio.gather(reply_task, return_exceptions=True)
+            # is pending), so nothing is owed on this socket any more
             writer.close()
-
-    async def _transfer_writer(
-        self, writer: asyncio.StreamWriter, out: asyncio.Queue,
-    ) -> None:
-        """Ship transfer replies back to the router (None = stop)."""
-        encoder = WireEncoder()
-        stats = self.stats
-        while True:
-            transfer = await out.get()
-            if transfer is None:
-                break
-            t0 = time.perf_counter_ns()
-            frame = encoder.encode_message(transfer)
-            stats.encode_ns += time.perf_counter_ns() - t0
-            stats.frames_sent += 1
-            stats.bytes_sent += len(frame)
-            stats.flushes += 1
-            stats.control_flushes += 1
-            writer.write(frame)
-            await writer.drain()
 
     async def shutdown_stream(self) -> None:
         """Propagate end-of-stream to every mirror connection and every
@@ -834,6 +810,22 @@ def _runs(chunk: Iterable[Any]) -> Iterator[Any]:
         yield run
 
 
+def _reply(
+    writer: asyncio.StreamWriter, stats: WireStats,
+    encode: Callable[[Any], bytes], msg: Any,
+) -> None:
+    """Encode ``msg`` and write it on its own, in the caller's turn: a
+    response, a checkpoint vote or a transfer reply."""
+    t0 = time.perf_counter_ns()
+    frame = encode(msg)
+    stats.encode_ns += time.perf_counter_ns() - t0
+    stats.frames_sent += 1
+    stats.bytes_sent += len(frame)
+    stats.flushes += 1
+    stats.control_flushes += 1
+    writer.write(frame)
+
+
 async def _serve_client(
     main: Any, writer: asyncio.StreamWriter,
     frames: _FrameReader, stats: WireStats,
@@ -861,14 +853,7 @@ async def _serve_client(
                     # a gauge: meant to be seen across the awaits
                     main._pending_requests -= 1  # lint: allow-async-interleaving
                     owed -= 1
-                    t0 = time.perf_counter_ns()
-                    frame = encoder.encode_response(response)
-                    stats.encode_ns += time.perf_counter_ns() - t0
-                    stats.frames_sent += 1
-                    stats.bytes_sent += len(frame)
-                    stats.flushes += 1
-                    stats.control_flushes += 1
-                    writer.write(frame)
+                    _reply(writer, stats, encoder.encode_response, response)
                     await writer.drain()
                     if owed:
                         await asyncio.sleep(0)
@@ -1232,23 +1217,33 @@ async def _run_subscriber(
 class NetMirror:
     """Mirror site connected to the central server over TCP.
 
-    Runs the stock :class:`AsyncMirrorSite` over subscriptions fed by
-    the socket reader; checkpoint votes travel back on the same socket.
-    Also listens on its own port for thin-client REQUEST traffic.
+    A mirror is its socket reader plus its main unit's event loop.  The
+    reader takes the central connection's stream a chunk per turn, in
+    stream order: each run of events is backed up
+    (:meth:`AsyncMirrorSite.on_run`), matched against the subscribers
+    once and put on the main unit's inbox once; a handoff control frame
+    is queued in place; a CHKPT's vote is written back on the same
+    socket in the turn that reads it, and a COMMIT is applied there
+    (:meth:`AsyncMirrorSite.on_control`).  The event loop applies what
+    the inbox holds, a budget at a time, so client requests interleave
+    with applies.  Also listens on its own port for thin-client REQUEST
+    traffic.
     """
 
     def __init__(self, name: str, config: Optional[MirrorConfig] = None):
         self.name = name
         self.config = config if config is not None else simple_mirroring()
         self.stats = WireStats()
-        self.data_sub = AsyncSubscription(
-            f"{name}.data", capacity=MIRROR_DATA_BOUND
-        )
-        self.ctrl_sub = AsyncSubscription(f"{name}.ctrl", capacity=CONTROL_BOUND)
-        self.reply_to: asyncio.Queue = asyncio.Queue(maxsize=CONTROL_BOUND)
-        self.site = AsyncMirrorSite(name, self.data_sub, self.ctrl_sub, self.reply_to)
+        self.site = AsyncMirrorSite(name)
         self.site.main.delta_snapshots = self.config.delta_snapshots
         self.site.main.delta_fallback_fraction = self.config.delta_fallback_fraction
+        #: the reader's put side of the main unit's inbox (the same
+        #: queue), counting how often the inbox was full
+        self.data_sub = AsyncSubscription(f"{name}.data", self.site.main.inbox)
+        #: inert, reads 0 / 0: nothing queues control on a mirror.
+        #: benchmarks/e2e/server.py's ``_counters`` still totals it, until
+        #: ROADMAP 1(e) gives that reader a stats() mapping
+        self.ctrl_sub = SimpleNamespace(high_watermark=0, blocked_puts=0)
         self.port: Optional[int] = None
         self._client_server: Optional[asyncio.base_events.Server] = None
         self._conn_tasks: List[asyncio.Task] = []
@@ -1287,29 +1282,18 @@ class NetMirror:
         return self.port
 
     async def run(self, host: str, port: int) -> None:
-        """Connect to central and run the mirror site to completion."""
+        """Connect to central and run the mirror site to completion: the
+        socket reader and the main unit's event loop, supervised — the
+        first of the two to fail cancels the other and its exception is
+        raised."""
         reader, writer = await asyncio.open_connection(host, port)
         tasks = TaskSupervisor()
-
-        async def drain() -> None:
-            hello_enc = WireEncoder()
-            writer.write(hello_enc.encode_hello(Hello("mirror", self.name)))
-            await writer.drain()
-            self.stats.frames_sent += 1
-            site_tasks = [
-                tasks.spawn(self.site.receiving_task()),
-                tasks.spawn(self.site.control_task()),
-                tasks.spawn(self.site.main.event_loop()),
-            ]
-            reply_writer = tasks.spawn(self._reply_loop(writer, hello_enc))
-            await self._reader_loop(reader)
-            await asyncio.gather(*site_tasks)
-            # site fully drained: close the uplink
-            await self.reply_to.put(EOS)
-            await reply_writer
-
         try:
-            await tasks.guard(drain())
+            encoder = WireEncoder()  # the uplink's: HELLO, votes, EOS
+            writer.write(encoder.encode_hello(Hello("mirror", self.name)))
+            self.stats.frames_sent += 1
+            applying = tasks.spawn(self.site.main.event_loop())
+            await tasks.guard(self._reader_loop(reader, writer, encoder, applying))
         finally:
             writer.close()  # first: a second cancellation may cut the rest short
             await tasks.cancel()
@@ -1324,64 +1308,51 @@ class NetMirror:
             self.subfan.collect_shared_stats()
         await _cancel_tracked(self._conn_tasks)
 
-    async def _reader_loop(self, reader: asyncio.StreamReader) -> None:
-        """Move the central connection's stream into the site, a chunk
-        per hop: each run of events is matched against the subscribers
-        once and queued once (a lone event travels as itself)."""
+    async def _reader_loop(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter,
+        encoder: WireEncoder, applying: "asyncio.Task[None]",
+    ) -> None:
+        """Take the central connection's stream into the site a chunk
+        per turn (a lone event travels as itself).  At end of stream —
+        clean EOS, or central vanished — end the subscribers' and the
+        inbox's streams, wait for the event loop to apply what is
+        queued, and close the uplink with EOS."""
         frames = _FrameReader(reader, self.stats)
-        data_sub, ctrl_sub, subfan = self.data_sub, self.ctrl_sub, self.subfan
+        site, inbox, subfan, stats = self.site, self.data_sub, self.subfan, self.stats
         while True:
             chunk = await frames.next_chunk()
             ended = chunk is None
             for item in _runs(chunk or ()):
                 if type(item) is list:
+                    site.on_run(item)
                     payload = item[0] if len(item) == 1 else EventBatch(item)
                     subfan.fanout(payload)
-                    await data_sub.put(payload)
-                    data_sub.delivered += 1
+                    await inbox.put(payload)
                 elif isinstance(item, ShardControl):
-                    # handoff control frames take the DATA path: their
+                    # handoff control frames take the data path: their
                     # whole contract is ordering against the event stream
-                    await data_sub.put(item)
-                    data_sub.delivered += 1
+                    await inbox.put(item)
                 elif item == WIRE_EOS:
                     ended = True
                     break
                 else:
-                    await ctrl_sub.put(item)
-                    ctrl_sub.delivered += 1
+                    vote = site.on_control(item)
+                    if vote is not None:
+                        _reply(writer, stats, encoder.encode_message, vote)
+                        await writer.drain()
             if ended:
-                # clean EOS, or central vanished: end of stream either way
-                subfan.eos()
-                await data_sub.put(EOS)
-                await ctrl_sub.put(EOS)
                 break
             # the chunk is dealt with, trailing control frame and all:
             # subscribers get what it matched in one write each
             subfan.flush()
-
-    async def _reply_loop(
-        self, writer: asyncio.StreamWriter, encoder: WireEncoder
-    ) -> None:
-        stats = self.stats
-        while True:
-            reply = await self.reply_to.get()
-            if reply == EOS:
-                frame = encoder.encode_eos()
-                stats.frames_sent += 1
-                stats.bytes_sent += len(frame)
-                writer.write(frame)
-                await writer.drain()
-                break
-            t0 = time.perf_counter_ns()
-            frame = encoder.encode_message(reply)
-            stats.encode_ns += time.perf_counter_ns() - t0
-            stats.frames_sent += 1
-            stats.bytes_sent += len(frame)
-            stats.flushes += 1
-            stats.control_flushes += 1
-            writer.write(frame)
-            await writer.drain()
+        subfan.eos()
+        await inbox.put(EOS)
+        await applying
+        frame = encoder.encode_eos()
+        stats.frames_sent += 1
+        stats.bytes_sent += len(frame)
+        writer.write(frame)
+        await writer.drain()
 
 
 async def _run_client(
@@ -1546,10 +1517,7 @@ async def run_net_scenario(
     for mirror in mirrors:
         stats.merge(mirror.stats)
     mains = [site.main] + [m.site.main for m in mirrors]
-    subs = [central_sub
-            for channel in (site.mirror_channel, site.ctrl_channel)
-            for central_sub in channel.subscriptions]
-    subs += [m.data_sub for m in mirrors] + [m.ctrl_sub for m in mirrors]
+    subs = [m.data_sub for m in mirrors]
     return NetRunSummary(
         events_in=len(script),
         events_mirrored=site.mirrored_events,

@@ -3,8 +3,8 @@ process runner.
 
 One PR 5/6 central site funnels every update through a single core.
 This module runs **N central shards** — each a full
-:class:`~repro.rt.net.NetCentral` with its own mirror set, its own
-checkpoint rounds and its own failure detector — and puts a thin
+:class:`~repro.rt.net.NetCentral` with its own mirror set and its own
+checkpoint rounds — and puts a thin
 **ingress router** in front:
 
 * placement is pure and shared (:mod:`repro.shard.partition`): the
@@ -29,12 +29,12 @@ checkpoint rounds and its own failure detector — and puts a thin
   to the owning shard's serving port for snapshots — the router is on
   the ingest path only, never on the read path.
 
-Failure domains: every shard owns a private
-:class:`~repro.faults.detector.FailureDetector` and
-:class:`~repro.faults.detector.MembershipView` over its qualified site
-names (``shard0/central``, ``shard0/mirror1``, ...) — a crash inside
-one shard is invisible to every other shard's detector, which is the
-TerraServer partition-by-keyspace failure story.
+Checkpoint domains: every shard's coordinator agrees over that shard's
+qualified site names only (``shard0/central``, ``shard0/mirror1``, ...),
+so rounds in one shard never wait on another.  The live cluster detects
+no failure yet; detection and failover per shard are the simulator's
+(``python -m repro chaos --shard shardK``, resolved by
+:mod:`repro.faults.siteid` against the same qualified names).
 
 Two deployment shapes, mirroring :mod:`repro.rt.net`:
 
@@ -53,11 +53,10 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import MirrorConfig
 from ..core.events import EventBatch, UpdateEvent
-from ..faults.detector import FailureDetector, MembershipView
 from ..ois.clients import InitStateRequest, InitStateResponse
 from ..ois.flightdata import EventScript, FlightDataConfig, generate_script
 from ..shard.handoff import RoutingCore, ShardTransfer, merge_digests
@@ -84,9 +83,6 @@ __all__ = [
     "ShardProcessRunner",
     "fetch_shard_map",
 ]
-
-#: Heartbeat interval (seconds) for the per-shard failure detectors.
-SHARD_HEARTBEAT_INTERVAL = 0.05
 
 
 def shard_site(index: int, site: str) -> str:
@@ -116,7 +112,6 @@ class ShardedRunSummary:
     checkpoint_commits: int
     requests_served: int
     client_latencies: List[float] = field(default_factory=list)
-    detector_domains: List[List[str]] = field(default_factory=list)
     wall_seconds: float = 0.0
     events_per_second: float = 0.0
     wire: WireStats = field(default_factory=WireStats)
@@ -131,12 +126,12 @@ class ShardedRunSummary:
 
 
 class ShardRuntime:
-    """One shard: a central site, its mirrors, its failure domain.
+    """One shard: a central site and its mirrors.
 
     Wraps a :class:`~repro.rt.net.NetCentral` under qualified site names
-    and hosts the mirror set; the shard's checkpoint coordinator and
-    failure detector see only this shard's sites, so rounds and
-    suspicions in one shard never couple to another.
+    and hosts the mirror set; the shard's checkpoint coordinator sees
+    only this shard's sites, so rounds in one shard never couple to
+    another.
     """
 
     def __init__(
@@ -144,12 +139,10 @@ class ShardRuntime:
         index: int,
         n_mirrors: int = 1,
         config: Optional[MirrorConfig] = None,
-        clock: Callable[[], float] = time.monotonic,
     ):
         self.index = index
         self.name = shard_name(index)
         self.n_mirrors = n_mirrors
-        self.clock = clock
         self.central_site_name = shard_site(index, "central")
         self.mirror_names = [
             shard_site(index, f"mirror{i + 1}") for i in range(n_mirrors)
@@ -164,13 +157,6 @@ class ShardRuntime:
             NetMirror(name, config=self.central.config)
             for name in self.mirror_names
         ]
-        #: this shard's private failure domain
-        self.detector = FailureDetector(interval=SHARD_HEARTBEAT_INTERVAL)
-        self.membership = MembershipView(
-            [self.central_site_name] + self.mirror_names,
-            primary=self.central_site_name,
-        )
-        self._beats = 0
         self.port: Optional[int] = None
         self.client_ports: List[int] = []
         #: the first mirror or site task to raise ends
@@ -184,15 +170,6 @@ class ShardRuntime:
         """The shard's client-facing serving port (first mirror, or the
         central itself when the shard runs mirror-less)."""
         return self.client_ports[0]
-
-    def _beat_all(self) -> None:
-        """One synthetic heartbeat round: sites that are up and draining
-        count as beating (the live runtime has no separate beacon task;
-        liveness is inferred from serving progress)."""
-        self._beats += 1
-        now = self.clock()
-        for site in (self.central_site_name, *self.mirror_names):
-            self.detector.heartbeat(site, self._beats, now)
 
     async def start(
         self,
@@ -209,28 +186,20 @@ class ShardRuntime:
             )
         if not self.client_ports:
             self.client_ports = [self.port]
-        now = self.clock()
-        for site in (self.central_site_name, *self.mirror_names):
-            self.detector.register(site, now)
         self._mirror_tasks = [
             self._tasks.spawn(m.run(host, self.port)) for m in self.mirrors
         ]
         await self.central.mirrors_connected.wait()
-        self._beat_all()
         self._central_run = self._tasks.spawn(self.central.run())
         return self.port
 
     async def run_to_completion(self) -> None:
         """Wait for the stream to drain, then shut the shard down."""
         await self._tasks.guard(self._drain())
-        self._beat_all()
-        for tr in self.detector.evaluate(self.clock()):
-            self.membership.mark(tr.site, tr.new, tr.at)
 
     async def _drain(self) -> None:
         site = self.central.site
         await site.stream_done.wait()
-        self._beat_all()
         await self.central.shutdown_stream()
         await self.central.wait_mirrors_done()
         await asyncio.gather(*self._mirror_tasks)
@@ -824,7 +793,6 @@ async def run_sharded_scenario(
         ),
         requests_served=sum(len(m.responses) for m in mains),
         client_latencies=client_latencies,
-        detector_domains=[list(rt.membership.statuses) for rt in shards],
         wall_seconds=wall,
         events_per_second=(len(script) / wall if wall > 0 else 0.0),
         wire=wire,
@@ -878,7 +846,6 @@ def _shard_process_main(
                     "checkpoint_rounds": rt.central.site.coordinator.rounds_started,
                     "frames_received": stats.frames_received,
                     "bytes_received": stats.bytes_received,
-                    "detector_sites": list(rt.membership.statuses),
                 },
                 fh,
             )

@@ -1,8 +1,10 @@
 """Live (asyncio) central and mirror sites.
 
-Each site runs the same unit split as the simulation backend — an
-auxiliary unit (receiving/sending/control tasks) and a main unit (EDE +
-request service) — as asyncio tasks.  All protocol logic is the *same
+Each site keeps the simulation backend's unit split — an auxiliary unit
+and a main unit (EDE + request service).  The central's auxiliary unit
+runs as receiving, sending and control tasks; a mirror's is a few
+synchronous methods its socket reader calls in stream order, feeding
+the main unit's event loop.  All protocol logic is the *same
 objects* the simulation uses: :class:`~repro.core.rules.RuleEngine`,
 :class:`~repro.core.checkpoint.CheckpointCoordinator` /
 :class:`MainUnitCheckpointer`, :class:`~repro.core.queues.BackupQueue`
@@ -42,7 +44,7 @@ from ..shard.handoff import (
     extract_transfer,
     install_transfer,
 )
-from .channels import AsyncSubscription, Channel
+from .channels import Channel
 
 __all__ = [
     "EOS",
@@ -63,7 +65,7 @@ EOS = "__end_of_stream__"
 #
 #   source reader -> data_in -> ready -> inbox
 #                                     -> cork -> transport -> socket
-#     -> mirror reader -> data_sub -> mirror inbox
+#     -> mirror reader -> mirror inbox
 #
 # has no cycle: each queue is drained by a task that blocks only on
 # queues to its right, and the ends (a main unit's event loop, the
@@ -72,8 +74,9 @@ EOS = "__end_of_stream__"
 # past its high-water mark — so a transport holds at most its mark plus
 # one run, and the slowest mirror paces the stream.  The control path
 # does loop (CHKPT down, CHKPT_REP up, COMMIT down), but the protocol
-# sets its volume, not the load — one round collects at a time — so its
-# queues never fill.  (rt/net.py declares the socket layer's share.)
+# sets its volume, not the load — one round collects at a time — so
+# ``ctrl_in`` never fills, and a mirror writes its vote in the turn its
+# reader takes the CHKPT.  (rt/net.py declares the socket layer's share.)
 
 #: ``data_in`` holds runs.  Full: the source connection's reader blocks
 #: and stops reading — the source sees TCP back-pressure.  Drained by
@@ -86,12 +89,12 @@ READY_BOUND = 1
 #: ``main.inbox`` of the central site holds runs (one EventBatch each).
 #: Full: ``sending_task`` blocks.  Drained by ``event_loop``.  Together
 #: with ``ready`` it holds at most 2 * MAX_RUN_EVENTS = 256 events.  A
-#: mirror's holds runs too; full: its ``receiving_task`` blocks, then
-#: ``data_sub`` fills and the mirror stops reading its socket.
+#: mirror's holds runs too, put by its socket reader; full: the reader
+#: blocks and stops reading its socket.
 CENTRAL_INBOX_BOUND = 1
 MIRROR_INBOX_BOUND = 8
-#: ``ctrl_in`` / ``reply_to`` hold checkpoint votes on their way to the
-#: coordinator: at most one per site per round in flight.
+#: ``ctrl_in`` holds checkpoint votes on their way to the coordinator:
+#: at most one per site per round in flight.
 CONTROL_BOUND = 256
 #: Most events one queue item carries over TCP.
 MAX_RUN_EVENTS = 128
@@ -156,6 +159,8 @@ class AsyncMainUnit:
         self.ede: Any = EventDerivationEngine()
         self.checkpointer = MainUnitCheckpointer(site)
         self.inbox: asyncio.Queue = asyncio.Queue(maxsize=inbox_bound)
+        #: events taken off the inbox and applied
+        self.events_applied = 0
         #: distributed updates, their delays (seconds, with the running
         #: total) and served responses: counted, not retained
         self.updates = RecentWindow()
@@ -175,9 +180,10 @@ class AsyncMainUnit:
         self.delta_snapshots_served = 0
         self.bytes_saved_by_delta = 0
         #: cross-shard handoff (repro.shard): a central main unit with a
-        #: queue here replies to tombstones with transfer frames; mirrors
-        #: (and unsharded centrals) leave it None and only apply them
-        self.shard_out: Optional[asyncio.Queue] = None
+        #: sink here replies to tombstones with transfer frames, written
+        #: in the turn that extracts the flight; mirrors (and unsharded
+        #: centrals) leave it None and only apply them
+        self.shard_out: Optional[Callable[[ShardTransfer], None]] = None
         self.handoffs_out = 0
         self.transfers_in = 0
 
@@ -203,7 +209,7 @@ class AsyncMainUnit:
             if isinstance(item, ShardControl):
                 # arrives on the same queue as events, so everything
                 # enqueued before it has been applied by now
-                await self._apply_shard_control(item)
+                self._apply_shard_control(item)
                 continue
             events = item.events if isinstance(item, EventBatch) else (item,)
             if self.distribute_updates:
@@ -232,17 +238,18 @@ class AsyncMainUnit:
                 for event in events:
                     ede.process(event)
                     note_processed(event.stream, event.seqno)
+            self.events_applied += len(events)
             applied += len(events)
             if applied >= EVENT_LOOP_BUDGET:
                 applied = 0
                 await asyncio.sleep(0)  # cooperative yield
 
-    async def _apply_shard_control(self, item: ShardControl) -> None:
+    def _apply_shard_control(self, item: ShardControl) -> None:
         """Apply a handoff tombstone or transfer install in stream order.
 
         A :class:`ShardHandoff` extracts + removes the flight; when this
-        unit has a ``shard_out`` queue (a central shard's main unit) the
-        resulting :class:`ShardTransfer` is emitted for the router —
+        unit has a ``shard_out`` sink (a central shard's main unit) the
+        resulting :class:`ShardTransfer` goes to it for the router —
         mirrors just tombstone.  A received transfer installs the
         flight's state ahead of its post-handoff updates.
         """
@@ -250,7 +257,7 @@ class AsyncMainUnit:
             transfer = extract_transfer(self.ede, item)
             self.handoffs_out += 1
             if self.shard_out is not None:
-                await self.shard_out.put(transfer)
+                self.shard_out(transfer)
         elif isinstance(item, ShardTransfer):
             install_transfer(self.ede, item)
             self.transfers_in += 1
@@ -513,72 +520,50 @@ class AsyncCentralSite:
 
 
 class AsyncMirrorSite:
-    """Live mirror site: receive mirrored events, serve requests,
-    answer checkpoint control traffic."""
+    """Live mirror site: the paper's auxiliary unit as what its socket
+    reader calls in stream order — back up a run (:meth:`on_run`), vote
+    on a CHKPT and apply a COMMIT (:meth:`on_control`) — in front of a
+    main unit that applies the runs and serves requests.  No task of
+    its own: the reader queues each run on ``main.inbox``."""
 
-    def __init__(
-        self,
-        site: str,
-        data_in: AsyncSubscription,
-        ctrl_in: AsyncSubscription,
-        reply_to: asyncio.Queue,
-        clock: Callable[[], float] = time.monotonic,
-    ):
+    def __init__(self, site: str, clock: Callable[[], float] = time.monotonic):
         self.site = site
         self.clock = clock
-        self.data_in = data_in
-        self.ctrl_in = ctrl_in
-        self.reply_to = reply_to
         self.main = AsyncMainUnit(
             site, clock=clock, inbox_bound=MIRROR_INBOX_BOUND
         )
         self.backup = BackupQueue()
+        #: events handed to :meth:`on_run`; those the main unit has not
+        #: applied yet are the mirror's ready queue
+        self.events_received = 0
         self.applied_config: Optional[MirrorConfig] = None
         self._applied_adapt_seq = 0
-        self.stopped = asyncio.Event()
 
     def monitor_readings(self) -> Dict[str, float]:
-        """Mirror-site monitored variables (piggybacked on votes)."""
+        """Mirror-site monitored variables (piggybacked on votes); the
+        ready queue counts events received and not yet applied, as the
+        central's counts events, the unit its thresholds are set in."""
+        ready = self.events_received - self.main.events_applied
         return {
-            MONITOR_READY_QUEUE: float(self.data_in.level()),
+            MONITOR_READY_QUEUE: float(ready),
             MONITOR_BACKUP_QUEUE: float(len(self.backup)),
             MONITOR_PENDING_REQUESTS: float(self.main._pending_requests),
         }
 
-    async def receiving_task(self) -> None:
-        """Back up and forward mirrored events to the local main unit."""
-        while True:
-            event = await self.data_in.get()
-            if event == EOS:
-                await self.main.inbox.put(EOS)
-                break
-            if isinstance(event, ShardControl):
-                # ordered passthrough: no backup (nothing to trim by),
-                # no stamping — the main unit applies it in-place
-                await self.main.inbox.put(event)
-                continue
-            if isinstance(event, EventBatch):
-                self.backup.extend(event.events)
-                # forward the batch whole: one inbox hop per batch (the
-                # event loop unpacks it)
-                await self.main.inbox.put(event)
-                continue
-            self.backup.append(event)
-            await self.main.inbox.put(event)
+    def on_run(self, events: List[UpdateEvent]) -> None:
+        """Back up a run of mirrored events on its way to the main unit."""
+        self.backup.extend(events)
+        self.events_received += len(events)
 
-    async def control_task(self) -> None:
-        """Answer CHKPT proposals; apply COMMITs and adaptations."""
-        while True:
-            msg = await self.ctrl_in.get()
-            if msg == EOS:
-                break
-            if isinstance(msg, ChkptMsg):
-                reply = self.main.checkpointer.on_chkpt(
-                    msg, self.monitor_readings()
-                )
-                await self.reply_to.put(reply)
-            elif isinstance(msg, CommitMsg):
-                if msg.adapt is not None and msg.adapt.seq > self._applied_adapt_seq:
-                    self._applied_adapt_seq = msg.adapt.seq
-                    self.applied_config = msg.adapt.config
-                self.backup.trim(self.main.checkpointer.on_commit(msg))
+    def on_control(self, msg: Any) -> Optional[ChkptRepMsg]:
+        """Return the vote for a CHKPT — ``min(chkpt, processed)`` and
+        the monitored readings; apply a COMMIT: trim the backup and take
+        any adaptation it carries.  Anything else is ignored."""
+        if isinstance(msg, ChkptMsg):
+            return self.main.checkpointer.on_chkpt(msg, self.monitor_readings())
+        if isinstance(msg, CommitMsg):
+            if msg.adapt is not None and msg.adapt.seq > self._applied_adapt_seq:
+                self._applied_adapt_seq = msg.adapt.seq
+                self.applied_config = msg.adapt.config
+            self.backup.trim(self.main.checkpointer.on_commit(msg))
+        return None

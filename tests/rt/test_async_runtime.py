@@ -147,18 +147,60 @@ def test_channel_backpressure_blocks_publisher():
     assert run(scenario()) == ([1, 2], 2)
 
 
-def test_subscription_owns_a_bounded_queue_by_default():
+def test_subscription_puts_into_the_queue_it_wraps_and_counts_stalls():
     async def scenario():
-        sub = AsyncSubscription("own", capacity=1)
+        queue = asyncio.Queue(maxsize=1)
+        sub = AsyncSubscription("own", queue)
         await sub.put("x")
         with pytest.raises(asyncio.TimeoutError):
             await asyncio.wait_for(sub.put("y"), timeout=0.05)
-        return await sub.get(), sub.level(), sub.blocked_puts
+        return queue.get_nowait(), queue.qsize(), sub.blocked_puts, sub.high_watermark
 
-    assert run(scenario()) == ("x", 0, 1)
+    assert run(scenario()) == ("x", 0, 1, 1)
 
 
 # --------------------------------------------------------------- full runs
+def test_a_connected_mirror_adds_at_most_four_tasks():
+    """A mirror is its socket reader plus its main unit's event loop:
+    connected, it adds its run, the reader, the event loop and central's
+    handler for its connection — no task per queue hop or per reply."""
+
+    async def scenario():
+        central = NetCentral(1)
+        mirror = NetMirror("mirror1")
+        site = central.site
+        tasks = TaskSupervisor()
+        try:
+            port = await central.start(host=HOST)
+            before = len(asyncio.all_tasks())
+            mirror_run = tasks.spawn(mirror.run(HOST, port))
+            await central.mirrors_connected.wait()
+            await asyncio.sleep(0.01)  # both ends past their handshake
+            added = len(asyncio.all_tasks()) - before
+
+            async def drive():
+                central_run = tasks.spawn(central.run())
+                for se in script().fresh_events():
+                    await site.data_in.put([se.event])
+                await site.data_in.put(EOS)
+                await site.stream_done.wait()
+                await central.shutdown_stream()
+                await central.wait_mirrors_done()
+                await mirror_run
+                await site.ctrl_in.put(EOS)
+                await central_run
+
+            await tasks.guard(drive())
+        finally:
+            await tasks.cancel()
+            await central.close()
+            await mirror.close()
+        assert mirror.site.main.ede.state_digest() == site.main.ede.state_digest()
+        return added
+
+    assert run(scenario()) <= 4
+
+
 def test_live_run_processes_everything():
     summary = run(run_net_scenario(script(), n_mirrors=2))
     assert summary.events_processed_central == summary.events_in

@@ -158,21 +158,15 @@ async def drill():
                 (site.main.inbox, sites.CENTRAL_INBOX_BOUND),
             ]
             for mirror in mirrors:
-                bounded += [
-                    (mirror.data_sub.queue, net.MIRROR_DATA_BOUND),
-                    (mirror.ctrl_sub.queue, sites.CONTROL_BOUND),
-                    (mirror.reply_to, sites.CONTROL_BOUND),
-                    (mirror.site.main.inbox, sites.MIRROR_INBOX_BOUND),
-                ]
+                bounded.append((mirror.site.main.inbox, sites.MIRROR_INBOX_BOUND))
             for queue, bound in bounded:
                 assert queue.maxsize == bound > 0
                 assert queue.qsize() == 0
-            subs = list(site.mirror_channel.subscriptions)
-            subs += list(site.ctrl_channel.subscriptions)
             for mirror in mirrors:
-                subs += [mirror.data_sub, mirror.ctrl_sub]
-            for sub in subs:
-                assert sub.high_watermark <= sub.queue.maxsize
+                # the reader's put side is the inbox itself, not a queue
+                # in front of it
+                assert mirror.data_sub.queue is mirror.site.main.inbox
+                assert mirror.data_sub.high_watermark <= sites.MIRROR_INBOX_BOUND
             # ready and the central inbox hold runs: no more events
             # between them than the per-event queues they replaced
             assert (
@@ -191,10 +185,10 @@ async def drill():
             # twice over (a round commits what its predecessor's flight
             # time let through), plus the events between two rounds:
             # ready and the inbox in runs, the run in hand, a transport
-            # at its high-water mark, and the mirror's queues in runs
+            # at its high-water mark, and the mirror's inbox in runs
             in_flight = (
                 (sites.READY_BOUND + sites.CENTRAL_INBOX_BOUND + 1
-                 + net.MIRROR_DATA_BOUND + sites.MIRROR_INBOX_BOUND)
+                 + sites.MIRROR_INBOX_BOUND)
                 * sites.MAX_RUN_EVENTS
                 + high_water // min_frame
             )

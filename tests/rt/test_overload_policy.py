@@ -14,8 +14,9 @@ import time
 import pytest
 
 from repro.core import simple_mirroring
-from repro.core.adaptation import MONITOR_PENDING_REQUESTS
-from repro.core.events import FAA_POSITION, EventBatch, UpdateEvent
+from repro.core.adaptation import MONITOR_PENDING_REQUESTS, MONITOR_READY_QUEUE
+from repro.core.checkpoint import ChkptMsg, ChkptRepMsg
+from repro.core.events import FAA_POSITION, EventBatch, UpdateEvent, VectorTimestamp
 from repro.ois import FlightDataConfig, generate_script
 from repro.ois.clients import InitStateRequest, InitStateResponse
 from repro.ois.ede import EventDerivationEngine
@@ -33,7 +34,7 @@ from repro.rt.sites import RecentWindow
 from repro.rt.tasks import TaskSupervisor
 from repro.sub.messages import Subscribe
 from repro.sub.predicate import And, ByFlight, ByKind, FieldCmp, MatchAll, Or
-from repro.wire import Hello, WireEncoder
+from repro.wire import EOS as WIRE_EOS, Hello, WireEncoder
 
 HOST = "127.0.0.1"
 
@@ -200,6 +201,60 @@ def test_pipelined_requests_show_in_the_pending_gauge():
 
     run(asyncio.wait_for(main(), timeout=30))
     assert max(seen) > 0
+
+
+# ------------------------------------------------------ a mirror's ready queue
+def test_a_mirror_votes_the_events_waiting_in_its_inbox_as_its_ready_queue():
+    """Runs a mirror has received and not yet applied are its ready
+    queue, counted in events as central's is (the unit its thresholds
+    are set in): with the event loop held, a CHKPT's vote reports every
+    event of the runs in the inbox."""
+    n_events = 200  # two or three runs: the inbox holds them all
+    votes = []
+
+    async def main():
+        mirror = NetMirror("mirror1")
+        main_unit = mirror.site.main
+        release = asyncio.Event()
+        served = asyncio.Event()
+        event_loop = main_unit.event_loop
+
+        async def held_event_loop():
+            await release.wait()
+            await event_loop()
+
+        main_unit.event_loop = held_event_loop
+
+        async def central(reader, writer):
+            frames = _FrameReader(reader, WireStats())
+            assert isinstance(await frames.next_message(), Hello)
+            encoder = WireEncoder()
+            vt, frames_out = VectorTimestamp(), []
+            for i in range(1, n_events + 1):
+                vt = vt.advanced("faa", i)  # mirrored events are stamped
+                frames_out.append(encoder.encode_event(position(i).stamped(vt, 0.0)))
+            frames_out.append(encoder.encode_message(ChkptMsg.from_wire(1, vt)))
+            writer.write(b"".join(frames_out))
+            votes.append(await frames.next_message())
+            release.set()
+            writer.write(encoder.encode_eos())
+            assert await frames.next_message() == WIRE_EOS
+            writer.close()
+            served.set()
+
+        server = await asyncio.start_server(central, HOST, 0)
+        try:
+            await mirror.run(HOST, server.sockets[0].getsockname()[1])
+            await served.wait()
+        finally:
+            server.close()
+            await server.wait_closed()
+        assert main_unit.ede.processed == n_events
+
+    run(asyncio.wait_for(main(), timeout=30))
+    (vote,) = votes
+    assert isinstance(vote, ChkptRepMsg)
+    assert vote.monitored[MONITOR_READY_QUEUE] == n_events
 
 
 # ------------------------------------------------------- slow-subscriber policy

@@ -10,6 +10,7 @@ import asyncio
 import pytest
 
 from repro.ois import FlightDataConfig, generate_script
+from repro.rt import shards as shards_mod
 from repro.rt.shards import run_sharded_scenario, shard_site
 
 SEED = 31
@@ -106,14 +107,26 @@ def test_sharded_clients_hit_owning_shards():
     assert all(lat >= 0.0 for lat in summary.client_latencies)
 
 
-def test_failure_domains_are_per_shard():
+def test_failure_domains_are_per_shard(monkeypatch):
+    """Each shard's checkpoint coordinator agrees over that shard's
+    qualified sites and no other, and its rounds commit — a shard never
+    waits on a site of another."""
+    shards = []
+    init = shards_mod.ShardRuntime.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        shards.append(self)
+
+    monkeypatch.setattr(shards_mod.ShardRuntime, "__init__", recording)
     summary = run(run_sharded_scenario(script=script(), n_shards=2))
-    assert len(summary.detector_domains) == 2
-    for i, domain in enumerate(summary.detector_domains):
-        assert shard_site(i, "central") in domain
-        assert shard_site(i, "mirror1") in domain
-        # no site from any other shard leaks into this domain
-        assert all(site.startswith(f"shard{i}/") for site in domain)
-    # per-shard checkpoint coordinators actually ran rounds
-    assert summary.checkpoint_rounds > 0
-    assert summary.checkpoint_commits > 0
+    assert [rt.index for rt in shards] == [0, 1]
+    for rt in shards:
+        coordinator = rt.central.site.coordinator
+        assert coordinator.participants == {
+            shard_site(rt.index, "central"), shard_site(rt.index, "mirror1"),
+        }
+        assert coordinator.rounds_committed > 0
+    assert summary.checkpoint_commits == sum(
+        rt.central.site.coordinator.rounds_committed for rt in shards
+    )
