@@ -28,7 +28,10 @@ after a run the sending task waits on any connection whose transport
 is past its high-water mark, so the slowest mirror paces the stream.
 Every reply the socket layer sends back — a mirror's checkpoint vote,
 a client's response, a shard's transfer — is written in the turn that
-produces it.
+produces it, and central counts a vote in the turn its handler reads
+it.  The source's EOS is the one wind-down signal: :meth:`NetCentral.run`
+returns once it has been through the closing round and every mirror
+connection has ended.
 
 Two ways to run the topology:
 
@@ -54,6 +57,7 @@ import json
 import time
 from collections import deque
 from dataclasses import dataclass, field, fields
+from itertools import cycle, islice
 from pathlib import Path
 from types import SimpleNamespace
 from typing import (
@@ -302,7 +306,6 @@ class _MirrorConnection:
         #: peer's decoder, so faults apply per message, before encoding
         self.encoder = WireEncoder()
         self.done = asyncio.Event()
-        self.closed = False
         #: fault path: frames behind a delay verdict, (release time,
         #: frame) in send order, and the timer that releases the head
         self._delayed: Deque[Tuple[float, bytes]] = deque()
@@ -344,7 +347,6 @@ class _MirrorConnection:
 
     def close(self) -> None:
         """Stop sending: cancel a pending release, write what is held."""
-        self.closed = True
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
@@ -415,7 +417,7 @@ class NetCentral:
         #: content-based subscription fan-out riding the same push path;
         #: inert (guarded no-ops) until a subscriber connects
         self.subfan = SubscriptionFanout(self.stats)
-        #: set by shutdown_stream: nothing is sent after EOS
+        #: set by _end_stream: nothing is sent after EOS
         self._ended = False
         # recycled: the fault controller only reads kind/size, so one
         # mutable envelope serves every frame
@@ -433,22 +435,24 @@ class NetCentral:
         return self.port
 
     async def run(self) -> None:
-        """Run the central site: its receiving, sending and control
-        tasks and its main unit's event loop, until the stream has
-        ended and ``site.ctrl_in`` has taken EOS.  Supervised: the first
-        of the four to fail cancels the others and its exception is
-        raised."""
+        """Run the central site for its whole life: once every mirror
+        has connected, its receiving and sending tasks and its main
+        unit's event loop, supervised (the first of the three to fail
+        cancels the others and its exception is raised); then, the
+        source's EOS through, send EOS to every mirror and subscriber
+        and return once each mirror connection has ended."""
+        await self.mirrors_connected.wait()
         site = self.site
         tasks = TaskSupervisor()
         spawned = [
             tasks.spawn(site.receiving_task()),
             tasks.spawn(site.sending_task()),
-            tasks.spawn(site.control_task()),
             tasks.spawn(site.main.event_loop()),
         ]
 
         async def finished() -> None:
             await asyncio.gather(*spawned)
+            await self._end_stream()
 
         try:
             await tasks.guard(finished())
@@ -576,18 +580,23 @@ class NetCentral:
         frames: "_FrameReader",
     ) -> None:
         conn = _MirrorConnection(name, writer, self.stats)
-        self._attach(conn)
+        if self._ended:  # the stream is over: EOS at once, no fan-out
+            self.stats.frames_sent += 1
+            conn.send(conn.encoder.encode_eos())
+            conn.cork.flush("control")
+        else:
+            self._attach(conn)
         try:
             while True:
                 msg = await frames.next_message()
                 if msg is None or msg == WIRE_EOS:
                     break
-                if not isinstance(msg, Hello):
-                    await self.site.ctrl_in.put(msg)
+                self.site.on_vote(msg)
         finally:
-            self._live.remove(conn)  # stop the fan-out to this one
-            if self.fault_controller is None:
-                self.shared.detach(name)
+            if conn in self._live:  # stop the fan-out to this one
+                self._live.remove(conn)
+                if self.fault_controller is None:
+                    self.shared.detach(name)
             conn.close()
             writer.close()
             conn.done.set()
@@ -636,11 +645,10 @@ class NetCentral:
             # is pending), so nothing is owed on this socket any more
             writer.close()
 
-    async def shutdown_stream(self) -> None:
-        """Propagate end-of-stream to every mirror connection and every
-        subscriber; nothing is sent after it."""
-        if self._ended:
-            return
+    async def _end_stream(self) -> None:
+        """Send EOS to every mirror connection and every subscriber —
+        nothing is sent after it — and wait until each mirror connection
+        has ended."""
         self._ended = True
         # EOS bypasses fault injection (a chaos-dropped shutdown frame
         # would wedge the topology, not exercise it)
@@ -651,9 +659,8 @@ class NetCentral:
             self.stats.frames_sent += 1
             conn.send(conn.encoder.encode_eos() if faulty else frame)
         self._flush("control")
-
-    async def wait_mirrors_done(self) -> None:
-        for conn in self.connections.values():
+        # a snapshot: the dict must not be iterated across an await
+        for conn in list(self.connections.values()):
             await conn.done.wait()
 
     async def close(self) -> None:
@@ -1355,36 +1362,56 @@ class NetMirror:
         await writer.drain()
 
 
+async def _connect_retry(
+    host: str, port: int, retry_for: float = 30.0
+) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
+    """``open_connection`` with retry — in the multiprocess topology the
+    peer process may still be starting up when we first dial."""
+    deadline = time.monotonic() + retry_for
+    while True:
+        try:
+            return await asyncio.open_connection(host, port)
+        except OSError:
+            if time.monotonic() >= deadline:
+                raise
+            await asyncio.sleep(0.05)
+
+
 async def _run_client(
-    host: str, ports: Sequence[int], n_requests: int, stats: WireStats,
+    host: str, ports: Iterable[int], stats: WireStats,
 ) -> List[float]:
-    """Round-robin thin client: one connection per target port, issuing
-    ``n_requests`` requests one after another and awaiting each
-    RESPONSE.  Returns request latencies (seconds)."""
-    conns: List[Tuple[asyncio.StreamWriter, _FrameReader, WireEncoder]] = []
-    for port in ports:
-        reader, writer = await asyncio.open_connection(host, port)
-        encoder = WireEncoder()
-        writer.write(encoder.encode_hello(Hello("client", "thin")))
-        await writer.drain()
-        conns.append((writer, _FrameReader(reader, stats), encoder))
+    """Thin client: one request per entry of ``ports``, sent there, each
+    RESPONSE awaited; a port's connection opens on its first request and
+    ends with EOS.  Returns request latencies (seconds)."""
+    conns: Dict[int, Tuple[asyncio.StreamWriter, _FrameReader, WireEncoder]] = {}
     latencies: List[float] = []
-    for i in range(n_requests):
-        writer, frames, encoder = conns[i % len(conns)]
-        issued = time.monotonic()
-        request = InitStateRequest(client_id=f"thin{i}", issued_at=issued)
-        frame = encoder.encode_request(request)
-        stats.frames_sent += 1
-        stats.bytes_sent += len(frame)
-        writer.write(frame)
-        await writer.drain()
-        response = await frames.next_message()
-        if isinstance(response, InitStateResponse):
-            latencies.append(time.monotonic() - issued)
-    for writer, frames, encoder in conns:
-        writer.write(encoder.encode_eos())
-        await writer.drain()
-        writer.close()
+    try:
+        for i, port in enumerate(ports):
+            conn = conns.get(port)
+            if conn is None:
+                reader, writer = await _connect_retry(host, port)
+                encoder = WireEncoder()
+                writer.write(encoder.encode_hello(Hello("client", "thin")))
+                conn = conns[port] = (writer, _FrameReader(reader, stats), encoder)
+            writer, frames, encoder = conn
+            issued = time.monotonic()
+            request = InitStateRequest(client_id=f"thin{i}", issued_at=issued)
+            frame = encoder.encode_request(request)
+            stats.frames_sent += 1
+            stats.bytes_sent += len(frame)
+            writer.write(frame)
+            await writer.drain()
+            response = await frames.next_message()
+            if isinstance(response, InitStateResponse):
+                latencies.append(time.monotonic() - issued)
+    finally:
+        for writer, _frames, encoder in conns.values():
+            try:
+                writer.write(encoder.encode_eos())
+                await writer.drain()
+            except (ConnectionResetError, BrokenPipeError):
+                pass
+            writer.close()
     return latencies
 
 
@@ -1446,7 +1473,7 @@ async def run_net_scenario(
             client_ports = [port]  # no mirrors: ask central directly
 
         mirror_tasks = [tasks.spawn(m.run(host, port)) for m in mirrors]
-        await central.mirrors_connected.wait()
+        central_run = tasks.spawn(central.run())
 
         sub_tasks: List[asyncio.Task] = []
         sub_ready: List[asyncio.Event] = []
@@ -1466,8 +1493,6 @@ async def run_net_scenario(
         for ready in sub_ready:
             await ready.wait()
 
-        central_run = tasks.spawn(central.run())
-
         async def source() -> None:
             # feed in chunks, as a socket would: one data_in hop per
             # chunk (the receiving task stamps members one by one)
@@ -1479,24 +1504,15 @@ async def run_net_scenario(
                     chunk = []
             if chunk:
                 await site.data_in.put(chunk)
-            await site.data_in.put(EOS)
 
         drivers = [tasks.spawn(source())]
         if request_times:
-            drivers.append(
-                tasks.spawn(
-                    _run_client(
-                        host, client_ports, len(request_times), client_stats
-                    )
-                )
-            )
+            targets = islice(cycle(client_ports), len(request_times))
+            drivers.append(tasks.spawn(_run_client(host, targets, client_stats)))
         await asyncio.gather(*drivers)
-        await site.stream_done.wait()
-        await central.shutdown_stream()
-        await central.wait_mirrors_done()
-        await asyncio.gather(*mirror_tasks)
-        await site.ctrl_in.put(EOS)
+        await site.data_in.put(EOS)
         await central_run
+        await asyncio.gather(*mirror_tasks)
         subscriber_results = await asyncio.gather(*sub_tasks)
         await central.close()
         return list(subscriber_results)
@@ -1572,18 +1588,17 @@ def _mirror_process_main(name: str, host: str, port: int,
     asyncio.run(main())
 
 
-def _client_process_main(host: str, ports: List[int], n_requests: int,
-                         result_path: str) -> None:
+def _client_process_main(host: str, ports: List[int], result_path: str) -> None:
     """Entry point of the thin-client OS process."""
 
     async def main() -> None:
         stats = WireStats()
-        latencies = await _run_client(host, ports, n_requests, stats)
+        latencies = await _run_client(host, ports, stats)
         # terminal report write: the run is over, nothing shares this loop
         with open(result_path, "w", encoding="utf-8") as fh:  # lint: allow-async-blocking
             json.dump(
                 {
-                    "requests": n_requests,
+                    "requests": len(ports),
                     "responses": len(latencies),
                     "mean_latency_s": (
                         sum(latencies) / len(latencies) if latencies else 0.0
@@ -1685,29 +1700,24 @@ class NetProcessRunner:
                 )
                 proc.start()
                 procs.append(proc)
-            await central.mirrors_connected.wait()
-
             central_run = tasks.spawn(central.run())
 
             client_result = str(tmpdir / "client.json")
             if self.n_requests > 0:
-                targets = client_ports if client_ports else [port]
+                serving = cycle(client_ports or [port])
+                targets = list(islice(serving, self.n_requests))
                 client_proc = ctx.Process(
                     target=_client_process_main,
-                    args=(self.host, targets, self.n_requests, client_result),
+                    args=(self.host, targets, client_result),
                 )
                 client_proc.start()
 
             async def stream() -> None:
                 for se in self.script.fresh_events():
                     await site.data_in.put([se.event])
-                await site.data_in.put(EOS)
-                await site.stream_done.wait()
                 if client_proc is not None:
                     await _join_process(client_proc)
-                await central.shutdown_stream()
-                await central.wait_mirrors_done()
-                await site.ctrl_in.put(EOS)
+                await site.data_in.put(EOS)
                 await central_run
 
             t0 = time.monotonic()

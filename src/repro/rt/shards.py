@@ -57,10 +57,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import MirrorConfig
 from ..core.events import EventBatch, UpdateEvent
-from ..ois.clients import InitStateRequest, InitStateResponse
 from ..ois.flightdata import EventScript, FlightDataConfig, generate_script
 from ..shard.handoff import RoutingCore, ShardTransfer, merge_digests
-from ..shard.partition import ShardMap, make_partitioner, shard_name
+from ..shard.partition import ShardMap, shard_name
 from ..sub.messages import SubAck, Subscribe
 from ..sub.predicate import Predicate, canonical, route_keys, to_nodes
 from ..wire import EOS as WIRE_EOS, Hello, WireEncoder
@@ -68,11 +67,12 @@ from .net import (
     NetCentral,
     NetMirror,
     WireStats,
+    _connect_retry,
     _FrameReader,
     _join_process,
     _preassign_ports,
+    _run_client,
 )
-from .sites import EOS
 from .tasks import TaskSupervisor
 
 __all__ = [
@@ -131,7 +131,9 @@ class ShardRuntime:
     Wraps a :class:`~repro.rt.net.NetCentral` under qualified site names
     and hosts the mirror set; the shard's checkpoint coordinator sees
     only this shard's sites, so rounds in one shard never couple to
-    another.
+    another.  The shard winds itself down: the router's EOS on the
+    source connection ends the central's ``run()``, which ends every
+    mirror's.
     """
 
     def __init__(
@@ -177,7 +179,7 @@ class ShardRuntime:
         port: int = 0,
         client_ports: Optional[Sequence[int]] = None,
     ) -> int:
-        """Bind sockets, connect mirrors, start the site tasks."""
+        """Bind sockets; spawn the mirrors and the central's run."""
         self.port = await self.central.start(host=host, port=port)
         for i, mirror in enumerate(self.mirrors):
             requested = client_ports[i] if client_ports else 0
@@ -189,23 +191,17 @@ class ShardRuntime:
         self._mirror_tasks = [
             self._tasks.spawn(m.run(host, self.port)) for m in self.mirrors
         ]
-        await self.central.mirrors_connected.wait()
         self._central_run = self._tasks.spawn(self.central.run())
         return self.port
 
     async def run_to_completion(self) -> None:
-        """Wait for the stream to drain, then shut the shard down."""
+        """Wait until the router's EOS has wound the shard down."""
         await self._tasks.guard(self._drain())
 
     async def _drain(self) -> None:
-        site = self.central.site
-        await site.stream_done.wait()
-        await self.central.shutdown_stream()
-        await self.central.wait_mirrors_done()
-        await asyncio.gather(*self._mirror_tasks)
-        await site.ctrl_in.put(EOS)
         assert self._central_run is not None  # set by start()
         await self._central_run
+        await asyncio.gather(*self._mirror_tasks)
         await self.central.close()
 
     async def abort(self) -> None:
@@ -561,12 +557,6 @@ class IngressRouter:
         for writer in self._writers:
             await writer.drain()
 
-    async def run_script(self, script: EventScript) -> None:
-        """Route the whole script, drain pending handoffs, close the
-        streams with EOS."""
-        await self.route_script(script)
-        await self.send_eos()
-
     async def close(self) -> None:
         for task in (*self._readers, *self._sub_readers):
             if not task.done():
@@ -602,21 +592,6 @@ class IngressRouter:
             self._sub_readers = []
 
 
-async def _connect_retry(
-    host: str, port: int, retry_for: float = 30.0
-) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-    """``open_connection`` with retry — in the multiprocess topology the
-    peer process may still be starting up when we first dial."""
-    deadline = time.monotonic() + retry_for
-    while True:
-        try:
-            return await asyncio.open_connection(host, port)
-        except OSError:
-            if time.monotonic() >= deadline:
-                raise
-            await asyncio.sleep(0.05)
-
-
 async def fetch_shard_map(
     host: str, map_port: int, stats: Optional[WireStats] = None
 ) -> ShardMap:
@@ -645,42 +620,8 @@ async def _run_sharded_client(
     read path).  Returns request latencies."""
     smap = await fetch_shard_map(host, map_port, stats)
     partitioner = smap.partitioner()
-    conns: Dict[int, Tuple[asyncio.StreamWriter, _FrameReader, WireEncoder]] = {}
-    latencies: List[float] = []
-    try:
-        for i, key in enumerate(keys):
-            port = smap.port_for(key, partitioner)
-            conn = conns.get(port)
-            if conn is None:
-                reader, writer = await _connect_retry(host, port)
-                encoder = WireEncoder()
-                writer.write(encoder.encode_hello(Hello("client", "sharded")))
-                await writer.drain()
-                conn = conns[port] = (
-                    writer, _FrameReader(reader, stats), encoder
-                )
-            writer, frames, encoder = conn
-            issued = time.monotonic()
-            request = InitStateRequest(
-                client_id=f"sharded{i}", issued_at=issued
-            )
-            frame = encoder.encode_request(request)
-            stats.frames_sent += 1
-            stats.bytes_sent += len(frame)
-            writer.write(frame)
-            await writer.drain()
-            response = await frames.next_message()
-            if isinstance(response, InitStateResponse):
-                latencies.append(time.monotonic() - issued)
-    finally:
-        for writer, frames, encoder in conns.values():
-            try:
-                writer.write(encoder.encode_eos())
-                await writer.drain()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-            writer.close()
-    return latencies
+    ports = [smap.port_for(key, partitioner) for key in keys]
+    return await _run_client(host, ports, stats)
 
 
 async def run_sharded_scenario(

@@ -2,9 +2,10 @@
 
 Each site keeps the simulation backend's unit split — an auxiliary unit
 and a main unit (EDE + request service).  The central's auxiliary unit
-runs as receiving, sending and control tasks; a mirror's is a few
-synchronous methods its socket reader calls in stream order, feeding
-the main unit's event loop.  All protocol logic is the *same
+runs as receiving and sending tasks, and counts each checkpoint vote in
+the turn its connection handler reads it (:meth:`AsyncCentralSite.on_vote`);
+a mirror's is a few synchronous methods its socket reader calls in
+stream order, feeding the main unit's event loop.  All protocol logic is the *same
 objects* the simulation uses: :class:`~repro.core.rules.RuleEngine`,
 :class:`~repro.core.checkpoint.CheckpointCoordinator` /
 :class:`MainUnitCheckpointer`, :class:`~repro.core.queues.BackupQueue`
@@ -74,9 +75,10 @@ EOS = "__end_of_stream__"
 # past its high-water mark — so a transport holds at most its mark plus
 # one run, and the slowest mirror paces the stream.  The control path
 # does loop (CHKPT down, CHKPT_REP up, COMMIT down), but the protocol
-# sets its volume, not the load — one round collects at a time — so
-# ``ctrl_in`` never fills, and a mirror writes its vote in the turn its
-# reader takes the CHKPT.  (rt/net.py declares the socket layer's share.)
+# sets its volume, not the load — one round collects at a time — and no
+# queue holds it: a mirror writes its vote in the turn its reader takes
+# the CHKPT, and central counts it in the turn its handler reads it.
+# (rt/net.py declares the socket layer's share.)
 
 #: ``data_in`` holds runs.  Full: the source connection's reader blocks
 #: and stops reading — the source sees TCP back-pressure.  Drained by
@@ -93,9 +95,6 @@ READY_BOUND = 1
 #: blocks and stops reading its socket.
 CENTRAL_INBOX_BOUND = 1
 MIRROR_INBOX_BOUND = 8
-#: ``ctrl_in`` holds checkpoint votes on their way to the coordinator:
-#: at most one per site per round in flight.
-CONTROL_BOUND = 256
 #: Most events one queue item carries over TCP.
 MAX_RUN_EVENTS = 128
 #: Events ``event_loop`` applies before it yields to the other tasks.
@@ -340,7 +339,6 @@ class AsyncCentralSite:
         self.main = AsyncMainUnit(site, clock=clock)
         self.main.distribute_updates = True
         self.data_in: asyncio.Queue = asyncio.Queue(maxsize=DATA_IN_BOUND)
-        self.ctrl_in: asyncio.Queue = asyncio.Queue(maxsize=CONTROL_BOUND)
         self.ready: asyncio.Queue = asyncio.Queue(maxsize=READY_BOUND)
         #: events on ``ready`` or in the run in hand not yet mirrored (the
         #: monitored ready queue, counted in events as its thresholds are)
@@ -352,7 +350,6 @@ class AsyncCentralSite:
         self.processed_events = 0
         self.mirrored_events = 0
         self.adaptation_log: List[tuple] = []
-        self.stream_done = asyncio.Event()
 
     def apply_config(self, config: MirrorConfig) -> None:
         """Hot-swap the mirroring configuration (status table survives)."""
@@ -472,7 +469,6 @@ class AsyncCentralSite:
         self._initiate_checkpoint(final=True)
         await self.mirror_channel.drain()
         await self.main.inbox.put(EOS)
-        self.stream_done.set()
 
     def _initiate_checkpoint(self, final: bool = False) -> None:
         """Every ``checkpoint_freq`` events: start a round, unless the
@@ -492,16 +488,19 @@ class AsyncCentralSite:
             return
         self.ctrl_channel.publish(msg)
 
+    def on_vote(self, msg: Any) -> None:
+        """Count a mirror's CHKPT_REP in the turn its handler reads it,
+        broadcasting the COMMIT when it completes the round.  Anything
+        else is ignored."""
+        if isinstance(msg, ChkptRepMsg):
+            commit = self.coordinator.on_reply(msg)
+            if commit is not None:
+                self._broadcast_commit(commit)
+
     async def control_task(self) -> None:
-        """Collect checkpoint votes; broadcast commits."""
-        while True:
-            msg = await self.ctrl_in.get()
-            if msg == EOS:
-                break
-            if isinstance(msg, ChkptRepMsg):
-                commit = self.coordinator.on_reply(msg)
-                if commit is not None:
-                    self._broadcast_commit(commit)
+        """Returns at once: votes are counted by :meth:`on_vote`.  Kept
+        because benchmarks/e2e/server.py spawns it, until ROADMAP 1(e)
+        composes that server by ``NetCentral.run()``."""
 
     def _broadcast_commit(self, commit: CommitMsg) -> None:
         if self.adaptation is not None:

@@ -47,14 +47,13 @@ async def serve(sc, central, mirrors, before=None, after=None):
     site objects in the caller's hands.  ``before`` and ``after`` get
     the client ports (the mirrors', or central's when there are none):
     ``before`` runs ahead of the first event, ``after`` once central
-    has taken the whole stream, before shutdown."""
+    has applied the whole stream, before its EOS."""
     site = central.site
     tasks = TaskSupervisor()
     try:
         port = await central.start(host=HOST)
         ports = [await m.serve_clients(host=HOST) for m in mirrors] or [port]
         runs = [tasks.spawn(m.run(HOST, port)) for m in mirrors]
-        await central.mirrors_connected.wait()
         central_run = tasks.spawn(central.run())
 
         async def drive():
@@ -62,15 +61,12 @@ async def serve(sc, central, mirrors, before=None, after=None):
                 await before(ports)
             for se in sc.fresh_events():
                 await site.data_in.put([se.event])
-            await site.data_in.put(EOS)
-            await site.stream_done.wait()
             if after is not None:
+                await until(lambda: site.main.events_applied == len(sc))
                 await after(ports)
-            await central.shutdown_stream()
-            await central.wait_mirrors_done()
-            await asyncio.gather(*runs)
-            await site.ctrl_in.put(EOS)
+            await site.data_in.put(EOS)
             await central_run
+            await asyncio.gather(*runs)
 
         await tasks.guard(drive())
     finally:
@@ -183,12 +179,8 @@ def test_a_connected_mirror_adds_at_most_four_tasks():
                 for se in script().fresh_events():
                     await site.data_in.put([se.event])
                 await site.data_in.put(EOS)
-                await site.stream_done.wait()
-                await central.shutdown_stream()
-                await central.wait_mirrors_done()
-                await mirror_run
-                await site.ctrl_in.put(EOS)
                 await central_run
+                await mirror_run
 
             await tasks.guard(drive())
         finally:
@@ -243,7 +235,7 @@ def test_live_requests_served_round_robin():
     latencies = []
 
     async def client(ports):
-        latencies.extend(await _run_client(HOST, ports, 6, WireStats()))
+        latencies.extend(await _run_client(HOST, ports * 3, WireStats()))
 
     run(serve(script(), central, mirrors, after=client))
     assert len(latencies) == 6

@@ -154,7 +154,6 @@ async def drill():
             bounded = [
                 (site.data_in, sites.DATA_IN_BOUND),
                 (site.ready, sites.READY_BOUND),
-                (site.ctrl_in, sites.CONTROL_BOUND),
                 (site.main.inbox, sites.CENTRAL_INBOX_BOUND),
             ]
             for mirror in mirrors:

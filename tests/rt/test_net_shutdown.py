@@ -2,14 +2,20 @@
 
 The hardening contract: cancelling a scenario at ANY point must leave
 no task, socket or listening port behind — the same loop (and the same
-ports) must be immediately reusable.
+ports) must be immediately reusable.  And a run that is not cancelled
+winds down by itself: the source's EOS is the only signal a caller
+gives.
 """
 
 import asyncio
 
 from repro.ois import FlightDataConfig, generate_script
-from repro.rt.net import NetCentral, run_net_scenario
+from repro.rt.net import NetCentral, NetMirror, run_net_scenario
 from repro.rt.shards import ShardRuntime, run_sharded_scenario
+from repro.rt.sites import EOS
+from repro.rt.tasks import TaskSupervisor
+
+HOST = "127.0.0.1"
 
 
 def script(**kw):
@@ -21,6 +27,71 @@ def script(**kw):
 def pending_tasks():
     current = asyncio.current_task()
     return [t for t in asyncio.all_tasks() if t is not current and not t.done()]
+
+
+async def stream_through(central, mirrors, sc):
+    """Start ``central`` and ``mirrors``, feed ``sc`` and its EOS, and
+    await ``central.run()``; returns the mirrors' run tasks.  Nothing
+    but the EOS tells the cluster to stop."""
+    tasks = TaskSupervisor()
+    port = await central.start(host=HOST)
+    runs = [tasks.spawn(m.run(HOST, port)) for m in mirrors]
+    central_run = tasks.spawn(central.run())
+    for se in sc.fresh_events():
+        await central.site.data_in.put([se.event])
+    await central.site.data_in.put(EOS)
+    await tasks.guard(asyncio.wait_for(central_run, timeout=10))
+    return runs
+
+
+def test_central_winds_its_cluster_down_after_the_source_eos():
+    """``central.run()`` returns by itself once the source's EOS is in:
+    both mirrors have applied the whole stream and said EOS, and the
+    closing round has committed."""
+    sc = script()
+
+    async def main():
+        central = NetCentral(2)
+        mirrors = [NetMirror(name) for name in central.mirror_names]
+        try:
+            runs = await stream_through(central, mirrors, sc)
+            coordinator = central.site.coordinator
+            assert not coordinator.collecting  # the closing round committed
+            assert coordinator.rounds_committed > 0
+            for mirror in mirrors:
+                assert mirror.site.main.ede.processed == len(sc)
+            assert all(conn.done.is_set() for conn in central.connections.values())
+            await asyncio.wait_for(asyncio.gather(*runs), timeout=5)
+            assert pending_tasks() == []
+        finally:
+            await central.close()
+            for mirror in mirrors:
+                await mirror.close()
+        digests = {m.site.main.ede.state_digest() for m in mirrors}
+        assert digests == {central.site.main.ede.state_digest()}
+
+    asyncio.run(main())
+
+
+def test_a_mirror_connecting_after_the_stream_ended_is_sent_eos():
+    """An ended central answers a new mirror with EOS at once and keeps
+    it out of the fan-out: the late mirror's run returns."""
+
+    async def main():
+        central = NetCentral(1)
+        mirror, late = NetMirror("mirror1"), NetMirror("late")
+        try:
+            runs = await stream_through(central, [mirror], script())
+            await asyncio.gather(*runs)
+            await asyncio.wait_for(late.run(HOST, central.port), timeout=5)
+            assert late.site.main.ede.processed == 0
+            assert list(central.connections) == ["mirror1"]
+        finally:
+            await central.close()
+            for m in (mirror, late):
+                await m.close()
+
+    asyncio.run(main())
 
 
 def test_cancelled_scenario_leaks_nothing():

@@ -410,8 +410,7 @@ def test_mirror_attaching_mid_burst_keeps_every_decoder_in_sync():
         try:
             port = await central.start(host=HOST)
             first_run = tasks.spawn(first.run(HOST, port))
-            await central.mirrors_connected.wait()
-            tasks.spawn(central.run())
+            central_run = tasks.spawn(central.run())
 
             async def drive():
                 late_run = None
@@ -422,8 +421,7 @@ def test_mirror_attaching_mid_burst_keeps_every_decoder_in_sync():
                     if start > n_events // 3 and late_run is None:
                         late_run = tasks.spawn(late.run(HOST, port))
                 await site.data_in.put("__end_of_stream__")
-                await site.stream_done.wait()
-                await central.shutdown_stream()
+                await central_run
                 await asyncio.gather(first_run, late_run)
 
             await tasks.guard(drive())

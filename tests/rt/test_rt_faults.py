@@ -41,7 +41,6 @@ def run_drill(sc, crash_after=None):
         try:
             port = await central.start(host=HOST)
             runs = [tasks.spawn(m.run(HOST, port)) for m in mirrors]
-            await central.mirrors_connected.wait()
             central_run = tasks.spawn(central.run())
 
             async def drive():
@@ -51,12 +50,8 @@ def run_drill(sc, crash_after=None):
                             and mirrors[0].site.main.ede.processed >= crash_after):
                         runs[0].cancel()
                 await site.data_in.put(EOS)
-                await site.stream_done.wait()
-                await central.shutdown_stream()
-                await central.wait_mirrors_done()
-                await asyncio.gather(*runs, return_exceptions=True)
-                await site.ctrl_in.put(EOS)
                 await central_run
+                await asyncio.gather(*runs, return_exceptions=True)
 
             await tasks.guard(drive())
         finally:
