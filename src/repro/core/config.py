@@ -187,7 +187,8 @@ class MirrorConfig:
         """Construct the rule engine realising this configuration.
 
         Rule order follows §3.2.1: receive-side suppression/combination
-        first (complex sequence, complex tuple, overwrite), coalescing
+        first (complex sequence, complex tuple, overwrite, then a
+        ``set_fwd`` callable), a ``set_mirror`` callable and coalescing
         on the send side last.
         """
         rules: List[Rule] = []
@@ -206,8 +207,10 @@ class MirrorConfig:
                 from .rules import OverwriteRule
 
                 rules.append(OverwriteRule(kind, length))
+        if self.custom_fwd is not None:
+            rules.append(_CustomReceiveRule(self.custom_fwd))
         if self.custom_mirror is not None:
-            rules.append(_CustomHookRule(self.custom_mirror, side="send"))
+            rules.append(_CustomSendRule(self.custom_mirror))
         if self.coalesce_enabled and self.coalesce_max > 1:
             rules.append(
                 CoalesceRule(self.coalesce_max, kinds=self.coalesce_kinds)
@@ -224,8 +227,6 @@ class _CustomSendRule(Rule):
     events through the other side.
     """
 
-    side = "send"
-
     def __init__(self, func):
         super().__init__()
         self.func = func
@@ -237,20 +238,9 @@ class _CustomSendRule(Rule):
 class _CustomReceiveRule(Rule):
     """Adapter for a set_fwd() callable: receive-side hook only."""
 
-    side = "receive"
-
     def __init__(self, func):
         super().__init__()
         self.func = func
 
     def on_receive(self, event, table):
         return self.func(event, table)
-
-
-def _CustomHookRule(func, side: str) -> Rule:
-    """Wrap a user callable as a rule for the given pipeline side."""
-    if side == "send":
-        return _CustomSendRule(func)
-    if side == "receive":
-        return _CustomReceiveRule(func)
-    raise ValueError("side must be 'send' or 'receive'")

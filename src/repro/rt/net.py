@@ -17,17 +17,19 @@ over real TCP connections carrying the binary wire format
 * **clients** connect round-robin, mirroring the request balancer of
   the other backends.
 
-Publishing is synchronous: the central site's sending task encodes,
-corks and writes a whole run itself — no queue, broadcast task or
-writer task sits between it and the transports.  Each connection's
+Central has one entry point, :meth:`NetCentral.feed`: the source
+connection's reader hands it each run it reads, and the run is stamped,
+put on the main unit's inbox, mirrored and written in that same turn —
+no queue, receiving, sending, broadcast or writer task sits between the
+source socket and the mirror transports.  Each connection's
 :class:`AdaptiveFlusher` (the cork) hands what it holds to the
 transport in one ``writelines`` when the run is done; a control frame
 leaves at once, with whatever data it follows, because checkpoint
 latency bounds backup-queue growth.  Back-pressure is the transport's:
-after a run the sending task waits on any connection whose transport
-is past its high-water mark, so the slowest mirror paces the stream.
-Every reply the socket layer sends back — a mirror's checkpoint vote,
-a client's response, a shard's transfer — is written in the turn that
+after a run the reader waits on any connection whose transport is past
+its high-water mark, so the slowest mirror paces the stream.  Every
+reply the socket layer sends back — a mirror's checkpoint vote, a
+client's response, a shard's transfer — is written in the turn that
 produces it, and central counts a vote in the turn its handler reads
 it.  The source's EOS is the one wind-down signal: :meth:`NetCentral.run`
 returns once it has been through the closing round and every mirror
@@ -206,7 +208,7 @@ class NetRunSummary:
 class AdaptiveFlusher:
     """One mirror connection's cork.
 
-    A passive object owned by the central site's sending path (no
+    A passive object owned by the central site's source path (no
     tasks, locks or queues): frames are added while a run is being
     mirrored, and :meth:`flush` hands everything held to the transport
     in one ``writelines`` when the run — or a control frame — is done,
@@ -221,7 +223,7 @@ class AdaptiveFlusher:
         self._writer = writer
         self._stats = stats
         #: a closed/reset peer marks the cork dead instead of letting the
-        #: exception kill the sending task (chaos drills close sockets
+        #: exception kill the source path (chaos drills close sockets
         #: mid-stream); once dead, adds and flushes are no-ops
         self.dead = False
         self._chunks: List[bytes] = []
@@ -419,6 +421,9 @@ class NetCentral:
         self.subfan = SubscriptionFanout(self.stats)
         #: set by _end_stream: nothing is sent after EOS
         self._ended = False
+        #: what :meth:`run` supervises; the source connection's handler,
+        #: which no supervisor spawned, reports its failure here
+        self._tasks = TaskSupervisor()
         # recycled: the fault controller only reads kind/size, so one
         # mutable envelope serves every frame
         self._envelope = _FrameEnvelope(kind="data", size=0)
@@ -435,29 +440,29 @@ class NetCentral:
         return self.port
 
     async def run(self) -> None:
-        """Run the central site for its whole life: once every mirror
-        has connected, its receiving and sending tasks and its main
-        unit's event loop, supervised (the first of the three to fail
-        cancels the others and its exception is raised); then, the
-        source's EOS through, send EOS to every mirror and subscriber
+        """Run the central site for its whole life: its main unit's
+        event loop, supervised with the source handler's :meth:`feed`
+        (the first to fail ends the run with its exception); then, the
+        source's EOS applied, send EOS to every mirror and subscriber
         and return once each mirror connection has ended."""
-        await self.mirrors_connected.wait()
-        site = self.site
-        tasks = TaskSupervisor()
-        spawned = [
-            tasks.spawn(site.receiving_task()),
-            tasks.spawn(site.sending_task()),
-            tasks.spawn(site.main.event_loop()),
-        ]
+        tasks = self._tasks
+        applying = tasks.spawn(self.site.main.event_loop())
 
         async def finished() -> None:
-            await asyncio.gather(*spawned)
+            await applying
             await self._end_stream()
 
         try:
             await tasks.guard(finished())
         finally:
             await tasks.cancel()
+
+    async def feed(self, item: Any) -> None:
+        """Central's one entry point: once every mirror has connected,
+        handle one item of the source stream whole
+        (:meth:`AsyncCentralSite.on_input`)."""
+        await self.mirrors_connected.wait()
+        await self.site.on_input(item)
 
     # -- the site's link (see repro.rt.channels.Link) -----------------------
     def send(self, kind: str, payload: Any) -> None:
@@ -604,19 +609,19 @@ class NetCentral:
     async def _serve_source(
         self, writer: asyncio.StreamWriter, frames: "_FrameReader",
     ) -> None:
-        """Serve the ingress router's event-stream connection.
+        """Serve a source connection (the ingress router's event stream).
 
-        The sharded runtime (:mod:`repro.rt.shards`) feeds each shard's
-        central site over one ordered TCP connection instead of an
-        in-process queue: EVENT/BATCH frames enter ``data_in`` exactly
-        where the local source coroutine would put them, and handoff
-        tombstones and transfer installs ride the same connection (their
-        ordering against events is the handoff protocol's correctness
-        argument).  The shard's own transfer *replies* travel back on
-        this socket: the main unit's ``shard_out`` sink writes each in
-        the turn that extracts the flight — no queue, no task, no drain.
-        The protocol bounds what the transport holds: one transfer per
-        tombstone the router sent.
+        Each run a read completed is fed to the site in the turn that
+        reads it (:meth:`feed`): one decoded chunk, the run in hand and
+        the central inbox are all that sit between this socket and
+        central's apply.  Handoff tombstones and transfer installs ride
+        the same connection (their ordering against events is the
+        handoff protocol's correctness argument).  The shard's transfer
+        *replies* go back on this socket, each written by the main
+        unit's ``shard_out`` sink in the turn that extracts the flight;
+        the protocol bounds them to one per tombstone the router sent.
+        No supervisor spawned this handler, so a failure in :meth:`feed`
+        goes to the one :meth:`run` keeps.
         """
         encoder = WireEncoder()
 
@@ -625,20 +630,20 @@ class NetCentral:
                 _reply(writer, self.stats, encoder.encode_message, transfer)
 
         self.site.main.shard_out = reply
-        data_in = self.site.data_in
         try:
-            while True:
+            ended = False
+            while not ended:
                 chunk = await frames.next_chunk()
                 ended = chunk is None
                 for item in _runs(chunk or ()):
                     if type(item) is list or isinstance(item, ShardControl):
-                        await data_in.put(item)
+                        await self.feed(item)
                     elif item == WIRE_EOS:
                         ended = True
                         break
-                if ended:
-                    await data_in.put(EOS)
-                    break
+            await self.feed(EOS)
+        except Exception as exc:
+            self._tasks.fail(exc)
         finally:
             # by the time the router sends EOS it has received every
             # transfer reply (it only closes the stream when no handoff
@@ -1494,23 +1499,17 @@ async def run_net_scenario(
             await ready.wait()
 
         async def source() -> None:
-            # feed in chunks, as a socket would: one data_in hop per
-            # chunk (the receiving task stamps members one by one)
-            chunk: List[UpdateEvent] = []
-            for se in script.fresh_events():
-                chunk.append(se.event)
-                if len(chunk) >= 64:
-                    await site.data_in.put(chunk)
-                    chunk = []
-            if chunk:
-                await site.data_in.put(chunk)
+            # feed runs of 64, as socket reads would
+            events = (se.event for se in script.fresh_events())
+            while run := list(islice(events, 64)):
+                await central.feed(run)
 
         drivers = [tasks.spawn(source())]
         if request_times:
             targets = islice(cycle(client_ports), len(request_times))
             drivers.append(tasks.spawn(_run_client(host, targets, client_stats)))
         await asyncio.gather(*drivers)
-        await site.data_in.put(EOS)
+        await central.feed(EOS)
         await central_run
         await asyncio.gather(*mirror_tasks)
         subscriber_results = await asyncio.gather(*sub_tasks)
@@ -1714,10 +1713,10 @@ class NetProcessRunner:
 
             async def stream() -> None:
                 for se in self.script.fresh_events():
-                    await site.data_in.put([se.event])
+                    await central.feed([se.event])
                 if client_proc is not None:
                     await _join_process(client_proc)
-                await site.data_in.put(EOS)
+                await central.feed(EOS)
                 await central_run
 
             t0 = time.monotonic()

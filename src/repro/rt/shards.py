@@ -68,10 +68,12 @@ from .net import (
     NetMirror,
     WireStats,
     _connect_retry,
+    _cancel_tracked,
     _FrameReader,
     _join_process,
     _preassign_ports,
     _run_client,
+    _tracked_handler,
 )
 from .tasks import TaskSupervisor
 
@@ -260,6 +262,8 @@ class IngressRouter:
         self._readers: List[asyncio.Task] = []
         self._idle = asyncio.Event()
         self._map_server: Optional[asyncio.base_events.Server] = None
+        #: the map listener's handler tasks, cancelled by :meth:`close`
+        self._map_tasks: List[asyncio.Task] = []
         self.map_port: Optional[int] = None
         self.shard_events: List[int] = [0] * shard_map.n_shards
         # -- subscription forwarding state --------------------------------
@@ -328,7 +332,9 @@ class IngressRouter:
                 await writer.drain()
             writer.close()
 
-        self._map_server = await asyncio.start_server(handle, host, port)
+        self._map_server = await asyncio.start_server(
+            _tracked_handler(handle, self._map_tasks), host, port
+        )
         self.map_port = self._map_server.sockets[0].getsockname()[1]
         return self.map_port
 
@@ -577,6 +583,7 @@ class IngressRouter:
         if server is not None:
             server.close()
             await server.wait_closed()
+        await _cancel_tracked(self._map_tasks)
 
     async def wait_readers(self) -> None:
         """Wait for the shard connections to close (post-EOS).  The

@@ -1,12 +1,12 @@
 """Live (asyncio) central and mirror sites.
 
 Each site keeps the simulation backend's unit split — an auxiliary unit
-and a main unit (EDE + request service).  The central's auxiliary unit
-runs as receiving and sending tasks, and counts each checkpoint vote in
-the turn its connection handler reads it (:meth:`AsyncCentralSite.on_vote`);
-a mirror's is a few synchronous methods its socket reader calls in
-stream order, feeding the main unit's event loop.  All protocol logic is the *same
-objects* the simulation uses: :class:`~repro.core.rules.RuleEngine`,
+and a main unit (EDE + request service).  An auxiliary unit has no task
+of its own: it is what a socket reader calls in stream order, feeding
+the main unit's event loop — on central, :meth:`AsyncCentralSite.on_input`
+per source item and :meth:`~AsyncCentralSite.on_vote` per vote.  All
+protocol logic is the *same objects* the simulation uses:
+:class:`~repro.core.rules.RuleEngine`,
 :class:`~repro.core.checkpoint.CheckpointCoordinator` /
 :class:`MainUnitCheckpointer`, :class:`~repro.core.queues.BackupQueue`
 and :class:`~repro.core.adaptation.AdaptationController`.
@@ -64,35 +64,27 @@ EOS = "__end_of_stream__"
 # MAX_RUN_EVENTS of them — so a queue hop is paid per run, not per
 # event.  The data path,
 #
-#   source reader -> data_in -> ready -> inbox
-#                                     -> cork -> transport -> socket
+#   source reader -> inbox
+#                 -> cork -> transport -> socket
 #     -> mirror reader -> mirror inbox
 #
-# has no cycle: each queue is drained by a task that blocks only on
-# queues to its right, and the ends (a main unit's event loop, the
-# kernel) block on nothing.  ``sending_task`` writes each run to every
-# mirror's transport itself and, after the run, waits on any transport
-# past its high-water mark — so a transport holds at most its mark plus
-# one run, and the slowest mirror paces the stream.  The control path
-# does loop (CHKPT down, CHKPT_REP up, COMMIT down), but the protocol
-# sets its volume, not the load — one round collects at a time — and no
-# queue holds it: a mirror writes its vote in the turn its reader takes
-# the CHKPT, and central counts it in the turn its handler reads it.
+# has no cycle: each reader blocks only on what is to its right, and the
+# ends (a main unit's event loop, the kernel) block on nothing.  In the
+# turn that reads a run, the source reader stamps it, queues it, writes
+# it to every mirror's transport and then waits on any transport past
+# its high-water mark — so a transport holds at most its mark plus one
+# run, and the slowest mirror paces the stream.  The control path does
+# loop (CHKPT down, CHKPT_REP up, COMMIT down), but the protocol sets its
+# volume, not the load — one round collects at a time — and no queue
+# holds it: a mirror writes its vote in the turn its reader takes the
+# CHKPT, and central counts it in the turn its handler reads it.
 # (rt/net.py declares the socket layer's share.)
 
-#: ``data_in`` holds runs.  Full: the source connection's reader blocks
-#: and stops reading — the source sees TCP back-pressure.  Drained by
-#: ``receiving_task``.
-DATA_IN_BOUND = 8
-#: ``ready`` holds stamped runs (the paper's ready queue; its monitored
-#: variable counts the events in them).  Full: ``receiving_task``
-#: blocks.  Drained by ``sending_task``.
-READY_BOUND = 1
-#: ``main.inbox`` of the central site holds runs (one EventBatch each).
-#: Full: ``sending_task`` blocks.  Drained by ``event_loop``.  Together
-#: with ``ready`` it holds at most 2 * MAX_RUN_EVENTS = 256 events.  A
-#: mirror's holds runs too, put by its socket reader; full: the reader
-#: blocks and stops reading its socket.
+#: A main unit's inbox holds runs (one EventBatch each), put by a socket
+#: reader and drained by ``event_loop``.  Full: the reader blocks and
+#: stops reading its socket — on central the source sees TCP
+#: back-pressure, with at most 2 * MAX_RUN_EVENTS = 256 events (the
+#: inbox and the run in hand) past its socket.
 CENTRAL_INBOX_BOUND = 1
 MIRROR_INBOX_BOUND = 8
 #: Most events one queue item carries over TCP.
@@ -338,10 +330,8 @@ class AsyncCentralSite:
         self.adaptation = adaptation
         self.main = AsyncMainUnit(site, clock=clock)
         self.main.distribute_updates = True
-        self.data_in: asyncio.Queue = asyncio.Queue(maxsize=DATA_IN_BOUND)
-        self.ready: asyncio.Queue = asyncio.Queue(maxsize=READY_BOUND)
-        #: events on ``ready`` or in the run in hand not yet mirrored (the
-        #: monitored ready queue, counted in events as its thresholds are)
+        #: events of the item in hand not yet mirrored (the monitored
+        #: ready queue, counted in events as its thresholds are)
         self.ready_events = 0
         self.backup = BackupQueue()
         self.engine = config.build_engine()
@@ -364,47 +354,31 @@ class AsyncCentralSite:
             MONITOR_PENDING_REQUESTS: float(self.main._pending_requests),
         }
 
-    async def receiving_task(self) -> None:
-        """Stamp each incoming run whole and queue it as one item."""
-        ready = self.ready
-        clock = self.clock
-        while True:
-            item = await self.data_in.get()
-            if item == EOS:
-                await ready.put(EOS)
-                break
-            if isinstance(item, ShardControl):
-                # no stamp (control frames carry no vt); queue position
-                # alone orders it against the surrounding events
-                await ready.put(item)
-                continue
-            vt = self.clock_vt
-            now = clock()
-            run = []
-            for event in item:
-                vt = vt.advanced(event.stream, event.seqno)
-                run.append(event.stamped(vt, now))
-            self.clock_vt = vt
-            await ready.put(run)
-            self.ready_events += len(run)
+    async def on_input(self, item: Any) -> None:
+        """Handle one item of the source stream in the turn that reads it.
 
-    async def sending_task(self) -> None:
-        """fwd() each run; mirror() what the rules pass; checkpoint.
-
-        The run goes to the main unit as one item, then out to the
-        mirrors; once the run is written, the task waits only on a
-        mirror whose transport is past its high-water mark."""
-        while True:
-            item = await self.ready.get()
-            if item == EOS:
-                await self._finish_stream()
-                break
-            if isinstance(item, ShardControl):
-                await self._shard_barrier(item)
-                continue
-            await self.main.inbox.put(EventBatch(item))  # fwd(): EDE sees everything
-            self._mirror_run(item)
-            await self.mirror_channel.drain()
+        A run is stamped whole and goes to the main unit as one item
+        (fwd(): the EDE sees everything), then out to the mirrors; once
+        it is written, this waits only on a mirror whose transport is
+        past its high-water mark.  A handoff control frame passes the
+        shard barrier; EOS ends the stream."""
+        if isinstance(item, ShardControl):
+            await self._shard_barrier(item)
+            return
+        if item == EOS:
+            await self._finish_stream()
+            return
+        vt = self.clock_vt
+        now = self.clock()
+        run = []
+        for event in item:
+            vt = vt.advanced(event.stream, event.seqno)
+            run.append(event.stamped(vt, now))
+        self.clock_vt = vt
+        self.ready_events += len(run)
+        await self.main.inbox.put(EventBatch(run))
+        self._mirror_run(run)
+        await self.mirror_channel.drain()
 
     def _mirror_run(self, run: List[UpdateEvent]) -> None:
         """Run the rules over ``run`` a slice at a time and publish what
@@ -497,10 +471,13 @@ class AsyncCentralSite:
             if commit is not None:
                 self._broadcast_commit(commit)
 
-    async def control_task(self) -> None:
-        """Returns at once: votes are counted by :meth:`on_vote`.  Kept
-        because benchmarks/e2e/server.py spawns it, until ROADMAP 1(e)
-        composes that server by ``NetCentral.run()``."""
+    async def _no_task(self) -> None:
+        """Returns at once: the source stream enters by :meth:`on_input`
+        and votes by :meth:`on_vote`.  Bound to the three task names
+        benchmarks/e2e/server.py spawns, until ROADMAP 1(e) composes
+        that server by ``NetCentral.run()``."""
+
+    receiving_task = sending_task = control_task = _no_task
 
     def _broadcast_commit(self, commit: CommitMsg) -> None:
         if self.adaptation is not None:

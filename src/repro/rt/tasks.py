@@ -37,8 +37,14 @@ class TaskSupervisor:
 
     def _on_done(self, task: asyncio.Task) -> None:
         if not task.cancelled() and task.exception() is not None:
-            if not self._failed().done():
-                self._failed().set_exception(task.exception())
+            self.fail(task.exception())  # type: ignore[arg-type]
+
+    def fail(self, exc: BaseException) -> None:
+        """Make ``exc`` the outcome, as a supervised task's would be —
+        for work no supervisor spawned (a listener's handler task).
+        The first failure wins."""
+        if not self._failed().done():
+            self._failed().set_exception(exc)
 
     async def guard(self, coro: Coroutine[Any, Any, T]) -> T:
         """Run ``coro`` to completion — unless a supervised task raises

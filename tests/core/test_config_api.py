@@ -77,18 +77,26 @@ def test_config_engine_skips_disabled_features():
     assert engine.rules == []  # length-1 overwrite is a no-op
 
 
-def test_config_custom_mirror_hook_runs_send_side():
+@pytest.mark.parametrize(
+    "field, side, other",
+    [("custom_mirror", "on_send", "on_receive"),
+     ("custom_fwd", "on_receive", "on_send")],
+    ids=["custom_mirror", "custom_fwd"],
+)
+def test_config_custom_mirror_hook_runs_send_side(field, side, other):
+    """``set_mirror``'s callable runs on the send side, ``set_fwd``'s on
+    the receive side, and each leaves the other side alone."""
     seen = []
 
     def custom(event, table):
         seen.append(event.kind)
         return []  # drop everything
 
-    cfg = MirrorConfig(custom_mirror=custom)
-    engine = cfg.build_engine()
-    assert engine.on_send(ev()) == []
-    assert engine.on_receive(ev()) != []  # receive side untouched
+    engine = MirrorConfig(**{field: custom}).build_engine()
+    assert getattr(engine, side)(ev()) == []
+    assert getattr(engine, other)(ev()) != []  # the other side untouched
     assert seen == [FAA_POSITION]
+    assert engine.forward_many([ev()]) == []
 
 
 # ---------------------------------------------------------- AdaptDirective

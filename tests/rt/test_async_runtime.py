@@ -60,11 +60,11 @@ async def serve(sc, central, mirrors, before=None, after=None):
             if before is not None:
                 await before(ports)
             for se in sc.fresh_events():
-                await site.data_in.put([se.event])
+                await central.feed([se.event])
             if after is not None:
                 await until(lambda: site.main.events_applied == len(sc))
                 await after(ports)
-            await site.data_in.put(EOS)
+            await central.feed(EOS)
             await central_run
             await asyncio.gather(*runs)
 
@@ -177,8 +177,8 @@ def test_a_connected_mirror_adds_at_most_four_tasks():
             async def drive():
                 central_run = tasks.spawn(central.run())
                 for se in script().fresh_events():
-                    await site.data_in.put([se.event])
-                await site.data_in.put(EOS)
+                    await central.feed([se.event])
+                await central.feed(EOS)
                 await central_run
                 await mirror_run
 
@@ -191,6 +191,43 @@ def test_a_connected_mirror_adds_at_most_four_tasks():
         return added
 
     assert run(scenario()) <= 4
+
+
+def test_central_and_a_connected_source_add_at_most_four_tasks():
+    """Central is its source reader plus its main unit's event loop:
+    ``run()`` and one connected source add the run, its guarded body,
+    the event loop and the source connection's handler — no task per
+    queue hop.  The stream fed on the socket is applied whole."""
+    sc = script()
+
+    async def scenario():
+        central = NetCentral(0)
+        tasks = TaskSupervisor()
+        writer = None
+        try:
+            port = await central.start(host=HOST)
+            before = len(asyncio.all_tasks())
+            central_run = tasks.spawn(central.run())
+            _reader, writer = await asyncio.open_connection(HOST, port)
+            encoder = WireEncoder()
+            writer.write(encoder.encode_hello(Hello("source", "count")))
+            writer.write(b"".join(
+                encoder.encode_message(se.event) for se in sc.fresh_events()
+            ))
+            await until(lambda: central.site.main.events_applied == len(sc))
+            added = len(asyncio.all_tasks()) - before
+            writer.write(encoder.encode_eos())
+            await central_run
+        finally:
+            if writer is not None:
+                writer.close()
+            await tasks.cancel()
+            await central.close()
+        return added, central.site.main.ede.processed
+
+    added, applied = run(scenario())
+    assert added <= 4
+    assert applied == len(sc)
 
 
 def test_live_run_processes_everything():

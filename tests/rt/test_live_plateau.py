@@ -151,11 +151,7 @@ async def drill():
             })
 
             # -- every queue: empty now, and never past its declared bound
-            bounded = [
-                (site.data_in, sites.DATA_IN_BOUND),
-                (site.ready, sites.READY_BOUND),
-                (site.main.inbox, sites.CENTRAL_INBOX_BOUND),
-            ]
+            bounded = [(site.main.inbox, sites.CENTRAL_INBOX_BOUND)]
             for mirror in mirrors:
                 bounded.append((mirror.site.main.inbox, sites.MIRROR_INBOX_BOUND))
             for queue, bound in bounded:
@@ -166,11 +162,11 @@ async def drill():
                 # in front of it
                 assert mirror.data_sub.queue is mirror.site.main.inbox
                 assert mirror.data_sub.high_watermark <= sites.MIRROR_INBOX_BOUND
-            # ready and the central inbox hold runs: no more events
-            # between them than the per-event queues they replaced
+            # the central inbox holds runs: with the run in hand, no
+            # more events than the per-event queues they replaced
             assert (
-                (sites.READY_BOUND + sites.CENTRAL_INBOX_BOUND)
-                * sites.MAX_RUN_EVENTS <= 64 + 256
+                (sites.CENTRAL_INBOX_BOUND + 1) * sites.MAX_RUN_EVENTS
+                <= 64 + 256
             )
 
             # -- a transport holds its high-water mark plus one run at most
@@ -183,11 +179,10 @@ async def drill():
             # between central's stamp and the slowest mirror's apply,
             # twice over (a round commits what its predecessor's flight
             # time let through), plus the events between two rounds:
-            # ready and the inbox in runs, the run in hand, a transport
+            # the central inbox in runs, the run in hand, a transport
             # at its high-water mark, and the mirror's inbox in runs
             in_flight = (
-                (sites.READY_BOUND + sites.CENTRAL_INBOX_BOUND + 1
-                 + sites.MIRROR_INBOX_BOUND)
+                (sites.CENTRAL_INBOX_BOUND + 1 + sites.MIRROR_INBOX_BOUND)
                 * sites.MAX_RUN_EVENTS
                 + high_water // min_frame
             )

@@ -11,7 +11,8 @@ import asyncio
 
 from repro.ois import FlightDataConfig, generate_script
 from repro.rt.net import NetCentral, NetMirror, run_net_scenario
-from repro.rt.shards import ShardRuntime, run_sharded_scenario
+from repro.rt.shards import IngressRouter, ShardRuntime, run_sharded_scenario
+from repro.shard.partition import ShardMap
 from repro.rt.sites import EOS
 from repro.rt.tasks import TaskSupervisor
 
@@ -38,8 +39,8 @@ async def stream_through(central, mirrors, sc):
     runs = [tasks.spawn(m.run(HOST, port)) for m in mirrors]
     central_run = tasks.spawn(central.run())
     for se in sc.fresh_events():
-        await central.site.data_in.put([se.event])
-    await central.site.data_in.put(EOS)
+        await central.feed([se.event])
+    await central.feed(EOS)
     await tasks.guard(asyncio.wait_for(central_run, timeout=10))
     return runs
 
@@ -156,6 +157,34 @@ def test_shard_abort_leaks_nothing():
         assert pending_tasks() == []
 
     asyncio.run(main())
+
+
+def test_router_close_ends_its_map_listener_handlers():
+    """A client that connects to the map port and never says HELLO holds
+    a handler task; closing the router cancels it, and the cancellation
+    is a normal shutdown, not an error for the loop."""
+    unhandled = []
+
+    async def main():
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: unhandled.append(context)
+        )
+        router = IngressRouter(
+            ShardMap(strategy="hash", names=("shard0",), client_ports=(1,))
+        )
+        port = await router.serve_map(host=HOST)
+        _reader, writer = await asyncio.open_connection(HOST, port)
+        deadline = asyncio.get_running_loop().time() + 5
+        while not pending_tasks():  # until its handler waits for HELLO
+            assert asyncio.get_running_loop().time() < deadline
+            await asyncio.sleep(0.001)
+        await asyncio.wait_for(router.close(), timeout=5)
+        leftover = pending_tasks()
+        writer.close()
+        return leftover
+
+    assert asyncio.run(main()) == []
+    assert unhandled == []
 
 
 def test_cancelled_sharded_scenario_leaks_nothing():

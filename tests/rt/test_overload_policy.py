@@ -98,6 +98,35 @@ def test_failing_engine_fails_the_sharded_scenario(monkeypatch):
     ends_with_boom(run_sharded_scenario(script=script(), n_shards=2))
 
 
+def failing_mirror_rule():
+    """A mirroring config whose ``set_mirror`` callable raises on its
+    eleventh event: a failure on central's source path."""
+    seen = []
+
+    def mirror(event, table):
+        seen.append(event)
+        if len(seen) == 11:
+            raise Boom("eleventh event")
+        return None
+
+    config = simple_mirroring()
+    config.custom_mirror = mirror
+    return config
+
+
+def test_failing_mirror_rule_on_central_fails_the_net_scenario():
+    ends_with_boom(run_net_scenario(script(), n_mirrors=2, config=failing_mirror_rule()))
+
+
+def test_failing_mirror_rule_on_central_fails_the_sharded_scenario():
+    """The shard's stream enters central on its source connection's
+    handler, a task no supervisor spawned: the failure still ends the
+    run."""
+    ends_with_boom(run_sharded_scenario(
+        script=script(), n_shards=2, config=failing_mirror_rule()
+    ))
+
+
 def test_supervisor_raises_the_first_failure_and_cancels_the_rest():
     async def main():
         tasks = TaskSupervisor()
@@ -176,7 +205,7 @@ def test_pipelined_requests_show_in_the_pending_gauge():
                 i = 0
                 while True:
                     i += 1
-                    await site.data_in.put([position(i)])
+                    await central.feed([position(i)])
                     await asyncio.sleep(0)
 
             tasks.spawn(feed())
@@ -405,7 +434,6 @@ def test_mirror_attaching_mid_burst_keeps_every_decoder_in_sync():
     async def main():
         central = NetCentral(1)
         first, late = NetMirror("mirror1"), NetMirror("late")
-        site = central.site
         tasks = TaskSupervisor()
         try:
             port = await central.start(host=HOST)
@@ -415,12 +443,12 @@ def test_mirror_attaching_mid_burst_keeps_every_decoder_in_sync():
             async def drive():
                 late_run = None
                 for start in range(1, n_events + 1, 50):
-                    await site.data_in.put(
+                    await central.feed(
                         [position(i, key=f"DL{i % 7}") for i in range(start, start + 50)]
                     )
                     if start > n_events // 3 and late_run is None:
                         late_run = tasks.spawn(late.run(HOST, port))
-                await site.data_in.put("__end_of_stream__")
+                await central.feed("__end_of_stream__")
                 await central_run
                 await asyncio.gather(first_run, late_run)
 

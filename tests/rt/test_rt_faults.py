@@ -36,7 +36,6 @@ def run_drill(sc, crash_after=None):
         )
         central = NetCentral(2)
         mirrors = [NetMirror(name) for name in central.mirror_names]
-        site = central.site
         tasks = TaskSupervisor()
         try:
             port = await central.start(host=HOST)
@@ -45,11 +44,11 @@ def run_drill(sc, crash_after=None):
 
             async def drive():
                 for se in sc.fresh_events():
-                    await site.data_in.put([se.event])
+                    await central.feed([se.event])
                     if (crash_after is not None and not runs[0].done()
                             and mirrors[0].site.main.ede.processed >= crash_after):
                         runs[0].cancel()
-                await site.data_in.put(EOS)
+                await central.feed(EOS)
                 await central_run
                 await asyncio.gather(*runs, return_exceptions=True)
 

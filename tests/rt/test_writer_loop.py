@@ -201,39 +201,37 @@ def test_a_backed_up_transport_paces_the_sending_path():
 
 
 def test_one_chunk_costs_one_hop_per_queue_and_one_write_per_mirror():
-    """A 256-event source chunk crosses ``ready`` and ``main.inbox`` as
-    one item each and reaches every mirror in one ``writelines``, whose
-    bytes are a fresh shared encoding of the same events."""
+    """A 256-event source chunk, fed to central whole, crosses
+    ``main.inbox`` as one item and reaches every mirror in one
+    ``writelines``, whose bytes are a fresh shared encoding of the same
+    events."""
 
     async def scenario():
         config = replace(simple_mirroring(), checkpoint_freq=10_000)
         central = NetCentral(n_mirrors=2, config=config)
         writers = attach(central, 2)
         site = central.site
-        puts = {"ready": [], "inbox": []}
-        for name, queue in (("ready", site.ready), ("inbox", site.main.inbox)):
-            # every put, awaited or not, ends in put_nowait
-            def spy(item, _real=queue.put_nowait, _seen=puts[name]):
-                _seen.append(item)
-                return _real(item)
+        puts = []
+        inbox = site.main.inbox
 
-            queue.put_nowait = spy
-        tasks = [
-            asyncio.ensure_future(site.receiving_task()),
-            asyncio.ensure_future(site.sending_task()),
-            asyncio.ensure_future(site.main.event_loop()),
-        ]
-        await site.data_in.put([position(i + 1) for i in range(256)])
+        # every put, awaited or not, ends in put_nowait
+        def spy(item, _real=inbox.put_nowait):
+            puts.append(item)
+            return _real(item)
+
+        inbox.put_nowait = spy
+        applying = asyncio.ensure_future(site.main.event_loop())
+        await central.feed([position(i + 1) for i in range(256)])
         while site.main.ede.processed < 256:
             await asyncio.sleep(0)
-        counts = {name: len(items) for name, items in puts.items()}
-        run = puts["inbox"][0].events
-        await site.data_in.put(EOS)
-        await asyncio.gather(*tasks)
-        return counts, run, writers
+        count = len(puts)
+        run = puts[0].events
+        await central.feed(EOS)
+        await applying
+        return count, run, writers
 
-    counts, run, writers = asyncio.run(scenario())
-    assert counts == {"ready": 1, "inbox": 1}
+    count, run, writers = asyncio.run(scenario())
+    assert count == 1
     assert len(run) == 256
     cache = SharedFrameCache()
     expected = b"".join(cache.encode(event) for event in run)
