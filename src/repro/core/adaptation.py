@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from .config import (
@@ -48,21 +48,19 @@ MONITOR_READY_QUEUE = "ready_queue"
 MONITOR_BACKUP_QUEUE = "backup_queue"
 MONITOR_PENDING_REQUESTS = "pending_requests"
 
-_cmd_ids = itertools.count(1)
-
-
 @dataclass(frozen=True)
 class AdaptCommand:
     """An adaptation decision shipped (piggybacked) to every site.
 
     ``action`` is ``"adapt"`` or ``"revert"``; ``config`` is the full
     mirroring configuration to install.  Commands carry a sequence
-    number so out-of-order delivery cannot roll a site back.
+    number, counted from 1 by the controller that issued them, so
+    out-of-order delivery cannot roll a site back.
     """
 
     action: str
     config: MirrorConfig
-    seq: int = field(default_factory=lambda: next(_cmd_ids))
+    seq: int
 
     def __post_init__(self):
         if self.action not in ("adapt", "revert"):
@@ -143,6 +141,7 @@ class AdaptationController:
         self.adaptations = 0
         self.reversions = 0
         self.history: List[tuple] = []  # (action, trigger_index, value)
+        self._seqs = itertools.count(1)
 
     @property
     def enabled(self) -> bool:
@@ -166,7 +165,10 @@ class AdaptationController:
                     self.adapted = True
                     self.adaptations += 1
                     self.history.append(("adapt", index, value))
-                    return AdaptCommand(action="adapt", config=self.adapted_config)
+                    return AdaptCommand(
+                        action="adapt", config=self.adapted_config,
+                        seq=next(self._seqs),
+                    )
             return None
         # currently adapted: revert only when all monitors are calm
         for index, spec in self.base_config.monitors.items():
@@ -178,4 +180,6 @@ class AdaptationController:
         self.adapted = False
         self.reversions += 1
         self.history.append(("revert", None, math.nan))
-        return AdaptCommand(action="revert", config=self.base_config)
+        return AdaptCommand(
+            action="revert", config=self.base_config, seq=next(self._seqs)
+        )

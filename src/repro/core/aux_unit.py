@@ -1,4 +1,4 @@
-"""Auxiliary units: the mirroring machinery (§3.1–3.2).
+"""Auxiliary units: the mirroring machinery (§3.1–3.2), simulated.
 
 The central site's auxiliary unit runs the three tasks of the paper —
 *receiving*, *sending* and *control* — synchronised through the ready
@@ -20,6 +20,13 @@ Mirror sites run a reduced auxiliary unit: receive mirrored events,
 keep backup copies, forward to the local main unit, and answer
 checkpoint control messages (attaching their monitored queue lengths to
 the replies).
+
+Every protocol decision is made by the site cores of
+:mod:`repro.core.sitecore`, which the units here subclass; what these
+units add is the simulated tasks and queues, and the modelled cost of
+each step.  A mirror the failover supervisor promotes gets a
+:class:`CentralCore` of its own and runs the same primary steps
+(:class:`_SimPrimary`) as the central unit.
 """
 
 from __future__ import annotations
@@ -34,22 +41,14 @@ from .adaptation import (
     MONITOR_BACKUP_QUEUE,
     MONITOR_PENDING_REQUESTS,
     MONITOR_READY_QUEUE,
-    AdaptCommand,
     AdaptationController,
 )
-from .checkpoint import (
-    CONTROL_MSG_SIZE,
-    CheckpointCoordinator,
-    ChkptMsg,
-    ChkptRepMsg,
-    CommitMsg,
-)
+from .checkpoint import CONTROL_MSG_SIZE, ChkptMsg, ChkptRepMsg, CommitMsg
 from .config import MirrorConfig
 from .events import EventBatch, UpdateEvent, VectorTimestamp
 from .invariants import InvariantMonitor
 from .main_unit import EOS, MainUnit
-from .queues import BackupQueue
-from .rules import RuleEngine
+from .sitecore import CentralCore, MirrorCore
 
 __all__ = ["CentralAuxUnit", "MirrorAuxUnit", "PROMOTED_FIRST_ROUND"]
 
@@ -67,7 +66,162 @@ CENTRAL_DATA_INBOX = 256
 MIRROR_DATA_INBOX = 128
 
 
-class CentralAuxUnit:
+class _SimPrimary:
+    """The simulated primary's steps — mirror one event, mirror a batch,
+    initiate a round, broadcast a commit, finish the stream — written
+    once for the central unit and a promoted mirror.  Each charges its
+    modelled cost around calls into ``primary_core``."""
+
+    env: Environment
+    node: Node
+    metrics: RunMetrics
+    main_unit: MainUnit
+    mirror_channel: EventChannel
+    ctrl_channel: EventChannel
+    _mirror_in_hand: List[UpdateEvent]
+    #: the core these steps decide with: the central unit itself, or a
+    #: promoted mirror's own
+    primary_core: CentralCore
+
+    def monitor_readings(self) -> Dict[str, float]:
+        raise NotImplementedError
+
+    def _mirror_one(self, outs: List[UpdateEvent], ordered: bool = True):
+        if not outs:
+            # steady-state overwrite lane: nothing survived the rules —
+            # return before the defensive list copy below
+            return
+        core = self.primary_core
+        costs = self.node.costs
+        in_hand = self._mirror_in_hand
+        if in_hand is not outs:
+            in_hand = self._mirror_in_hand = list(outs)
+        for out in list(outs):
+            if core.monitor is not None:
+                core.monitor.on_mirrored(out, ordered=ordered)
+            yield from self.node.execute(costs.mirror_cost(out.size))
+            yield from self.mirror_channel.publish(self.node, out, out.size)
+            # published to every subscriber: survivors hold it from here
+            if out in in_hand:
+                in_hand.remove(out)
+            yield from self.node.execute(costs.backup_fixed)
+            core.backup.append(out)
+            self.metrics.events_mirrored += 1
+
+    def _mirror_batch(self, outs: List[UpdateEvent]):
+        """Mirror ``outs`` as one :class:`EventBatch` wire message.
+
+        Per-event CPU (mirror preparation, backup copy) is still paid per
+        event; what collapses is the per-message channel cost — one
+        publish, one serialization, one link latency for the whole batch.
+        """
+        if not outs:
+            return
+        if len(outs) == 1:
+            yield from self._mirror_one(outs)
+            return
+        core = self.primary_core
+        costs = self.node.costs
+        if self._mirror_in_hand is not outs:
+            self._mirror_in_hand = list(outs)
+        for out in outs:
+            if core.monitor is not None:
+                core.monitor.on_mirrored(out)
+            yield from self.node.execute(costs.mirror_cost(out.size))
+        # the batch must own its event list: ``outs`` is the sending
+        # task's reused buffer, cleared on the next iteration while the
+        # wire message may still be in flight
+        batch = EventBatch(list(outs))
+        yield from self.mirror_channel.publish(self.node, batch, batch.size)
+        # the whole batch reached every subscriber in one wire message
+        self._mirror_in_hand = []
+        for out in outs:
+            yield from self.node.execute(costs.backup_fixed)
+            core.backup.append(out)
+            self.metrics.events_mirrored += 1
+
+    def _count_processed(self, n: int) -> None:
+        for _ in range(self.primary_core.count_processed(n)):
+            self._initiate_checkpoint()
+
+    def _initiate_checkpoint(self) -> None:
+        core = self.primary_core
+        # a due round replaces one still collecting (the pinned figures
+        # were made with this rule; the live central skips instead)
+        msg = core.open_round(self.monitor_readings(), skip_if_collecting=False)
+        if msg is None:
+            return
+        self.env.process(self.node.execute(self.node.costs.control_round))
+        self.metrics.checkpoint_rounds += 1
+        if self.metrics.tracer is not None:
+            self.metrics.tracer.record(
+                self.env.now, "checkpoint", core.site, "initiate",
+                round=msg.round_id, backup=len(core.backup),
+            )
+        if isinstance(msg, CommitMsg):
+            # no other participant: the local vote committed the round
+            self.env.process(self._broadcast_commit(msg))
+            return
+        self.ctrl_channel.publish_nowait(self.node, msg, CONTROL_MSG_SIZE)
+
+    def _count_vote(self, reply: ChkptRepMsg):
+        yield from self.node.execute(self.node.costs.control_fixed)
+        commit = self.primary_core.on_reply(reply)
+        if commit is not None:
+            yield from self._broadcast_commit(commit)
+
+    def _broadcast_commit(self, commit: CommitMsg):
+        core = self.primary_core
+        metrics = self.metrics
+        # adaptation decision rides the commit (no extra control traffic)
+        commit = core.adapt(commit, self.monitor_readings())
+        command, controller = commit.adapt, core.adaptation
+        if command is not None and controller is not None:
+            metrics.adaptations = controller.adaptations
+            metrics.reversions = controller.reversions
+            metrics.adaptation_log.append(
+                (self.env.now, command.action, command.config.function_name)
+            )
+            if metrics.tracer is not None:
+                metrics.tracer.record(
+                    self.env.now, "adaptation", core.site, command.action,
+                    function=command.config.function_name, seq=command.seq,
+                )
+        metrics.checkpoint_commits += 1
+        if metrics.tracer is not None:
+            metrics.tracer.record(
+                self.env.now, "checkpoint", core.site, "commit",
+                round=commit.round_id, vt=str(commit.vt),
+            )
+        yield from self.node.execute(self.node.costs.control_round)
+        trimmed = core.trim(commit)
+        if trimmed:
+            yield from self.node.execute(self.node.costs.trim_per_event * trimmed)
+        yield from self.ctrl_channel.publish(self.node, commit, CONTROL_MSG_SIZE)
+
+    def _finish_stream(self):
+        """End of stream: mirror what the rules still hold, run a final
+        checkpoint and resolve ``stream_done``.  Flush emissions may
+        carry timestamps older than events already mirrored, so the
+        order invariant is waived for them."""
+        core = self.primary_core
+        for out in core.engine.flush("receive"):
+            yield from self._mirror_one(core.engine.on_send(out), ordered=False)
+        for out in core.engine.flush("send"):
+            yield from self._mirror_one([out], ordered=False)
+        self._initiate_checkpoint()
+        self.metrics.rule_stats = core.engine.stats()
+        if self.metrics.tracer is not None:
+            self.metrics.tracer.record(
+                self.env.now, "stream", core.site, "end_of_stream",
+                processed=core.processed_events,
+                mirrored=self.metrics.events_mirrored,
+            )
+        if not self.stream_done.triggered:
+            self.stream_done.succeed()
+
+
+class CentralAuxUnit(_SimPrimary, CentralCore):
     """Auxiliary unit of the central (primary) site."""
 
     def __init__(
@@ -85,17 +239,19 @@ class CentralAuxUnit:
         adaptation: Optional[AdaptationController] = None,
         monitor: Optional[InvariantMonitor] = None,
     ):
+        CentralCore.__init__(
+            self, config, participants, main_unit.checkpointer,
+            adaptation=adaptation, monitor=monitor,
+        )
         self.env = env
         self.node = node
         self.transport = transport
         self.main_unit = main_unit
         self.mirror_channel = mirror_channel
         self.ctrl_channel = ctrl_channel
-        self.config = config
         self.metrics = metrics
         self.mirroring_enabled = mirroring_enabled
-        self.adaptation = adaptation
-        self.monitor = monitor
+        self.primary_core = self
 
         self.data_in = transport.register(
             "central.aux.data", node, capacity=CENTRAL_DATA_INBOX
@@ -105,11 +261,6 @@ class CentralAuxUnit:
         # by the sending task (an unbounded ready queue would let receive
         # processing race arbitrarily far ahead of mirroring/forwarding)
         self.ready = Store(env, capacity=64)
-        self.backup = BackupQueue()
-        self.engine = config.build_engine()
-        self.coordinator = CheckpointCoordinator(participants, monitor=monitor)
-        self.clock = VectorTimestamp()
-        self.processed_events = 0
         self.stream_done = env.event()
         # -- crash accounting (repro.faults) ------------------------------
         # A fail-stop interrupt can land while a task holds an event in a
@@ -139,12 +290,9 @@ class CentralAuxUnit:
 
     # -- MirrorControl host interface -------------------------------------
     def apply_config(self, config: MirrorConfig) -> None:
-        """Install a new mirroring configuration (dynamic API changes and
-        adaptation commands both land here).  The status table survives
-        the swap: rule history (overwrite runs, suppressions) is
-        application state, not function state."""
-        self.config = config
-        self.engine = config.build_engine(table=self.engine.table)
+        """:meth:`CentralCore.apply_config`, and the main unit serves
+        snapshots as the new config says."""
+        CentralCore.apply_config(self, config)
         self.main_unit.configure_snapshots(config)
 
     def do_mirror(self):
@@ -172,13 +320,13 @@ class CentralAuxUnit:
             return  # fail-stop crash injected between event steps
 
     def _receiving_body(self):
-        # invariants hoisted (node/transport/queues are init-bound);
-        # clock is NOT — it is rebound per event and on promotion
+        # invariants hoisted (node/transport/queues are init-bound)
         costs = self.node.costs
         execute = self.node.execute
         data_get = self.data_in.inbox.get
         ready_put = self.ready.put
         ready_offer = self.ready.offer
+        stamp = self.stamp
         env = self.env
         while True:
             msg = yield data_get()
@@ -189,10 +337,7 @@ class CentralAuxUnit:
                 continue
             event: UpdateEvent = msg.payload
             yield from execute(costs.recv_cost(event.size))
-            clock = self.clock = self.clock.advanced(event.stream, event.seqno)
-            if self.monitor is not None:
-                self.monitor.on_stamped(event.stream, event.seqno)
-            stamped = event.stamped(clock, entered_at=env.now)
+            stamped = stamp(event, env.now)
             # yield only under backpressure (bounded ready queue full)
             if not ready_offer(stamped):
                 yield ready_put(stamped)
@@ -221,25 +366,7 @@ class CentralAuxUnit:
         while True:
             item = yield ready_get()
             if item == EOS:
-                # flush held events (partial tuples, coalesce buffers) —
-                # flush emissions may carry timestamps older than events
-                # already mirrored, so the order invariant is waived
-                for out in self.engine.flush("receive"):
-                    yield from self._mirror_one(
-                        self.engine.on_send(out), ordered=False
-                    )
-                for out in self.engine.flush("send"):
-                    yield from self._mirror_one([out], ordered=False)
-                self._initiate_checkpoint()
-                self.metrics.rule_stats = self.engine.stats()
-                if self.metrics.tracer is not None:
-                    self.metrics.tracer.record(
-                        self.env.now, "stream", "central", "end_of_stream",
-                        processed=self.processed_events,
-                        mirrored=self.metrics.events_mirrored,
-                    )
-                if not self.stream_done.triggered:
-                    self.stream_done.succeed()
+                yield from self._finish_stream()
                 continue
             event: UpdateEvent = item
             self._send_in_hand = event
@@ -270,13 +397,8 @@ class CentralAuxUnit:
                 # this path is byte-for-byte the pre-batching code so all
                 # figures reproduce exactly
                 yield from self._mirror_one(outs)
-                # "invoked at a constant frequency of once per 50
-                # *processed* events" (§3.2.1) — counted per ready-queue
-                # event, so the checkpoint (and adaptation) cadence is
-                # independent of how aggressively the rules filter
-                self.processed_events += 1
-                if self.processed_events % self.config.checkpoint_freq == 0:
-                    self._initiate_checkpoint()
+                # counted per ready-queue event
+                self._count_processed(1)
                 continue
             # batch path: opportunistically drain events that are *already*
             # waiting on the ready queue (never blocking for more — an
@@ -305,83 +427,7 @@ class CentralAuxUnit:
                 self._send_in_hand = None
                 drained += 1
             yield from self._mirror_batch(outs)
-            for _ in range(drained):
-                self.processed_events += 1
-                if self.processed_events % self.config.checkpoint_freq == 0:
-                    self._initiate_checkpoint()
-
-    def _mirror_one(self, outs: List[UpdateEvent], ordered: bool = True):
-        if not outs:
-            # steady-state overwrite lane: nothing survived the rules —
-            # return before the defensive list copy below
-            return
-        costs = self.node.costs
-        in_hand = self._mirror_in_hand
-        if in_hand is not outs:
-            in_hand = self._mirror_in_hand = list(outs)
-        for out in list(outs):
-            if self.monitor is not None:
-                self.monitor.on_mirrored(out, ordered=ordered)
-            yield from self.node.execute(costs.mirror_cost(out.size))
-            yield from self.mirror_channel.publish(self.node, out, out.size)
-            # published to every subscriber: survivors hold it from here
-            if out in in_hand:
-                in_hand.remove(out)
-            yield from self.node.execute(costs.backup_fixed)
-            self.backup.append(out)
-            self.metrics.events_mirrored += 1
-
-    def _mirror_batch(self, outs: List[UpdateEvent]):
-        """Mirror ``outs`` as one :class:`EventBatch` wire message.
-
-        Per-event CPU (mirror preparation, backup copy) is still paid per
-        event; what collapses is the per-message channel cost — one
-        publish, one serialization, one link latency for the whole batch.
-        """
-        if not outs:
-            return
-        if len(outs) == 1:
-            yield from self._mirror_one(outs)
-            return
-        costs = self.node.costs
-        if self._mirror_in_hand is not outs:
-            self._mirror_in_hand = list(outs)
-        for out in outs:
-            if self.monitor is not None:
-                self.monitor.on_mirrored(out)
-            yield from self.node.execute(costs.mirror_cost(out.size))
-        # the batch must own its event list: ``outs`` is the sending
-        # task's reused buffer, cleared on the next iteration while the
-        # wire message may still be in flight
-        batch = EventBatch(list(outs))
-        yield from self.mirror_channel.publish(self.node, batch, batch.size)
-        # the whole batch reached every subscriber in one wire message
-        self._mirror_in_hand = []
-        for out in outs:
-            yield from self.node.execute(costs.backup_fixed)
-            self.backup.append(out)
-            self.metrics.events_mirrored += 1
-
-    def _initiate_checkpoint(self) -> None:
-        msg = self.coordinator.initiate(self.backup.last_vt())
-        if msg is None:
-            return
-        self.env.process(self.node.execute(self.node.costs.control_round))
-        self.metrics.checkpoint_rounds += 1
-        if self.metrics.tracer is not None:
-            self.metrics.tracer.record(
-                self.env.now, "checkpoint", "central", "initiate",
-                round=msg.round_id, backup=len(self.backup),
-            )
-        # own main unit votes locally (loopback control is free), with the
-        # central site's monitored readings piggybacked
-        reply = self.main_unit.checkpointer.on_chkpt(msg, self.monitor_readings())
-        commit = self.coordinator.on_reply(reply)
-        if commit is not None:
-            # no mirrors: commit immediately
-            self.env.process(self._broadcast_commit(commit))
-            return
-        self.ctrl_channel.publish_nowait(self.node, msg, CONTROL_MSG_SIZE)
+            self._count_processed(drained)
 
     def _control_task(self):
         try:
@@ -390,58 +436,13 @@ class CentralAuxUnit:
             return  # fail-stop crash injected between event steps
 
     def _control_body(self):
-        costs = self.node.costs
         while True:
             msg = yield self.ctrl_in.inbox.get()
-            payload = msg.payload
-            if isinstance(payload, ChkptRepMsg):
-                yield from self.node.execute(costs.control_fixed)
-                commit = self.coordinator.on_reply(payload)
-                if commit is not None:
-                    yield from self._broadcast_commit(commit)
-
-    def _broadcast_commit(self, commit: CommitMsg):
-        costs = self.node.costs
-        # adaptation decision rides the commit (no extra control traffic)
-        if self.adaptation is not None:
-            monitored = dict(self.coordinator.monitored_view())
-            for index, value in self.monitor_readings().items():
-                monitored[index] = max(monitored.get(index, 0.0), value)
-            command = self.adaptation.evaluate(monitored)
-            if command is not None:
-                commit = commit.with_adapt(command)
-                self.apply_config(command.config)
-                self.metrics.adaptations = self.adaptation.adaptations
-                self.metrics.reversions = self.adaptation.reversions
-                self.metrics.adaptation_log.append(
-                    (self.env.now, command.action, command.config.function_name)
-                )
-                if self.metrics.tracer is not None:
-                    self.metrics.tracer.record(
-                        self.env.now, "adaptation", "central", command.action,
-                        function=command.config.function_name, seq=command.seq,
-                    )
-        self.metrics.checkpoint_commits += 1
-        if self.metrics.tracer is not None:
-            self.metrics.tracer.record(
-                self.env.now, "checkpoint", "central", "commit",
-                round=commit.round_id, vt=str(commit.vt),
-            )
-        yield from self.node.execute(costs.control_round)
-        vt = self.main_unit.checkpointer.on_commit(commit)
-        covered = self.backup.covered_count(vt) if self.monitor is not None else 0
-        trimmed = self.backup.trim(vt)
-        if self.monitor is not None:
-            self.monitor.on_commit_applied(
-                "central", commit.round_id, vt,
-                self.main_unit.checkpointer.processed_vt, covered, trimmed,
-            )
-        if trimmed:
-            yield from self.node.execute(costs.trim_per_event * trimmed)
-        yield from self.ctrl_channel.publish(self.node, commit, CONTROL_MSG_SIZE)
+            if isinstance(msg.payload, ChkptRepMsg):
+                yield from self._count_vote(msg.payload)
 
 
-class MirrorAuxUnit:
+class MirrorAuxUnit(_SimPrimary, MirrorCore):
     """Auxiliary unit of a secondary mirror site."""
 
     def __init__(
@@ -454,35 +455,25 @@ class MirrorAuxUnit:
         metrics: RunMetrics,
         monitor: Optional[InvariantMonitor] = None,
     ):
+        MirrorCore.__init__(self, site, main_unit.checkpointer, monitor=monitor)
         self.env = env
-        self.site = site
         self.node = node
         self.transport = transport
         self.main_unit = main_unit
         self.metrics = metrics
-        self.monitor = monitor
         self.data_in = transport.register(
             f"{site}.aux.data", node, capacity=MIRROR_DATA_INBOX
         )
         self.ctrl_in = transport.register(f"{site}.aux.ctrl", node)
         self.ready = Store(env, capacity=64)
-        self.backup = BackupQueue()
-        self.applied_config: Optional[MirrorConfig] = None
-        self._applied_adapt_seq = 0
         #: where checkpoint replies go; the failover supervisor re-targets
         #: this when a promoted mirror becomes the coordinator
         self.reply_endpoint = "central.aux.ctrl"
         # -- promoted-primary state (repro.faults live failover) ----------
-        # Dormant until promote_to_primary(); a promoted mirror runs the
+        # None until promote_to_primary() gives this site a CentralCore
+        # (and the channels it publishes on); a promoted mirror runs the
         # central aux unit's duties with its existing three tasks.
-        self.promoted = False
-        self.config: Optional[MirrorConfig] = None
-        self.engine: Optional[RuleEngine] = None
-        self.coordinator: Optional[CheckpointCoordinator] = None
-        self.mirror_channel: Optional[EventChannel] = None
-        self.ctrl_channel: Optional[EventChannel] = None
-        self.clock = VectorTimestamp()
-        self.processed_events = 0
+        self.primary_core = None  # type: ignore[assignment]
         self.stream_done = env.event()
         #: uids of raw source events this site stamped itself — only they
         #: take the full primary pipeline (rules, mirroring, backup); the
@@ -524,7 +515,8 @@ class MirrorAuxUnit:
         participants: set,
         resume_vt: Optional[VectorTimestamp] = None,
     ) -> None:
-        """Assume the central role at runtime.
+        """Assume the central role at runtime, on a :class:`CentralCore`
+        over this site's backup queue.
 
         The timestamp clock resumes from everything this site is known to
         hold: its main unit's processing progress merged with its backup
@@ -534,20 +526,18 @@ class MirrorAuxUnit:
         primary's numbering.  The checkpoint coordinator starts in a
         disjoint round-id space for the same reason.
         """
-        self.promoted = True
         self.mirror_channel = mirror_channel
         self.ctrl_channel = ctrl_channel
-        self.config = config
-        self.engine = config.build_engine()
-        clock = self.main_unit.checkpointer.processed_vt
+        clock = self.checkpointer.processed_vt
         backup_vt = self.backup.last_vt()
         if backup_vt is not None:  # empty backup: crash before any mirroring
             clock = clock.merge(backup_vt)
         if resume_vt is not None:
             clock = clock.merge(resume_vt)
-        self.clock = clock
-        self.coordinator = CheckpointCoordinator(
-            participants, monitor=self.monitor, first_round=PROMOTED_FIRST_ROUND
+        self.primary_core = CentralCore(
+            config, participants, self.checkpointer,
+            monitor=self.monitor, site=self.site, backup=self.backup,
+            stamp_clock=clock, first_round=PROMOTED_FIRST_ROUND,
         )
 
     def monitor_readings(self) -> Dict[str, float]:
@@ -573,7 +563,7 @@ class MirrorAuxUnit:
             if payload == EOS:
                 # only a promoted primary sees the stream end here: the
                 # re-routed source stream now terminates at this site
-                if self.promoted:
+                if self.primary_core is not None:
                     yield self.ready.put(EOS)
                 self._recv_in_hand = None
                 continue
@@ -599,8 +589,7 @@ class MirrorAuxUnit:
                 # these — timestamp it exactly as the central receiving
                 # task would, and mark it for the full primary pipeline
                 yield from self.node.execute(costs.recv_cost(event.size))
-                self.clock = self.clock.advanced(event.stream, event.seqno)
-                stamped = event.stamped(self.clock, entered_at=self.env.now)
+                stamped = self.primary_core.stamp(event, self.env.now)
                 self._fresh_uids.add(stamped.uid)
                 yield self.ready.put(stamped)
                 self._recv_in_hand = None
@@ -637,8 +626,8 @@ class MirrorAuxUnit:
         while True:
             event = yield self.ready.get()
             if event == EOS:
-                if self.promoted:
-                    yield from self._finish_promoted_stream()
+                if self.primary_core is not None:
+                    yield from self._finish_stream()
                 continue
             self._forwarding_uid = event.uid
             self._send_in_hand = event
@@ -647,94 +636,21 @@ class MirrorAuxUnit:
                 self.node, f"{self.site}.main",
                 Message(kind="data", payload=event, size=event.size),
             )
-            if not self.promoted or event.uid not in self._fresh_uids:
+            if self.primary_core is None or event.uid not in self._fresh_uids:
                 # pre-promotion backlog (or a plain mirror): the deposed
                 # primary already mirrored and backed this event up —
                 # forwarding it to the local main unit was all that's left
                 self._send_in_hand = None
                 continue
-            # fresh source event on the promoted primary: run the central
+            # fresh source event on the promoted primary: the central
             # sending task's duties — rules, mirroring, backup, cadence
             self._fresh_uids.discard(event.uid)
             self.metrics.events_forwarded += 1
-            engine = self.engine
-            config = self.config
-            if engine is None or config is None:  # pragma: no cover
-                self._send_in_hand = None
-                continue
             yield from self.node.execute(costs.rule_fixed)
-            outs: List[UpdateEvent] = []
-            self._mirror_in_hand = outs
-            for passed in engine.on_receive(event):
-                outs.extend(engine.on_send(passed))
+            outs = self._mirror_in_hand = self.primary_core.engine.forward_many([event])
             self._send_in_hand = None
-            yield from self._mirror_promoted(outs)
-            self.processed_events += 1
-            if self.processed_events % config.checkpoint_freq == 0:
-                self._initiate_promoted_checkpoint()
-
-    def _finish_promoted_stream(self):
-        """Promoted-primary end of stream: flush the rule pipeline, run a
-        final checkpoint, and resolve this site's stream-done event."""
-        engine = self.engine
-        if engine is None:  # pragma: no cover
-            return
-        for out in engine.flush("receive"):
-            yield from self._mirror_promoted(engine.on_send(out))
-        for out in engine.flush("send"):
-            yield from self._mirror_promoted([out])
-        self._initiate_promoted_checkpoint()
-        self.metrics.rule_stats = engine.stats()
-        if not self.stream_done.triggered:
-            self.stream_done.succeed()
-
-    def _mirror_promoted(self, outs: List[UpdateEvent]):
-        costs = self.node.costs
-        channel = self.mirror_channel
-        if channel is None:  # pragma: no cover
-            return
-        in_hand = self._mirror_in_hand
-        if in_hand is not outs:
-            in_hand = self._mirror_in_hand = list(outs)
-        for out in list(outs):
-            yield from self.node.execute(costs.mirror_cost(out.size))
-            yield from channel.publish(self.node, out, out.size)
-            # published to every subscriber: survivors hold it from here
-            if out in in_hand:
-                in_hand.remove(out)
-            yield from self.node.execute(costs.backup_fixed)
-            self.backup.append(out)
-            self.metrics.events_mirrored += 1
-
-    def _initiate_promoted_checkpoint(self) -> None:
-        coordinator = self.coordinator
-        ctrl_channel = self.ctrl_channel
-        if coordinator is None or ctrl_channel is None:  # pragma: no cover
-            return
-        msg = coordinator.initiate(self.backup.last_vt())
-        if msg is None:
-            return
-        self.env.process(self.node.execute(self.node.costs.control_round))
-        self.metrics.checkpoint_rounds += 1
-        # own main unit votes locally, exactly like the central site
-        reply = self.main_unit.checkpointer.on_chkpt(msg, self.monitor_readings())
-        commit = coordinator.on_reply(reply)
-        if commit is not None:
-            # sole survivor: commit immediately
-            self.env.process(self._broadcast_promoted_commit(commit))
-            return
-        ctrl_channel.publish_nowait(self.node, msg, CONTROL_MSG_SIZE)
-
-    def _broadcast_promoted_commit(self, commit: CommitMsg):
-        costs = self.node.costs
-        self.metrics.checkpoint_commits += 1
-        yield from self.node.execute(costs.control_round)
-        vt = self.main_unit.checkpointer.on_commit(commit)
-        trimmed = self.backup.trim(vt)
-        if trimmed:
-            yield from self.node.execute(costs.trim_per_event * trimmed)
-        if self.ctrl_channel is not None:
-            yield from self.ctrl_channel.publish(self.node, commit, CONTROL_MSG_SIZE)
+            yield from self._mirror_one(outs)
+            self._count_processed(1)
 
     def _control_task(self):
         try:
@@ -747,51 +663,22 @@ class MirrorAuxUnit:
         while True:
             msg = yield self.ctrl_in.inbox.get()
             payload = msg.payload
-            if self.promoted and isinstance(payload, ChkptRepMsg):
+            if self.primary_core is not None and isinstance(payload, ChkptRepMsg):
                 # coordinator side of the protocol, inherited at promotion
-                yield from self.node.execute(costs.control_fixed)
-                coordinator = self.coordinator
-                if coordinator is None:  # pragma: no cover
-                    continue
-                commit = coordinator.on_reply(payload)
-                if commit is not None:
-                    yield from self._broadcast_promoted_commit(commit)
+                yield from self._count_vote(payload)
                 continue
             # participant-side handling searches the backup queue
             # (Figure 3) — markedly heavier than coordinator bookkeeping
             yield from self.node.execute(costs.control_search)
             if isinstance(payload, ChkptMsg):
-                reply = self.main_unit.checkpointer.on_chkpt(
-                    payload, self.monitor_readings()
-                )
+                reply = self.vote(payload, self.monitor_readings())
                 yield from self.transport.send(
                     self.node, self.reply_endpoint,
                     Message(kind="control", payload=reply, size=CONTROL_MSG_SIZE),
                 )
             elif isinstance(payload, CommitMsg):
-                if payload.adapt is not None:
-                    self._apply_adapt(payload.adapt)
-                vt = self.main_unit.checkpointer.on_commit(payload)
-                covered = (
-                    self.backup.covered_count(vt)
-                    if self.monitor is not None
-                    else 0
-                )
-                trimmed = self.backup.trim(vt)
-                if self.monitor is not None:
-                    self.monitor.on_commit_applied(
-                        self.site, payload.round_id, vt,
-                        self.main_unit.checkpointer.processed_vt,
-                        covered, trimmed,
-                    )
+                trimmed, installed = self.commit(payload)
+                if installed is not None:
+                    self.main_unit.configure_snapshots(installed)
                 if trimmed:
                     yield from self.node.execute(costs.trim_per_event * trimmed)
-
-    def _apply_adapt(self, command: AdaptCommand) -> None:
-        """Install a piggybacked adaptation; stale commands are dropped
-        (sequence numbers protect against out-of-order control delivery)."""
-        if command.seq <= self._applied_adapt_seq:
-            return
-        self._applied_adapt_seq = command.seq
-        self.applied_config = command.config
-        self.main_unit.configure_snapshots(command.config)

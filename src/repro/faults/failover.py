@@ -304,21 +304,14 @@ class FailoverSupervisor:
         server = self.server
         server.mirror_channel.unsubscribe(f"{site}.aux.data")
         server.ctrl_channel.unsubscribe(f"{site}.aux.ctrl")
-        coordinator = self._current_coordinator()
-        if coordinator is not None:
-            alive = {
-                s for s in self.membership.serving_sites()
-            } | {server.primary_site}
-            alive.discard(site)
-            commit = coordinator.set_participants(alive)
-            if commit is not None:
-                # the dead site was the last missing vote: broadcast the
-                # completed round so survivors trim their backups
-                aux = server.aux_of(server.primary_site)
-                if server.primary_site == "central":
-                    self.env.process(aux._broadcast_commit(commit))
-                else:
-                    self.env.process(aux._broadcast_promoted_commit(commit))
+        alive = set(self.membership.serving_sites()) | {server.primary_site}
+        alive.discard(site)
+        primary = server.aux_of(server.primary_site)
+        commit = primary.primary_core.coordinator.set_participants(alive)
+        if commit is not None:
+            # the dead site was the last missing vote: broadcast the
+            # completed round so survivors trim their backups
+            self.env.process(primary._broadcast_commit(commit))
         self._retarget_requests()
         self.env.process(self._reissue_dead_letters())
 
@@ -326,15 +319,10 @@ class FailoverSupervisor:
         """The latest committed vector: the survivors' ground truth is
         whatever the (dead) coordinator last broadcast — readable here
         because commits are applied everywhere before backups trim."""
-        aux = self.server.aux_of(dead)
-        coordinator = getattr(aux, "coordinator", None)
-        if coordinator is not None and coordinator.last_commit is not None:
-            return coordinator.last_commit
-        return None
+        return self.server.aux_of(dead).primary_core.coordinator.last_commit
 
     def _current_coordinator(self):
-        aux = self.server.aux_of(self.server.primary_site)
-        return getattr(aux, "coordinator", None)
+        return self.server.aux_of(self.server.primary_site).primary_core.coordinator
 
     def _pipeline_uids(self, site: str) -> Set[int]:
         """Uids of events anywhere in ``site``'s processing pipeline —
@@ -414,7 +402,7 @@ class FailoverSupervisor:
 
         snapshot = p_main.ede.state.snapshot(env.now)
         coordinator = self._current_coordinator()
-        last_commit = coordinator.last_commit if coordinator is not None else None
+        last_commit = coordinator.last_commit
         plan = plan_client_rejoin(
             VectorTimestamp(dict(snapshot.as_of)), p_aux.backup, last_commit
         )
@@ -429,7 +417,7 @@ class FailoverSupervisor:
         main.ede._arrival_seen = {
             fid: set(seen) for fid, seen in p_main.ede._arrival_seen.items()
         }
-        main.checkpointer = MainUnitCheckpointer(site)
+        main.checkpointer = aux.checkpointer = MainUnitCheckpointer(site)
         rejoin_vt = VectorTimestamp(dict(snapshot.as_of))
         for stream, seq in sorted(snapshot.as_of.items()):
             main.checkpointer.note_processed(stream, seq)
@@ -453,9 +441,7 @@ class FailoverSupervisor:
         # round wedged by the grown set is superseded at the next cadence)
         self.detector.mark_restarted(site, env.now)
         self.membership.mark(site, SITE_ALIVE, env.now)
-        if coordinator is not None:
-            alive = set(self.membership.serving_sites()) | {primary}
-            coordinator.set_participants(alive)
+        coordinator.set_participants(set(self.membership.serving_sites()) | {primary})
         self._retarget_requests()
 
     # -- quiescence -------------------------------------------------------

@@ -86,6 +86,7 @@ from ..core.adaptation import AdaptationController
 from ..core.config import MirrorConfig
 from ..core.events import EventBatch, UpdateEvent
 from ..core.functions import default_registry, simple_mirroring
+from ..core.invariants import InvariantMonitor
 from ..ois.clients import InitStateRequest, InitStateResponse
 from ..ois.flightdata import EventScript, FlightDataConfig, generate_script
 from ..shard.handoff import ShardControl, ShardTransfer
@@ -597,6 +598,9 @@ class NetCentral:
                 if msg is None or msg == WIRE_EOS:
                     break
                 self.site.on_vote(msg)
+        except Exception as exc:
+            # no supervisor spawned this handler either (see _serve_source)
+            self._tasks.fail(exc)
         finally:
             if conn in self._live:  # stop the fan-out to this one
                 self._live.remove(conn)
@@ -1247,6 +1251,8 @@ class NetMirror:
         self.config = config if config is not None else simple_mirroring()
         self.stats = WireStats()
         self.site = AsyncMirrorSite(name)
+        if self.config.check_invariants:
+            self.site.monitor = InvariantMonitor()
         self.site.main.delta_snapshots = self.config.delta_snapshots
         self.site.main.delta_fallback_fraction = self.config.delta_fallback_fraction
         #: the reader's put side of the main unit's inbox (the same

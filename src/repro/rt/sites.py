@@ -4,12 +4,11 @@ Each site keeps the simulation backend's unit split — an auxiliary unit
 and a main unit (EDE + request service).  An auxiliary unit has no task
 of its own: it is what a socket reader calls in stream order, feeding
 the main unit's event loop — on central, :meth:`AsyncCentralSite.on_input`
-per source item and :meth:`~AsyncCentralSite.on_vote` per vote.  All
-protocol logic is the *same objects* the simulation uses:
-:class:`~repro.core.rules.RuleEngine`,
-:class:`~repro.core.checkpoint.CheckpointCoordinator` /
-:class:`MainUnitCheckpointer`, :class:`~repro.core.queues.BackupQueue`
-and :class:`~repro.core.adaptation.AdaptationController`.
+per source item and :meth:`~AsyncCentralSite.on_vote` per vote.  Every
+protocol decision is the simulation's own: the sites subclass the cores
+of :mod:`repro.core.sitecore` (:class:`AsyncCentralSite` a
+:class:`~repro.core.sitecore.CentralCore`, :class:`AsyncMirrorSite` a
+:class:`~repro.core.sitecore.MirrorCore`) and publish what they return.
 :mod:`repro.rt.net` serves these sites over TCP.
 """
 
@@ -27,17 +26,17 @@ from ..core.adaptation import (
     AdaptationController,
 )
 from ..core.checkpoint import (
-    CheckpointCoordinator,
     ChkptMsg,
     ChkptRepMsg,
     CommitMsg,
     MainUnitCheckpointer,
 )
 from ..core.config import MirrorConfig
-from ..core.events import EventBatch, UpdateEvent, VectorTimestamp
+from ..core.events import EventBatch, UpdateEvent
+from ..core.invariants import InvariantMonitor
+from ..core.sitecore import CentralCore, MirrorCore
 from ..ois.clients import InitStateRequest, InitStateResponse
 from ..ois.ede import EventDerivationEngine
-from ..core.queues import BackupQueue
 from ..shard.handoff import (
     ShardControl,
     ShardHandoff,
@@ -309,8 +308,9 @@ class AsyncMainUnit:
         )
 
 
-class AsyncCentralSite:
-    """Live central site: auxiliary unit + main unit + coordinator."""
+class AsyncCentralSite(CentralCore):
+    """Live central site: the :class:`CentralCore` driven by its source
+    reader and its mirrors' handlers, in front of a main unit."""
 
     def __init__(
         self,
@@ -322,29 +322,21 @@ class AsyncCentralSite:
         clock: Callable[[], float] = time.monotonic,
         site: str = "central",
     ):
-        self.config = config
-        self.clock = clock
-        self.site = site
-        self.mirror_channel = mirror_channel
-        self.ctrl_channel = ctrl_channel
-        self.adaptation = adaptation
         self.main = AsyncMainUnit(site, clock=clock)
         self.main.distribute_updates = True
+        super().__init__(
+            config, participants, self.main.checkpointer,
+            adaptation=adaptation, site=site,
+            monitor=InvariantMonitor() if config.check_invariants else None,
+        )
+        self.clock = clock
+        self.mirror_channel = mirror_channel
+        self.ctrl_channel = ctrl_channel
         #: events of the item in hand not yet mirrored (the monitored
         #: ready queue, counted in events as its thresholds are)
         self.ready_events = 0
-        self.backup = BackupQueue()
-        self.engine = config.build_engine()
-        self.coordinator = CheckpointCoordinator(participants)
-        self.clock_vt = VectorTimestamp()
-        self.processed_events = 0
         self.mirrored_events = 0
         self.adaptation_log: List[tuple] = []
-
-    def apply_config(self, config: MirrorConfig) -> None:
-        """Hot-swap the mirroring configuration (status table survives)."""
-        self.config = config
-        self.engine = config.build_engine(table=self.engine.table)
 
     def monitor_readings(self) -> Dict[str, float]:
         """Central-site monitored variables."""
@@ -368,13 +360,9 @@ class AsyncCentralSite:
         if item == EOS:
             await self._finish_stream()
             return
-        vt = self.clock_vt
         now = self.clock()
-        run = []
-        for event in item:
-            vt = vt.advanced(event.stream, event.seqno)
-            run.append(event.stamped(vt, now))
-        self.clock_vt = vt
+        stamp = self.stamp
+        run = [stamp(event, now) for event in item]
         self.ready_events += len(run)
         await self.main.inbox.put(EventBatch(run))
         self._mirror_run(run)
@@ -392,8 +380,7 @@ class AsyncCentralSite:
         while start < end:
             freq = self.config.checkpoint_freq
             batch_size = self.config.batch_size
-            before = self.processed_events
-            step = batch_size if batch_size > 1 else freq - before % freq
+            step = batch_size if batch_size > 1 else freq - self.processed_events % freq
             members = run[start:start + step]
             start += step
             outs = self.engine.forward_many(members)
@@ -403,10 +390,10 @@ class AsyncCentralSite:
                 self.mirrored_events += len(outs)
             else:
                 self._mirror(outs)
-            self.processed_events = before + len(members)
+            due = self.count_processed(len(members))
             # the rest of the run still waits, as on the paper's queue
             self.ready_events -= len(members)
-            for _ in range(self.processed_events // freq - before // freq):
+            for _ in range(due):
                 self._initiate_checkpoint()
 
     def _flush_rules(self) -> None:
@@ -448,26 +435,18 @@ class AsyncCentralSite:
         """Every ``checkpoint_freq`` events: start a round, unless the
         previous one is still collecting (it is then left to commit;
         see :meth:`CheckpointCoordinator.initiate_if_idle`)."""
-        initiate = (
-            self.coordinator.initiate if final
-            else self.coordinator.initiate_if_idle
-        )
-        msg = initiate(self.backup.last_vt())
-        if msg is None:
-            return
-        reply = self.main.checkpointer.on_chkpt(msg, self.monitor_readings())
-        commit = self.coordinator.on_reply(reply)
-        if commit is not None:
-            self._broadcast_commit(commit)
-            return
-        self.ctrl_channel.publish(msg)
+        msg = self.open_round(self.monitor_readings(), skip_if_collecting=not final)
+        if isinstance(msg, CommitMsg):
+            self._broadcast_commit(msg)
+        elif msg is not None:
+            self.ctrl_channel.publish(msg)
 
     def on_vote(self, msg: Any) -> None:
         """Count a mirror's CHKPT_REP in the turn its handler reads it,
         broadcasting the COMMIT when it completes the round.  Anything
         else is ignored."""
         if isinstance(msg, ChkptRepMsg):
-            commit = self.coordinator.on_reply(msg)
+            commit = self.on_reply(msg)
             if commit is not None:
                 self._broadcast_commit(commit)
 
@@ -480,22 +459,16 @@ class AsyncCentralSite:
     receiving_task = sending_task = control_task = _no_task
 
     def _broadcast_commit(self, commit: CommitMsg) -> None:
-        if self.adaptation is not None:
-            monitored = dict(self.coordinator.monitored_view())
-            for index, value in self.monitor_readings().items():
-                monitored[index] = max(monitored.get(index, 0.0), value)
-            command = self.adaptation.evaluate(monitored)
-            if command is not None:
-                commit = commit.with_adapt(command)
-                self.apply_config(command.config)
-                self.adaptation_log.append(
-                    (self.clock(), command.action, command.config.function_name)
-                )
-        self.backup.trim(self.main.checkpointer.on_commit(commit))
+        commit = self.adapt(commit, self.monitor_readings())
+        if commit.adapt is not None:
+            self.adaptation_log.append(
+                (self.clock(), commit.adapt.action, commit.adapt.config.function_name)
+            )
+        self.trim(commit)
         self.ctrl_channel.publish(commit)
 
 
-class AsyncMirrorSite:
+class AsyncMirrorSite(MirrorCore):
     """Live mirror site: the paper's auxiliary unit as what its socket
     reader calls in stream order — back up a run (:meth:`on_run`), vote
     on a CHKPT and apply a COMMIT (:meth:`on_control`) — in front of a
@@ -503,17 +476,14 @@ class AsyncMirrorSite:
     its own: the reader queues each run on ``main.inbox``."""
 
     def __init__(self, site: str, clock: Callable[[], float] = time.monotonic):
-        self.site = site
-        self.clock = clock
         self.main = AsyncMainUnit(
             site, clock=clock, inbox_bound=MIRROR_INBOX_BOUND
         )
-        self.backup = BackupQueue()
+        super().__init__(site, self.main.checkpointer)
+        self.clock = clock
         #: events handed to :meth:`on_run`; those the main unit has not
         #: applied yet are the mirror's ready queue
         self.events_received = 0
-        self.applied_config: Optional[MirrorConfig] = None
-        self._applied_adapt_seq = 0
 
     def monitor_readings(self) -> Dict[str, float]:
         """Mirror-site monitored variables (piggybacked on votes); the
@@ -532,14 +502,10 @@ class AsyncMirrorSite:
         self.events_received += len(events)
 
     def on_control(self, msg: Any) -> Optional[ChkptRepMsg]:
-        """Return the vote for a CHKPT — ``min(chkpt, processed)`` and
-        the monitored readings; apply a COMMIT: trim the backup and take
-        any adaptation it carries.  Anything else is ignored."""
+        """Return the vote for a CHKPT; apply a COMMIT.  Anything else
+        is ignored."""
         if isinstance(msg, ChkptMsg):
-            return self.main.checkpointer.on_chkpt(msg, self.monitor_readings())
+            return self.vote(msg, self.monitor_readings())
         if isinstance(msg, CommitMsg):
-            if msg.adapt is not None and msg.adapt.seq > self._applied_adapt_seq:
-                self._applied_adapt_seq = msg.adapt.seq
-                self.applied_config = msg.adapt.config
-            self.backup.trim(self.main.checkpointer.on_commit(msg))
+            self.commit(msg)
         return None

@@ -185,6 +185,15 @@ def test_command_sequence_numbers_increase():
     assert c2.seq > c1.seq
 
 
+def test_each_controller_numbers_its_own_commands():
+    """Two identical runs in one process send the same COMMIT bytes."""
+    first = AdaptationController(adaptive_config())
+    second = AdaptationController(adaptive_config())
+    assert first.evaluate({MONITOR_READY_QUEUE: 200}).seq == 1
+    assert second.evaluate({MONITOR_READY_QUEUE: 200}).seq == 1
+    assert first.evaluate({MONITOR_READY_QUEUE: 0}).seq == 2
+
+
 def test_command_action_validated():
     with pytest.raises(ValueError):
-        AdaptCommand(action="explode", config=MirrorConfig())
+        AdaptCommand(action="explode", config=MirrorConfig(), seq=1)

@@ -176,7 +176,7 @@ def test_mirroring_disabled_skips_rules_and_channels():
 def test_central_stamps_events_with_monotone_clock():
     wl = workload(positions_per_flight=20)
     result = run_scenario(ScenarioConfig(n_mirrors=1, workload=wl))
-    clock = result.server.central_aux.clock
+    clock = result.server.central_aux.stamp_clock
     assert clock.component("faa") == 60  # all 60 position events stamped
 
 

@@ -18,6 +18,7 @@ from repro.rt.net import (
     FLUSH_BYTES,
     AdaptiveFlusher,
     NetCentral,
+    NetProcessRunner,
     WireStats,
     _MirrorConnection,
     run_net_scenario,
@@ -296,3 +297,18 @@ def test_flusher_size_trigger():
     f.add(b"x")  # the budget: out at once, without waiting for the run
     assert writer.writes == 1 and f.qsize() == 0
     assert len(writer.data) == FLUSH_BYTES
+
+
+# ------------------------------------------------------------ OS processes
+def test_process_runner_serves_a_consistent_cluster():
+    """Central in this process, two mirrors and the client in spawned
+    ones: the only shape in which the site cores talk across processes
+    (the sizes of the CLI smoke)."""
+    sc = generate_script(
+        FlightDataConfig(n_flights=6, positions_per_flight=30, seed=7)
+    )
+    result = NetProcessRunner(n_mirrors=2, n_requests=4, script=sc).run()
+    assert result["replicas_consistent"]
+    assert result["client"]["responses"] == result["client"]["requests"] == 4
+    assert [m["events_applied"] for m in result["mirrors"]] == [len(sc)] * 2
+    assert result["checkpoint_commits"] > 0

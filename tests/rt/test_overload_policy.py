@@ -15,8 +15,10 @@ import pytest
 
 from repro.core import simple_mirroring
 from repro.core.adaptation import MONITOR_PENDING_REQUESTS, MONITOR_READY_QUEUE
-from repro.core.checkpoint import ChkptMsg, ChkptRepMsg
+from repro.core.checkpoint import CheckpointCoordinator, ChkptMsg, ChkptRepMsg
 from repro.core.events import FAA_POSITION, EventBatch, UpdateEvent, VectorTimestamp
+from repro.core.invariants import InvariantViolation
+from repro.core.queues import BackupQueue
 from repro.ois import FlightDataConfig, generate_script
 from repro.ois.clients import InitStateRequest, InitStateResponse
 from repro.ois.ede import EventDerivationEngine
@@ -125,6 +127,60 @@ def test_failing_mirror_rule_on_central_fails_the_sharded_scenario():
     ends_with_boom(run_sharded_scenario(
         script=script(), n_shards=2, config=failing_mirror_rule()
     ))
+
+
+def failing_third_mirror_vote(monkeypatch):
+    """Plant: central's coordinator raises while it counts the third
+    vote a mirror sends — a failure in a mirror connection's handler."""
+    on_reply = CheckpointCoordinator.on_reply
+    mirror_votes = []
+
+    def planted(self, reply):
+        if "mirror" in reply.site:
+            mirror_votes.append(reply)
+            if len(mirror_votes) == 3:
+                raise Boom("third mirror vote")
+        return on_reply(self, reply)
+
+    monkeypatch.setattr(CheckpointCoordinator, "on_reply", planted)
+
+
+def ends_with_boom_quietly(coro):
+    """:func:`ends_with_boom`, and the loop's exception handler hears
+    nothing (an unsupervised handler task that dies is reported there)."""
+    heard = []
+
+    async def main():
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: heard.append(context)
+        )
+        await coro
+
+    ends_with_boom(main())
+    assert heard == []
+
+
+def test_failing_vote_count_on_central_fails_the_net_scenario(monkeypatch):
+    failing_third_mirror_vote(monkeypatch)
+    ends_with_boom_quietly(run_net_scenario(script(), n_mirrors=2))
+
+
+def test_failing_vote_count_on_central_fails_the_sharded_scenario(monkeypatch):
+    failing_third_mirror_vote(monkeypatch)
+    ends_with_boom_quietly(run_sharded_scenario(script=script(), n_shards=2))
+
+
+def test_live_cluster_honours_check_invariants(monkeypatch):
+    """A trim that removes other than the covered prefix trips the
+    monitor on the live cluster as it does in the simulator."""
+    trim = BackupQueue.trim
+    monkeypatch.setattr(BackupQueue, "trim", lambda self, vt: trim(self, vt) + 1)
+    config = simple_mirroring()
+    config.check_invariants = True
+    with pytest.raises(InvariantViolation, match="trim mismatch"):
+        run(asyncio.wait_for(
+            run_net_scenario(script(), n_mirrors=2, config=config), timeout=20
+        ))
 
 
 def test_supervisor_raises_the_first_failure_and_cancels_the_rest():

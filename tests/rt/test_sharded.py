@@ -2,7 +2,7 @@
 
 Single-event-loop deployment shape: every byte still crosses loopback
 TCP, but all shards share one loop so runs are cheap and deterministic.
-The multiprocess shape is exercised by the CI smoke job.
+The multiprocess shape has one test at the CI smoke's sizes.
 """
 
 import asyncio
@@ -130,3 +130,19 @@ def test_failure_domains_are_per_shard(monkeypatch):
     assert summary.checkpoint_commits == sum(
         rt.central.site.coordinator.rounds_committed for rt in shards
     )
+
+
+def test_process_runner_serves_consistent_shards():
+    """Each shard (central and mirror) and the client in spawned
+    processes, behind the router in this one (the sizes of the CLI
+    smoke)."""
+    sc = generate_script(FlightDataConfig(
+        n_flights=6, positions_per_flight=30, handoffs=4, seed=7,
+    ))
+    result = shards_mod.ShardProcessRunner(
+        n_shards=2, n_mirrors=1, script=sc, n_requests=4,
+    ).run()
+    assert result["replicas_consistent"]
+    assert result["client"]["responses"] == result["client"]["requests"] == 4
+    assert result["events_applied_total"] == result["events_routed"] == len(sc)
+    assert result["transfers_completed"] == result["transfers_started"]
