@@ -31,7 +31,7 @@ async def main() -> None:
         script,
         n_mirrors=2,
         config=selective_mirroring(overwrite_len=10),
-        request_times=[0.0] * 20,
+        n_requests=20,
     )
 
     print("=== live run over TCP (2 mirrors, selective mirroring) ===")

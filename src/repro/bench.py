@@ -387,8 +387,7 @@ def _bench_socket_fanout(scale: float):
     def run():
         summary = asyncio.run(
             run_net_scenario(
-                script=script, n_mirrors=mirrors, request_times=[],
-                config=config,
+                script=script, n_mirrors=mirrors, config=config,
             )
         )
         assert summary.replicas_consistent

@@ -15,19 +15,9 @@ from __future__ import annotations
 
 from typing import Tuple
 
+from ..shard.partition import SHARD_SEP, qualify_site
+
 __all__ = ["qualify_site", "split_site", "resolve_site"]
-
-#: Separator between a shard name and a site's local name.
-SHARD_SEP = "/"
-
-
-def qualify_site(shard: str, site: str) -> str:
-    """``("shard0", "central") → "shard0/central"``; bare when no shard."""
-    if not shard:
-        return site
-    if SHARD_SEP in shard:
-        raise ValueError(f"shard name {shard!r} must not contain {SHARD_SEP!r}")
-    return f"{shard}{SHARD_SEP}{site}"
 
 
 def split_site(site_id: str) -> Tuple[str, str]:

@@ -86,7 +86,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             seed=args.seed,
         )
     )
-    request_times: List[float] = [0.0] * args.requests
     subscribers: List[tuple] = []
     if args.subscribers:
         from ..sub.predicate import ByFlight
@@ -142,11 +141,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         run_net_scenario(
             script=script,
             n_mirrors=args.mirrors,
-            request_times=request_times,
+            n_requests=args.requests,
             subscribers=subscribers,
         )
     )
     payload = asdict(summary)
+    payload["subscriber_results"] = [
+        {"client_id": r["client_id"], "acks": r["acks"], "events": len(r["events"])}
+        for r in summary.subscriber_results
+    ]
     payload["backend"] = "tcp(single-process)"
     payload["replicas_consistent"] = summary.replicas_consistent
     payload["events_per_second"] = (

@@ -35,14 +35,20 @@ it.  The source's EOS is the one wind-down signal: :meth:`NetCentral.run`
 returns once it has been through the closing round and every mirror
 connection has ended.
 
-Two ways to run the topology:
+A live cluster is stood up one way, as a :class:`NetCluster`: a
+central and the mirrors it feeds, started, fed, run and closed as one
+unit.  Two ways to run it:
 
 * :func:`run_net_scenario` — every role in one process/event loop but
   over real sockets (loopback).  Deterministic enough for tests and
   benchmarks, and what ``tests/rt`` exercises.
-* :class:`NetProcessRunner` — central, mirrors and client as separate
-  OS processes (``multiprocessing`` spawn), the deployment shape of
-  ``python -m repro rt --processes``.
+* :class:`NetProcessRunner` — central in this process, each mirror and
+  the client a child OS process (``multiprocessing`` spawn), the
+  deployment shape of ``python -m repro rt --processes``.  A child that
+  dies fails the run.
+
+Every outbound connection opens through one dial (:func:`_dial`:
+connect, with retry, and say HELLO).
 
 Link chaos (:mod:`repro.faults.link`) plugs into the frame send path:
 an optional :class:`~repro.faults.link.LinkFaultController` is
@@ -67,6 +73,7 @@ from typing import (
     Any,
     Awaitable,
     Callable,
+    Coroutine,
     Deque,
     Dict,
     Iterable,
@@ -90,6 +97,7 @@ from ..core.invariants import InvariantMonitor
 from ..ois.clients import InitStateRequest, InitStateResponse
 from ..ois.flightdata import EventScript, FlightDataConfig, generate_script
 from ..shard.handoff import ShardControl, ShardTransfer
+from ..shard.partition import qualify_site
 from ..sub.messages import SubAck, Subscribe, Unsubscribe
 from ..sub.registry import SubscriptionRegistry
 from ..wire import (
@@ -111,6 +119,7 @@ __all__ = [
     "NetRunSummary",
     "NetCentral",
     "NetMirror",
+    "NetCluster",
     "SubscriptionFanout",
     "run_net_scenario",
     "NetProcessRunner",
@@ -133,6 +142,8 @@ FLUSH_BYTES = 64 * 1024
 SUB_WRITE_BUDGET = 1 << 20
 #: Seconds a new connection has to say HELLO.
 HELLO_TIMEOUT_S = 5.0
+#: Seconds a dial keeps retrying a peer that is not listening yet.
+DIAL_RETRY_S = 30.0
 
 
 @dataclass
@@ -1197,10 +1208,9 @@ async def _run_subscriber(
     """Subscriber client: register ``predicates``, then collect every
     pushed matched event until EOS.  ``ready`` is set once all acks are
     in — callers gate the source on it so no matched event is missed."""
-    reader, writer = await asyncio.open_connection(host, port)
-    encoder = WireEncoder()
-    writer.write(encoder.encode_hello(Hello("subscriber", client_id)))
-    stats.frames_sent += 1
+    frames, writer, encoder = await _dial(
+        host, port, Hello("subscriber", client_id), stats
+    )
     for i, pred in enumerate(predicates):
         frame = encoder.encode_message(
             Subscribe.from_predicate(client_id, i + 1, pred)
@@ -1209,7 +1219,6 @@ async def _run_subscriber(
         stats.bytes_sent += len(frame)
         writer.write(frame)
     await writer.drain()
-    frames = _FrameReader(reader, stats)
     acks = 0
     events: List[UpdateEvent] = []
     while True:
@@ -1304,14 +1313,14 @@ class NetMirror:
         socket reader and the main unit's event loop, supervised — the
         first of the two to fail cancels the other and its exception is
         raised."""
-        reader, writer = await asyncio.open_connection(host, port)
+        # the uplink's encoder writes HELLO, the votes and EOS
+        frames, writer, encoder = await _dial(
+            host, port, Hello("mirror", self.name), self.stats
+        )
         tasks = TaskSupervisor()
         try:
-            encoder = WireEncoder()  # the uplink's: HELLO, votes, EOS
-            writer.write(encoder.encode_hello(Hello("mirror", self.name)))
-            self.stats.frames_sent += 1
             applying = tasks.spawn(self.site.main.event_loop())
-            await tasks.guard(self._reader_loop(reader, writer, encoder, applying))
+            await tasks.guard(self._reader_loop(frames, writer, encoder, applying))
         finally:
             writer.close()  # first: a second cancellation may cut the rest short
             await tasks.cancel()
@@ -1327,7 +1336,7 @@ class NetMirror:
         await _cancel_tracked(self._conn_tasks)
 
     async def _reader_loop(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter,
+        self, frames: "_FrameReader", writer: asyncio.StreamWriter,
         encoder: WireEncoder, applying: "asyncio.Task[None]",
     ) -> None:
         """Take the central connection's stream into the site a chunk
@@ -1335,7 +1344,6 @@ class NetMirror:
         clean EOS, or central vanished — end the subscribers' and the
         inbox's streams, wait for the event loop to apply what is
         queued, and close the uplink with EOS."""
-        frames = _FrameReader(reader, self.stats)
         site, inbox, subfan, stats = self.site, self.data_sub, self.subfan, self.stats
         while True:
             chunk = await frames.next_chunk()
@@ -1373,19 +1381,28 @@ class NetMirror:
         await writer.drain()
 
 
-async def _connect_retry(
-    host: str, port: int, retry_for: float = 30.0
-) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-    """``open_connection`` with retry — in the multiprocess topology the
-    peer process may still be starting up when we first dial."""
-    deadline = time.monotonic() + retry_for
+async def _dial(
+    host: str, port: int, hello: Hello, stats: WireStats,
+) -> Tuple[_FrameReader, asyncio.StreamWriter, WireEncoder]:
+    """Open a connection to ``host:port`` and say ``hello`` on it;
+    returns the connection's frame reader, writer and encoder.  A peer
+    that is not listening yet is dialled again for :data:`DIAL_RETRY_S`
+    seconds: in the multiprocess shapes it may still be starting up."""
+    deadline = time.monotonic() + DIAL_RETRY_S
     while True:
         try:
-            return await asyncio.open_connection(host, port)
+            reader, writer = await asyncio.open_connection(host, port)
+            break
         except OSError:
             if time.monotonic() >= deadline:
                 raise
             await asyncio.sleep(0.05)
+    encoder = WireEncoder()
+    frame = encoder.encode_hello(hello)
+    stats.frames_sent += 1
+    stats.bytes_sent += len(frame)
+    writer.write(frame)
+    return _FrameReader(reader, stats), writer, encoder
 
 
 async def _run_client(
@@ -1394,17 +1411,16 @@ async def _run_client(
     """Thin client: one request per entry of ``ports``, sent there, each
     RESPONSE awaited; a port's connection opens on its first request and
     ends with EOS.  Returns request latencies (seconds)."""
-    conns: Dict[int, Tuple[asyncio.StreamWriter, _FrameReader, WireEncoder]] = {}
+    conns: Dict[int, Tuple[_FrameReader, asyncio.StreamWriter, WireEncoder]] = {}
     latencies: List[float] = []
     try:
         for i, port in enumerate(ports):
             conn = conns.get(port)
             if conn is None:
-                reader, writer = await _connect_retry(host, port)
-                encoder = WireEncoder()
-                writer.write(encoder.encode_hello(Hello("client", "thin")))
-                conn = conns[port] = (writer, _FrameReader(reader, stats), encoder)
-            writer, frames, encoder = conn
+                conn = conns[port] = await _dial(
+                    host, port, Hello("client", "thin"), stats
+                )
+            frames, writer, encoder = conn
             issued = time.monotonic()
             request = InitStateRequest(client_id=f"thin{i}", issued_at=issued)
             frame = encoder.encode_request(request)
@@ -1416,7 +1432,7 @@ async def _run_client(
             if isinstance(response, InitStateResponse):
                 latencies.append(time.monotonic() - issued)
     finally:
-        for writer, _frames, encoder in conns.values():
+        for _frames, writer, encoder in conns.values():
             try:
                 writer.write(encoder.encode_eos())
                 await writer.drain()
@@ -1426,10 +1442,107 @@ async def _run_client(
     return latencies
 
 
+class NetCluster:
+    """A central site and the mirrors it feeds: the server of the
+    paper's Fig. 2, and the one way a live cluster is stood up.
+
+    ``shard`` qualifies every site name (``shard0/central``,
+    ``shard0/mirror1``), so a shard's checkpoint coordinator agrees over
+    its own sites only; unsharded, the names are bare.  A caller starts
+    the cluster, feeds ``central`` its source stream and EOS (or lets a
+    source connection do it), awaits :meth:`run` and ends with
+    :meth:`close`: the source's EOS ends central's run, which ends every
+    mirror's.
+    """
+
+    def __init__(
+        self,
+        n_mirrors: int = 1,
+        config: Optional[MirrorConfig] = None,
+        adaptation: bool = False,
+        fault_controller: Optional["LinkFaultController"] = None,
+        shard: str = "",
+    ):
+        self.shard = shard
+        self.central = NetCentral(
+            n_mirrors,
+            config=config,
+            adaptation=adaptation,
+            fault_controller=fault_controller,
+            site_name=qualify_site(shard, "central"),
+            mirror_names=[
+                qualify_site(shard, f"mirror{i + 1}") for i in range(n_mirrors)
+            ],
+        )
+        self.mirrors = [
+            NetMirror(name, config=self.central.config)
+            for name in self.central.mirror_names
+        ]
+        self.port: Optional[int] = None
+        #: where clients are served: each mirror's port, or central's
+        #: when there is no mirror
+        self.client_ports: List[int] = []
+        #: the site runs; the first to raise ends :meth:`run` with it
+        self._tasks = TaskSupervisor()
+
+    async def start(
+        self, host: str = "127.0.0.1", port: int = 0,
+        client_ports: Sequence[int] = (),
+    ) -> int:
+        """Bind central's port and each mirror's client port (``0``:
+        any free one), then spawn ``central.run()`` and every
+        ``mirror.run()``; returns central's port."""
+        port = self.port = await self.central.start(host=host, port=port)
+        for i, mirror in enumerate(self.mirrors):
+            requested = client_ports[i] if client_ports else 0
+            self.client_ports.append(
+                await mirror.serve_clients(host=host, port=requested)
+            )
+        if not self.mirrors:
+            self.client_ports = [port]
+        self._tasks.spawn(self.central.run())
+        for mirror in self.mirrors:
+            self._tasks.spawn(mirror.run(host, port))
+        return port
+
+    async def run(self) -> None:
+        """Return once the source's EOS has wound the cluster down, or
+        raise the first failure among its sites."""
+        runs = list(self._tasks.tasks)
+
+        async def wound_down() -> None:
+            await asyncio.gather(*runs)
+
+        await self._tasks.guard(wound_down())
+
+    async def close(self) -> None:
+        """Cancel whatever still runs and close every listener
+        (idempotent: the one teardown of every path)."""
+        await self._tasks.cancel()
+        await self.central.close()
+        for mirror in self.mirrors:
+            await mirror.close()
+
+    # -- results ---------------------------------------------------------
+    def mains(self) -> List[Any]:
+        """Every site's main unit, central's first."""
+        return [self.central.site.main] + [m.site.main for m in self.mirrors]
+
+    def replica_digests(self) -> List[tuple]:
+        return [main.ede.state_digest() for main in self.mains()]
+
+    def stats(self) -> WireStats:
+        merged = WireStats()
+        merged.merge(self.central.stats)
+        for mirror in self.mirrors:
+            merged.merge(mirror.stats)
+        return merged
+
+
 async def run_net_scenario(
     script: Optional[EventScript] = None,
     n_mirrors: int = 1,
-    request_times: Sequence[float] = (),
+    n_requests: int = 0,
     config: Optional[MirrorConfig] = None,
     adaptation: bool = False,
     fault_controller: Optional["LinkFaultController"] = None,
@@ -1439,8 +1552,8 @@ async def run_net_scenario(
     """Run one full scenario over real loopback sockets (single event
     loop, every byte through TCP).
 
-    One thin client issues ``len(request_times)`` requests, one after
-    another, round-robin over the mirrors (central when mirror-less).
+    One thin client issues ``n_requests`` requests, one after another,
+    round-robin over the mirrors (central when mirror-less).
     ``subscribers`` is a sequence of ``(client_id, predicate)`` pairs:
     each opens a subscriber connection (round-robin over the mirror
     client ports, the central port when mirror-less), registers its
@@ -1448,12 +1561,11 @@ async def run_net_scenario(
     are acked before the source starts, so delivery is complete."""
     if script is None:
         script = generate_script(FlightDataConfig())
-    central = NetCentral(
-        n_mirrors=n_mirrors,
-        config=config,
-        adaptation=adaptation,
+    cluster = NetCluster(
+        n_mirrors, config=config, adaptation=adaptation,
         fault_controller=fault_controller,
     )
+    central = cluster.central
     # GC pacing: the hot path recycles its buffers, so the cyclic
     # collector's default gen-0 trigger (~700 container allocations)
     # fires thousands of times per run scanning mostly-live objects.
@@ -1463,29 +1575,17 @@ async def run_net_scenario(
     # exit so callers and tests see no global change.
     gc_thresholds = gc.get_threshold()
     gc.set_threshold(50_000, gc_thresholds[1], gc_thresholds[2])
-    # Supervised: a site task that raises ends the scenario with its
-    # exception (the rest would only block behind it).  Whatever the
-    # outcome, the finally leaves no task, socket or port behind.
+    # Supervised: a site or client task that raises ends the scenario
+    # with its exception (the rest would only block behind it).
+    # Whatever the outcome, the finally leaves no task, socket or port
+    # behind.
     tasks = TaskSupervisor()
-    mirrors: List[NetMirror] = []
     client_stats = WireStats()
-    site = central.site
 
     async def drive() -> List[Dict[str, Any]]:
-        port = await central.start(host=host)
-        mirrors.extend(
-            NetMirror(f"mirror{i+1}", config=central.config)
-            for i in range(n_mirrors)
-        )
-        client_ports: List[int] = []
-        for mirror in mirrors:
-            client_ports.append(await mirror.serve_clients(host=host))
-        if not client_ports:
-            client_ports = [port]  # no mirrors: ask central directly
-
-        mirror_tasks = [tasks.spawn(m.run(host, port)) for m in mirrors]
-        central_run = tasks.spawn(central.run())
-
+        await cluster.start(host=host)
+        running = tasks.spawn(cluster.run())
+        client_ports = cluster.client_ports
         sub_tasks: List[asyncio.Task] = []
         sub_ready: List[asyncio.Event] = []
         for i, (sub_client, predicate) in enumerate(subscribers):
@@ -1511,34 +1611,27 @@ async def run_net_scenario(
                 await central.feed(run)
 
         drivers = [tasks.spawn(source())]
-        if request_times:
-            targets = islice(cycle(client_ports), len(request_times))
+        if n_requests:
+            targets = islice(cycle(client_ports), n_requests)
             drivers.append(tasks.spawn(_run_client(host, targets, client_stats)))
         await asyncio.gather(*drivers)
         await central.feed(EOS)
-        await central_run
-        await asyncio.gather(*mirror_tasks)
-        subscriber_results = await asyncio.gather(*sub_tasks)
-        await central.close()
-        return list(subscriber_results)
+        await running
+        return list(await asyncio.gather(*sub_tasks))
 
     try:
         t0 = time.monotonic()
         subscriber_results = await tasks.guard(drive())
     finally:
         await tasks.cancel()
-        await central.close()
-        for mirror in mirrors:
-            await mirror.close()
+        await cluster.close()
         gc.set_threshold(*gc_thresholds)
 
-    stats = WireStats()
-    stats.merge(central.stats)
+    stats = cluster.stats()
     stats.merge(client_stats)
-    for mirror in mirrors:
-        stats.merge(mirror.stats)
-    mains = [site.main] + [m.site.main for m in mirrors]
-    subs = [m.data_sub for m in mirrors]
+    site = central.site
+    mains = cluster.mains()
+    subs = [m.data_sub for m in cluster.mirrors]
     return NetRunSummary(
         events_in=len(script),
         events_mirrored=site.mirrored_events,
@@ -1554,8 +1647,7 @@ async def run_net_scenario(
         delta_snapshots_served=sum(m.delta_snapshots_served for m in mains),
         bytes_saved_by_delta=sum(m.bytes_saved_by_delta for m in mains),
         adaptation_log=list(site.adaptation_log),
-        replica_digests=[site.main.ede.state_digest()]
-        + [m.site.main.ede.state_digest() for m in mirrors],
+        replica_digests=cluster.replica_digests(),
         wall_seconds=time.monotonic() - t0,
         mean_update_delay=site.main.update_delays.mean(),
         channel_high_watermark=max((s.high_watermark for s in subs), default=0),
@@ -1566,53 +1658,124 @@ async def run_net_scenario(
 
 
 # --------------------------------------------------------------------------
-# Multiprocess deployment shape (python -m repro rt --processes)
+# Multiprocess deployment shapes (python -m repro rt --processes)
 # --------------------------------------------------------------------------
-def _mirror_process_main(name: str, host: str, port: int,
-                         client_port: int, result_path: str) -> None:
-    """Entry point of one mirror OS process (spawn-safe: top level)."""
-
-    async def main() -> None:
-        mirror = NetMirror(name)
-        await mirror.serve_clients(host=host, port=client_port)
-        await mirror.run(host, port)
-        # terminal report write: the run is over, nothing shares this loop
-        with open(result_path, "w", encoding="utf-8") as fh:  # lint: allow-async-blocking
-            json.dump(
-                {
-                    "site": name,
-                    "events_applied": mirror.site.main.ede.processed,
-                    "requests_served": len(mirror.site.main.responses),
-                    "digest": list(mirror.site.main.ede.state_digest()),
-                    "frames_received": mirror.stats.frames_received,
-                    "bytes_received": mirror.stats.bytes_received,
-                },
-                fh,
-            )
-
-    asyncio.run(main())
+#: Seconds between two looks at the children's exit codes.
+CHILD_POLL_S = 0.02
+#: Seconds a SIGTERMed child has to exit before it is left behind.
+REAP_S = 10.0
 
 
-def _client_process_main(host: str, ports: List[int], result_path: str) -> None:
-    """Entry point of the thin-client OS process."""
+_ChildMain = Callable[..., Coroutine[Any, Any, Dict[str, Any]]]
 
-    async def main() -> None:
-        stats = WireStats()
-        latencies = await _run_client(host, ports, stats)
-        # terminal report write: the run is over, nothing shares this loop
-        with open(result_path, "w", encoding="utf-8") as fh:  # lint: allow-async-blocking
-            json.dump(
-                {
-                    "requests": len(ports),
-                    "responses": len(latencies),
-                    "mean_latency_s": (
-                        sum(latencies) / len(latencies) if latencies else 0.0
-                    ),
-                },
-                fh,
-            )
 
-    asyncio.run(main())
+def _child_main(
+    target: _ChildMain, args: Tuple[Any, ...], result_path: str
+) -> None:
+    """Entry point of every child process (spawn-safe: top level): run
+    ``target(*args)`` on a fresh event loop and write the report it
+    returns, as JSON, to ``result_path``."""
+    report = asyncio.run(target(*args))
+    with open(result_path, "w", encoding="utf-8") as fh:
+        json.dump(report, fh)
+
+
+class _Children:
+    """The child processes of one run, each with its report file under
+    ``tmpdir`` (the maslite-style spawn/report idiom).
+
+    A child is spawned by name and runs :func:`_child_main`.  A child
+    that exits with a non-zero code fails every :meth:`wait` on the
+    children, so a run that spawns ``wait()`` under its supervisor fails
+    as soon as any child dies, instead of waiting on a peer that will
+    never speak."""
+
+    def __init__(self, tmpdir: Path):
+        import multiprocessing
+
+        self._ctx = multiprocessing.get_context("spawn")
+        self._dir = tmpdir
+        self._procs: Dict[str, "BaseProcess"] = {}
+
+    def spawn(self, name: str, target: _ChildMain, *args: Any) -> None:
+        proc = self._ctx.Process(
+            target=_child_main, name=name,
+            args=(target, args, str(self._dir / f"{name}.json")),
+        )
+        proc.start()
+        self._procs[name] = proc
+
+    async def wait(self, *names: str) -> None:
+        """Until each named child (no names: every child) has exited;
+        raises :class:`ChildProcessError` as soon as any child, named or
+        not, exits with a non-zero code."""
+        procs = self._procs
+        while True:
+            for name, proc in procs.items():
+                if proc.exitcode:
+                    raise ChildProcessError(
+                        f"child {name!r} exited with code {proc.exitcode}"
+                    )
+            if not any(procs[name].is_alive() for name in names or procs):
+                return
+            await asyncio.sleep(CHILD_POLL_S)
+
+    async def reap(self) -> None:
+        """SIGTERM every child still alive, then wait for each to exit
+        (idempotent: the teardown of every path)."""
+        procs = list(self._procs.values())
+        for proc in procs:
+            if proc.is_alive():
+                proc.terminate()
+        deadline = time.monotonic() + REAP_S
+        while any(p.is_alive() for p in procs) and time.monotonic() < deadline:
+            await asyncio.sleep(CHILD_POLL_S)
+        for proc in procs:
+            # a zero-timeout join returns at once either way: pure reap
+            proc.join(timeout=0)  # lint: allow-async-blocking
+
+    def report(self, name: str) -> Dict[str, Any]:
+        """The report child ``name`` wrote, or an error entry when it
+        wrote none."""
+        try:
+            with open(self._dir / f"{name}.json", encoding="utf-8") as fh:
+                report: Dict[str, Any] = json.load(fh)
+        except FileNotFoundError:
+            return {"error": "no result file"}
+        return report
+
+
+def _latency_report(requests: int, latencies: List[float]) -> Dict[str, Any]:
+    """A client child's report."""
+    return {
+        "requests": requests,
+        "responses": len(latencies),
+        "mean_latency_s": sum(latencies) / len(latencies) if latencies else 0.0,
+    }
+
+
+async def _mirror_child(
+    name: str, host: str, port: int, client_port: int
+) -> Dict[str, Any]:
+    """One mirror in its own process: serve clients on ``client_port``
+    and mirror central at ``host:port`` to the end of its stream."""
+    mirror = NetMirror(name)
+    await mirror.serve_clients(host=host, port=client_port)
+    await mirror.run(host, port)
+    main = mirror.site.main
+    return {
+        "site": name,
+        "events_applied": main.ede.processed,
+        "requests_served": len(main.responses),
+        "digest": list(main.ede.state_digest()),
+        "frames_received": mirror.stats.frames_received,
+        "bytes_received": mirror.stats.bytes_received,
+    }
+
+
+async def _client_child(host: str, ports: List[int]) -> Dict[str, Any]:
+    """The thin client in its own process: one request per port."""
+    return _latency_report(len(ports), await _run_client(host, ports, WireStats()))
 
 
 def _preassign_ports(host: str, count: int) -> List[int]:
@@ -1632,31 +1795,13 @@ def _preassign_ports(host: str, count: int) -> List[int]:
     return ports
 
 
-async def _join_process(
-    proc: "BaseProcess", timeout: Optional[float] = None
-) -> None:
-    """Reap a child process without stalling the event loop.
-
-    ``Process.join`` blocks the whole loop (and with it the central
-    site's serving tasks), so poll ``is_alive`` with short async sleeps
-    up to ``timeout`` seconds (forever when ``None``), then reap with a
-    zero-timeout join — which returns immediately either way.
-    """
-    deadline = None if timeout is None else time.monotonic() + timeout
-    while proc.is_alive():
-        if deadline is not None and time.monotonic() >= deadline:
-            break
-        await asyncio.sleep(0.02)
-    # a zero-timeout join returns immediately either way: pure reap
-    proc.join(timeout=0)  # lint: allow-async-blocking
-
-
 class NetProcessRunner:
     """Run the topology as real OS processes (the CLI deployment shape).
 
     The parent process hosts the central site; each mirror and the thin
     client run in spawned child processes and report their results
-    through JSON files in a scratch directory.
+    through JSON files in a scratch directory.  A child that dies fails
+    the run.
     """
 
     def __init__(self, n_mirrors: int = 1, n_requests: int = 0,
@@ -1670,96 +1815,53 @@ class NetProcessRunner:
         self.host = host
 
     def run(self) -> Dict[str, Any]:
-        import multiprocessing
         import tempfile
 
-        ctx = multiprocessing.get_context("spawn")
         # pre-assign client ports so children can bind deterministically
         client_ports = _preassign_ports(self.host, self.n_mirrors)
         with tempfile.TemporaryDirectory(prefix="repro-net-") as tmp:
-            tmpdir = Path(tmp)
-            summary = asyncio.run(
-                self._drive(ctx, tmpdir, client_ports)
-            )
-            return summary
+            return asyncio.run(self._drive(_Children(Path(tmp)), client_ports))
 
     async def _drive(
-        self, ctx: Any, tmpdir: Path, client_ports: List[int]
+        self, children: _Children, client_ports: List[int]
     ) -> Dict[str, Any]:
         central = NetCentral(n_mirrors=self.n_mirrors)
-        port = await central.start(host=self.host)
         site = central.site
-
+        names = central.mirror_names
         tasks = TaskSupervisor()
-        procs = []
-        client_proc = None
         try:
-            mirror_results = []
-            for i in range(self.n_mirrors):
-                name = f"mirror{i+1}"
-                result_path = str(tmpdir / f"{name}.json")
-                mirror_results.append(result_path)
-                proc = ctx.Process(
-                    target=_mirror_process_main,
-                    args=(name, self.host, port, client_ports[i], result_path),
+            port = await central.start(host=self.host)
+            for name, client_port in zip(names, client_ports):
+                children.spawn(
+                    name, _mirror_child, name, self.host, port, client_port
                 )
-                proc.start()
-                procs.append(proc)
             central_run = tasks.spawn(central.run())
-
-            client_result = str(tmpdir / "client.json")
             if self.n_requests > 0:
                 serving = cycle(client_ports or [port])
                 targets = list(islice(serving, self.n_requests))
-                client_proc = ctx.Process(
-                    target=_client_process_main,
-                    args=(self.host, targets, client_result),
-                )
-                client_proc.start()
+                children.spawn("client", _client_child, self.host, targets)
+            watching = tasks.spawn(children.wait())
 
-            async def stream() -> None:
+            async def stream() -> float:
+                t0 = time.monotonic()
                 for se in self.script.fresh_events():
                     await central.feed([se.event])
-                if client_proc is not None:
-                    await _join_process(client_proc)
+                if self.n_requests > 0:
+                    await children.wait("client")
                 await central.feed(EOS)
                 await central_run
+                wall = time.monotonic() - t0
+                await watching  # every child has exited, each with code 0
+                return wall
 
-            t0 = time.monotonic()
-            await tasks.guard(stream())
-            await central.close()
-            wall = time.monotonic() - t0
-            for proc in procs:
-                await _join_process(proc, timeout=30)
+            wall = await tasks.guard(stream())
         finally:
-            # a failed or cancelled run must not leak child processes or
-            # the bound port: cancel whatever is still running, SIGTERM
-            # + join any live child (terminate() is SIGTERM on POSIX)
             await tasks.cancel()
             await central.close()
-            children = procs + ([client_proc] if client_proc is not None else [])
-            for proc in children:
-                if proc.is_alive():
-                    proc.terminate()
-            for proc in children:
-                await _join_process(proc, timeout=10)
+            await children.reap()
 
-        # postlude: every child has exited, the loop is idle — plain
-        # file reads of the children's result files are fine here
-        mirrors = []
-        for path in mirror_results:
-            try:
-                with open(path, encoding="utf-8") as fh:  # lint: allow-async-blocking
-                    mirrors.append(json.load(fh))
-            except FileNotFoundError:
-                mirrors.append({"error": "no result file"})
-        client = None
-        if client_proc is not None:
-            try:
-                with open(client_result, encoding="utf-8") as fh:  # lint: allow-async-blocking
-                    client = json.load(fh)
-            except FileNotFoundError:
-                client = {"error": "no result file"}
+        mirrors = [children.report(name) for name in names]
+        client = children.report("client") if self.n_requests > 0 else None
         central_digest = list(site.main.ede.state_digest())
         digests = [central_digest] + [
             m.get("digest") for m in mirrors if "digest" in m

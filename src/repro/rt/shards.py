@@ -1,11 +1,10 @@
-"""Sharded multi-central cluster: shard supervisor, ingress router,
-process runner.
+"""Sharded multi-central cluster: ingress router and process runner.
 
-One PR 5/6 central site funnels every update through a single core.
-This module runs **N central shards** — each a full
-:class:`~repro.rt.net.NetCentral` with its own mirror set and its own
-checkpoint rounds — and puts a thin
-**ingress router** in front:
+One central site funnels every update through a single core.  This
+module runs **N central shards** — each a full
+:class:`~repro.rt.net.NetCluster`, a central with its own mirror set
+and its own checkpoint rounds — and puts a thin **ingress router** in
+front:
 
 * placement is pure and shared (:mod:`repro.shard.partition`): the
   router, every shard and every client compute the same owner for a
@@ -41,15 +40,14 @@ Two deployment shapes, mirroring :mod:`repro.rt.net`:
 * :func:`run_sharded_scenario` — all shards in one process/event loop,
   every byte over loopback TCP (tests, determinism checks);
 * :class:`ShardProcessRunner` — each shard as a real OS process
-  (``python -m repro rt --shards N --processes``), spawned
-  with the ``multiprocessing`` spawn context so children re-import a
-  clean interpreter.
+  (``python -m repro rt --shards N --processes``), spawned through the
+  same child skeleton as :class:`~repro.rt.net.NetProcessRunner`'s
+  mirrors; a shard that dies fails the run.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -64,13 +62,13 @@ from ..sub.messages import SubAck, Subscribe
 from ..sub.predicate import Predicate, canonical, route_keys, to_nodes
 from ..wire import EOS as WIRE_EOS, Hello, WireEncoder
 from .net import (
-    NetCentral,
-    NetMirror,
+    NetCluster,
     WireStats,
-    _connect_retry,
     _cancel_tracked,
+    _Children,
+    _dial,
     _FrameReader,
-    _join_process,
+    _latency_report,
     _preassign_ports,
     _run_client,
     _tracked_handler,
@@ -78,20 +76,12 @@ from .net import (
 from .tasks import TaskSupervisor
 
 __all__ = [
-    "ShardRuntime",
     "IngressRouter",
     "ShardedRunSummary",
     "run_sharded_scenario",
     "ShardProcessRunner",
     "fetch_shard_map",
 ]
-
-
-def shard_site(index: int, site: str) -> str:
-    """Qualified site id of ``site`` inside shard ``index``
-    (``shard0/central``) — the vocabulary the chaos tooling's
-    ``--shard`` flag resolves against (:mod:`repro.faults.siteid`)."""
-    return f"{shard_name(index)}/{site}"
 
 
 @dataclass
@@ -125,109 +115,6 @@ class ShardedRunSummary:
     #: sorted ``(flight_key, kind)`` pairs of every delivered matched
     #: event — directly comparable across shard counts (digest-style)
     sub_delivery_log: List[Tuple[str, str]] = field(default_factory=list)
-
-
-class ShardRuntime:
-    """One shard: a central site and its mirrors.
-
-    Wraps a :class:`~repro.rt.net.NetCentral` under qualified site names
-    and hosts the mirror set; the shard's checkpoint coordinator sees
-    only this shard's sites, so rounds in one shard never couple to
-    another.  The shard winds itself down: the router's EOS on the
-    source connection ends the central's ``run()``, which ends every
-    mirror's.
-    """
-
-    def __init__(
-        self,
-        index: int,
-        n_mirrors: int = 1,
-        config: Optional[MirrorConfig] = None,
-    ):
-        self.index = index
-        self.name = shard_name(index)
-        self.n_mirrors = n_mirrors
-        self.central_site_name = shard_site(index, "central")
-        self.mirror_names = [
-            shard_site(index, f"mirror{i + 1}") for i in range(n_mirrors)
-        ]
-        self.central = NetCentral(
-            n_mirrors,
-            config=config,
-            site_name=self.central_site_name,
-            mirror_names=self.mirror_names,
-        )
-        self.mirrors = [
-            NetMirror(name, config=self.central.config)
-            for name in self.mirror_names
-        ]
-        self.port: Optional[int] = None
-        self.client_ports: List[int] = []
-        #: the first mirror or site task to raise ends
-        #: :meth:`run_to_completion` with its exception
-        self._tasks = TaskSupervisor()
-        self._mirror_tasks: List[asyncio.Task] = []
-        self._central_run: Optional[asyncio.Task] = None
-
-    @property
-    def client_port(self) -> int:
-        """The shard's client-facing serving port (first mirror, or the
-        central itself when the shard runs mirror-less)."""
-        return self.client_ports[0]
-
-    async def start(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        client_ports: Optional[Sequence[int]] = None,
-    ) -> int:
-        """Bind sockets; spawn the mirrors and the central's run."""
-        self.port = await self.central.start(host=host, port=port)
-        for i, mirror in enumerate(self.mirrors):
-            requested = client_ports[i] if client_ports else 0
-            self.client_ports.append(
-                await mirror.serve_clients(host=host, port=requested)
-            )
-        if not self.client_ports:
-            self.client_ports = [self.port]
-        self._mirror_tasks = [
-            self._tasks.spawn(m.run(host, self.port)) for m in self.mirrors
-        ]
-        self._central_run = self._tasks.spawn(self.central.run())
-        return self.port
-
-    async def run_to_completion(self) -> None:
-        """Wait until the router's EOS has wound the shard down."""
-        await self._tasks.guard(self._drain())
-
-    async def _drain(self) -> None:
-        assert self._central_run is not None  # set by start()
-        await self._central_run
-        await asyncio.gather(*self._mirror_tasks)
-        await self.central.close()
-
-    async def abort(self) -> None:
-        """Error-path teardown: cancel tasks, close listeners."""
-        await self._tasks.cancel()
-        await self.central.close()
-        for mirror in self.mirrors:
-            await mirror.close()
-
-    # -- results ---------------------------------------------------------
-    def digest(self) -> tuple:
-        return self.central.site.main.ede.state_digest()
-
-    def replica_digests(self) -> List[tuple]:
-        return [self.digest()] + [
-            m.site.main.ede.state_digest() for m in self.mirrors
-        ]
-
-    def stats(self) -> WireStats:
-        merged = WireStats()
-        merged.merge(self.central.stats)
-        for mirror in self.mirrors:
-            merged.merge(mirror.stats)
-        return merged
 
 
 class IngressRouter:
@@ -289,29 +176,21 @@ class IngressRouter:
         #: order per shard (the cross-shard union is order-free)
         self.sub_events: List[UpdateEvent] = []
 
-    async def connect(
-        self, host: str, ports: Sequence[int], retry_for: float = 30.0
-    ) -> None:
-        """Open the per-shard source connections (with retry: in process
-        mode the shard children are still binding their ports)."""
+    async def connect(self, host: str, ports: Sequence[int]) -> None:
+        """Open the per-shard source connections (:func:`_dial` retries:
+        in process mode the shard children are still binding their
+        ports)."""
         self._host = host
         self._ports = list(ports)
         for index, port in enumerate(ports):
-            reader, writer = await _connect_retry(host, port, retry_for)
-            encoder = WireEncoder()
-            frame = encoder.encode_hello(Hello("source", "router"))
-            self.stats.frames_sent += 1
-            self.stats.bytes_sent += len(frame)
-            writer.write(frame)
+            frames, writer, encoder = await _dial(
+                host, port, Hello("source", "router"), self.stats
+            )
             await writer.drain()
             self._writers.append(writer)
             self._encoders.append(encoder)
             self._pending.append([])
-            self._readers.append(
-                asyncio.create_task(
-                    self._reader(index, _FrameReader(reader, self.stats))
-                )
-            )
+            self._readers.append(asyncio.create_task(self._reader(index, frames)))
 
     async def serve_map(self, host: str = "127.0.0.1", port: int = 0) -> int:
         """Listen for clients asking for the shard map (one T_SHARD_MAP
@@ -398,18 +277,14 @@ class IngressRouter:
         conn = self._sub_conns.get(index)
         if conn is not None:
             return conn
-        reader, writer = await _connect_retry(self._host, self._ports[index])
-        encoder = WireEncoder()
-        frame = encoder.encode_hello(Hello("subscriber", "router"))
-        self.stats.frames_sent += 1
-        self.stats.bytes_sent += len(frame)
-        writer.write(frame)
+        frames, writer, encoder = await _dial(
+            self._host, self._ports[index], Hello("subscriber", "router"),
+            self.stats,
+        )
         await writer.drain()
         conn = self._sub_conns[index] = (writer, encoder)
         self._sub_readers.append(
-            asyncio.create_task(
-                self._sub_reader(index, _FrameReader(reader, self.stats))
-            )
+            asyncio.create_task(self._sub_reader(index, frames))
         )
         return conn
 
@@ -604,11 +479,9 @@ async def fetch_shard_map(
 ) -> ShardMap:
     """Ask the router for the cluster's shard map."""
     stats = stats if stats is not None else WireStats()
-    reader, writer = await _connect_retry(host, map_port)
-    encoder = WireEncoder()
-    writer.write(encoder.encode_hello(Hello("client", "map")))
-    await writer.drain()
-    frames = _FrameReader(reader, stats)
+    frames, writer, _encoder = await _dial(
+        host, map_port, Hello("client", "map"), stats
+    )
     smap = await frames.next_message()
     writer.close()
     if not isinstance(smap, ShardMap):
@@ -653,8 +526,8 @@ async def run_sharded_scenario(
     counts."""
     if script is None:
         script = generate_script(FlightDataConfig())
-    shards = [
-        ShardRuntime(i, n_mirrors=n_mirrors, config=config)
+    clusters = [
+        NetCluster(n_mirrors, config=config, shard=shard_name(i))
         for i in range(n_shards)
     ]
     router: Optional[IngressRouter] = None
@@ -666,21 +539,22 @@ async def run_sharded_scenario(
 
     async def drive() -> None:
         nonlocal router
-        for rt in shards:
-            await rt.start(host=host)
+        runners = []
+        for cluster in clusters:
+            await cluster.start(host=host)
+            runners.append(tasks.spawn(cluster.run()))
         router = IngressRouter(
             ShardMap(
                 strategy=strategy,
-                names=tuple(rt.name for rt in shards),
-                client_ports=tuple(rt.client_port for rt in shards),
+                names=tuple(cluster.shard for cluster in clusters),
+                client_ports=tuple(cluster.client_ports[0] for cluster in clusters),
             ),
             batch_size=router_batch,
         )
-        await router.connect(host, [rt.port for rt in shards])
+        await router.connect(host, [cluster.port for cluster in clusters])
         map_port = await router.serve_map(host=host)
         for sub_client, predicate in subscriptions:
             await router.register_subscription(sub_client, predicate)
-        runners = [tasks.spawn(rt.run_to_completion()) for rt in shards]
         client_task = (
             tasks.spawn(
                 _run_sharded_client(host, map_port, request_keys, client_stats)
@@ -704,20 +578,20 @@ async def run_sharded_scenario(
         await tasks.cancel()
         if router is not None:
             await router.close()
-        for rt in shards:
-            await rt.abort()
+        for cluster in clusters:
+            await cluster.close()
     assert router is not None
     shard_map = router.shard_map
 
-    shard_digests = [rt.digest() for rt in shards]
+    replica_digests = [cluster.replica_digests() for cluster in clusters]
+    shard_digests = [digests[0] for digests in replica_digests]
     wire = WireStats()
     wire.merge(router.stats)
     wire.merge(client_stats)
-    for rt in shards:
-        wire.merge(rt.stats())
-    mains = [rt.central.site.main for rt in shards] + [
-        m.site.main for rt in shards for m in rt.mirrors
-    ]
+    for cluster in clusters:
+        wire.merge(cluster.stats())
+    mains = [main for cluster in clusters for main in cluster.mains()]
+    coordinators = [cluster.central.site.coordinator for cluster in clusters]
     return ShardedRunSummary(
         n_shards=n_shards,
         strategy=strategy,
@@ -731,14 +605,10 @@ async def run_sharded_scenario(
         shard_digests=shard_digests,
         merged_digest=merge_digests(shard_digests),
         replicas_consistent=all(
-            len(set(rt.replica_digests())) <= 1 for rt in shards
+            len(set(digests)) <= 1 for digests in replica_digests
         ),
-        checkpoint_rounds=sum(
-            rt.central.site.coordinator.rounds_started for rt in shards
-        ),
-        checkpoint_commits=sum(
-            rt.central.site.coordinator.rounds_committed for rt in shards
-        ),
+        checkpoint_rounds=sum(c.rounds_started for c in coordinators),
+        checkpoint_commits=sum(c.rounds_committed for c in coordinators),
         requests_served=sum(len(m.responses) for m in mains),
         client_latencies=client_latencies,
         wall_seconds=wall,
@@ -758,71 +628,41 @@ async def run_sharded_scenario(
 # --------------------------------------------------------------------------
 # Multiprocess deployment (python -m repro rt --shards N --processes)
 # --------------------------------------------------------------------------
-def _shard_process_main(
-    index: int,
-    host: str,
-    port: int,
-    client_ports: List[int],
-    n_mirrors: int,
-    result_path: str,
-) -> None:
-    """Entry point of one shard OS process (spawn-safe: top level).
-
-    The child hosts the whole shard — central site plus its mirror set —
-    in its own event loop, binds the pre-assigned ports, serves the
-    router's source connection to completion and reports its results
-    through a JSON file (the maslite-style spawn/report idiom)."""
-
-    async def main() -> None:
-        rt = ShardRuntime(index, n_mirrors=n_mirrors)
-        await rt.start(host=host, port=port, client_ports=client_ports)
-        await rt.run_to_completion()
-        main_unit = rt.central.site.main
-        stats = rt.stats()
-        # terminal report write: the run is over, nothing shares this loop
-        with open(result_path, "w", encoding="utf-8") as fh:  # lint: allow-async-blocking
-            json.dump(
-                {
-                    "shard": rt.name,
-                    "events_applied": main_unit.ede.processed,
-                    "handoffs_out": main_unit.handoffs_out,
-                    "transfers_in": main_unit.transfers_in,
-                    "requests_served": len(main_unit.responses)
-                    + sum(len(m.site.main.responses) for m in rt.mirrors),
-                    "digest": [list(f) for f in rt.digest()],
-                    "replicas_consistent": len(set(rt.replica_digests())) <= 1,
-                    "checkpoint_rounds": rt.central.site.coordinator.rounds_started,
-                    "frames_received": stats.frames_received,
-                    "bytes_received": stats.bytes_received,
-                },
-                fh,
-            )
-
-    asyncio.run(main())
+async def _shard_child(
+    index: int, host: str, port: int, client_ports: List[int], n_mirrors: int,
+) -> Dict[str, Any]:
+    """One shard in its own process: the whole cluster — central site
+    plus its mirror set — on the pre-assigned ports, serving the
+    router's source connection to the end of its stream."""
+    cluster = NetCluster(n_mirrors, shard=shard_name(index))
+    try:
+        await cluster.start(host=host, port=port, client_ports=client_ports)
+        await cluster.run()
+    finally:
+        await cluster.close()
+    main_unit = cluster.central.site.main
+    stats = cluster.stats()
+    digests = cluster.replica_digests()
+    return {
+        "shard": cluster.shard,
+        "events_applied": main_unit.ede.processed,
+        "handoffs_out": main_unit.handoffs_out,
+        "transfers_in": main_unit.transfers_in,
+        "requests_served": sum(len(m.responses) for m in cluster.mains()),
+        "digest": [list(f) for f in digests[0]],
+        "replicas_consistent": len(set(digests)) <= 1,
+        "checkpoint_rounds": cluster.central.site.coordinator.rounds_started,
+        "frames_received": stats.frames_received,
+        "bytes_received": stats.bytes_received,
+    }
 
 
-def _sharded_client_process_main(
-    host: str, map_port: int, keys: List[str], result_path: str
-) -> None:
-    """Entry point of the shard-aware thin-client OS process."""
-
-    async def main() -> None:
-        stats = WireStats()
-        latencies = await _run_sharded_client(host, map_port, keys, stats)
-        # terminal report write: the run is over, nothing shares this loop
-        with open(result_path, "w", encoding="utf-8") as fh:  # lint: allow-async-blocking
-            json.dump(
-                {
-                    "requests": len(keys),
-                    "responses": len(latencies),
-                    "mean_latency_s": (
-                        sum(latencies) / len(latencies) if latencies else 0.0
-                    ),
-                },
-                fh,
-            )
-
-    asyncio.run(main())
+async def _sharded_client_child(
+    host: str, map_port: int, keys: List[str]
+) -> Dict[str, Any]:
+    """The shard-aware thin client in its own process."""
+    latencies = await _run_sharded_client(host, map_port, keys, WireStats())
+    return _latency_report(len(keys), latencies)
 
 
 class ShardProcessRunner:
@@ -832,7 +672,7 @@ class ShardProcessRunner:
     shard (central + mirrors) is a spawned child process, and the
     shard-aware client is another.  Ports are pre-assigned in the parent
     so children bind deterministically and the shard map can be built
-    before any child is up.
+    before any child is up.  A child that dies fails the run.
     """
 
     def __init__(
@@ -842,7 +682,6 @@ class ShardProcessRunner:
         strategy: str = "hash",
         script: Optional[EventScript] = None,
         n_requests: int = 0,
-        router_batch: int = 16,
         host: str = "127.0.0.1",
     ):
         self.n_shards = n_shards
@@ -852,23 +691,20 @@ class ShardProcessRunner:
             script if script is not None else generate_script(FlightDataConfig())
         )
         self.n_requests = n_requests
-        self.router_batch = router_batch
         self.host = host
 
     def run(self) -> Dict[str, Any]:
-        import multiprocessing
         import tempfile
 
-        ctx = multiprocessing.get_context("spawn")
         serving_per_shard = max(1, self.n_mirrors)
         ports = _preassign_ports(
             self.host, self.n_shards * (1 + serving_per_shard)
         )
         with tempfile.TemporaryDirectory(prefix="repro-shards-") as tmp:
-            return asyncio.run(self._drive(ctx, Path(tmp), ports))
+            return asyncio.run(self._drive(_Children(Path(tmp)), ports))
 
     async def _drive(
-        self, ctx: Any, tmpdir: Path, ports: List[int]
+        self, children: _Children, ports: List[int]
     ) -> Dict[str, Any]:
         serving_per_shard = max(1, self.n_mirrors)
         shard_ports = ports[: self.n_shards]
@@ -879,91 +715,66 @@ class ShardProcessRunner:
             ]
             for i in range(self.n_shards)
         ]
+        names = [shard_name(i) for i in range(self.n_shards)]
         shard_map = ShardMap(
             strategy=self.strategy,
-            names=tuple(shard_name(i) for i in range(self.n_shards)),
+            names=tuple(names),
             client_ports=tuple(
                 client_ports[i][0] if self.n_mirrors > 0 else shard_ports[i]
                 for i in range(self.n_shards)
             ),
         )
-        router = IngressRouter(shard_map, batch_size=self.router_batch)
-        procs = []
-        client_proc = None
-        shard_results = []
+        router = IngressRouter(shard_map)
+        tasks = TaskSupervisor()
         try:
-            for i in range(self.n_shards):
-                result_path = str(tmpdir / f"shard{i}.json")
-                shard_results.append(result_path)
-                proc = ctx.Process(
-                    target=_shard_process_main,
-                    args=(
-                        i, self.host, shard_ports[i],
-                        client_ports[i] if self.n_mirrors > 0 else [],
-                        self.n_mirrors, result_path,
-                    ),
+            for i, name in enumerate(names):
+                children.spawn(
+                    name, _shard_child, i, self.host, shard_ports[i],
+                    client_ports[i] if self.n_mirrors > 0 else [],
+                    self.n_mirrors,
                 )
-                proc.start()
-                procs.append(proc)
-            await router.connect(self.host, shard_ports)
-            map_port = await router.serve_map(host=self.host)
+            watching = tasks.spawn(children.wait())
 
-            client_result = str(tmpdir / "client.json")
-            if self.n_requests > 0:
-                # spread request keys over the real flight keyspace so
-                # the client exercises every shard's serving port
-                keys: List[str] = []
-                for se in self.script.fresh_events():
-                    if se.event.key not in keys:
-                        keys.append(se.event.key)
-                    if len(keys) >= self.n_requests:
-                        break
-                keys = keys or ["DL0000"]
-                client_proc = ctx.Process(
-                    target=_sharded_client_process_main,
-                    args=(self.host, map_port, keys, client_result),
-                )
-                client_proc.start()
+            async def route() -> float:
+                await router.connect(self.host, shard_ports)
+                map_port = await router.serve_map(host=self.host)
+                if self.n_requests > 0:
+                    # spread request keys over the real flight keyspace
+                    # so the client exercises every shard's serving port
+                    keys: List[str] = []
+                    for se in self.script.fresh_events():
+                        if se.event.key not in keys:
+                            keys.append(se.event.key)
+                        if len(keys) >= self.n_requests:
+                            break
+                    keys = keys or ["DL0000"]
+                    children.spawn(
+                        "client", _sharded_client_child,
+                        self.host, map_port, keys,
+                    )
+                t0 = time.monotonic()
+                await router.route_script(self.script)
+                wall = time.monotonic() - t0
+                if self.n_requests > 0:
+                    # hold EOS (and with it shard shutdown) until the
+                    # client has read its snapshots; the wait is
+                    # excluded from the fan-out wall time
+                    await children.wait("client")
+                t1 = time.monotonic()
+                await router.send_eos()
+                await router.wait_readers()
+                wall += time.monotonic() - t1
+                await watching  # every child has exited, each with code 0
+                return wall
 
-            t0 = time.monotonic()
-            await router.route_script(self.script)
-            wall = time.monotonic() - t0
-            if client_proc is not None:
-                # hold EOS (and with it shard shutdown) until the client
-                # has read its snapshots; the wait is excluded from the
-                # fan-out wall time
-                await _join_process(client_proc)
-            t1 = time.monotonic()
-            await router.send_eos()
-            await router.wait_readers()
-            wall += time.monotonic() - t1
-            for proc in procs:
-                await _join_process(proc, timeout=60)
+            wall = await tasks.guard(route())
         finally:
+            await tasks.cancel()
             await router.close()
-            children = procs + ([client_proc] if client_proc is not None else [])
-            for proc in children:
-                if proc.is_alive():
-                    proc.terminate()  # SIGTERM on POSIX
-            for proc in children:
-                await _join_process(proc, timeout=10)
+            await children.reap()
 
-        # postlude: every child has exited, the loop is idle — plain
-        # file reads of the children's result files are fine here
-        shards = []
-        for path in shard_results:
-            try:
-                with open(path, encoding="utf-8") as fh:  # lint: allow-async-blocking
-                    shards.append(json.load(fh))
-            except FileNotFoundError:
-                shards.append({"error": "no result file"})
-        client = None
-        if client_proc is not None:
-            try:
-                with open(str(tmpdir / "client.json"), encoding="utf-8") as fh:  # lint: allow-async-blocking
-                    client = json.load(fh)
-            except FileNotFoundError:
-                client = {"error": "no result file"}
+        shards = [children.report(name) for name in names]
+        client = children.report("client") if self.n_requests > 0 else None
         digests = [s.get("digest") for s in shards if "digest" in s]
         merged: List[list] = []
         for digest in digests:

@@ -3,9 +3,10 @@
 Pure, process-independent pieces of the sharded deployment live here:
 placement (:mod:`repro.shard.partition`) and the cross-shard handoff
 state machine (:mod:`repro.shard.handoff`).  The asyncio/process glue —
-shard supervisor, ingress router, process runner — lives in
-:mod:`repro.rt.shards`, keeping this package importable (and strictly
-lintable/typecheckable) without the runtime.
+ingress router and process runner — lives in :mod:`repro.rt.shards`
+(a shard itself is a :class:`repro.rt.net.NetCluster`), keeping this
+package importable (and strictly lintable/typecheckable) without the
+runtime.
 """
 
 from .handoff import (

@@ -40,6 +40,8 @@ __all__ = [
     "make_partitioner",
     "ShardMap",
     "shard_name",
+    "SHARD_SEP",
+    "qualify_site",
 ]
 
 #: Registered partitioning strategies (CLI / ShardMap vocabulary).
@@ -80,6 +82,19 @@ def stable_hash(key: str) -> int:
 def shard_name(index: int) -> str:
     """Canonical name of shard ``index`` (``shard0``, ``shard1``, ...)."""
     return f"shard{index}"
+
+
+#: Separator between a shard name and a site's local name.
+SHARD_SEP = "/"
+
+
+def qualify_site(shard: str, site: str) -> str:
+    """``("shard0", "central") → "shard0/central"``; bare when no shard."""
+    if not shard:
+        return site
+    if SHARD_SEP in shard:
+        raise ValueError(f"shard name {shard!r} must not contain {SHARD_SEP!r}")
+    return f"{shard}{SHARD_SEP}{site}"
 
 
 class Partitioner:

@@ -18,6 +18,7 @@ from repro.ois.clients import InitStateRequest, InitStateResponse
 from repro.rt import AsyncSubscription, Channel
 from repro.rt.net import (
     NetCentral,
+    NetCluster,
     NetMirror,
     WireStats,
     _FrameReader,
@@ -41,39 +42,34 @@ def script(**kw):
     return generate_script(FlightDataConfig(**defaults))
 
 
-async def serve(sc, central, mirrors, before=None, after=None):
-    """Stream ``sc`` through ``central`` and ``mirrors`` over loopback
-    TCP, composed as ``run_net_scenario`` composes them but with the
-    site objects in the caller's hands.  ``before`` and ``after`` get
-    the client ports (the mirrors', or central's when there are none):
-    ``before`` runs ahead of the first event, ``after`` once central
-    has applied the whole stream, before its EOS."""
-    site = central.site
+async def serve(sc, cluster, before=None, after=None):
+    """Stream ``sc`` through ``cluster`` over loopback TCP, as
+    ``run_net_scenario`` does but with the cluster in the caller's
+    hands.  ``before`` and ``after`` get the client ports (the
+    mirrors', or central's when there are none): ``before`` runs ahead
+    of the first event, ``after`` once central has applied the whole
+    stream, before its EOS."""
+    central = cluster.central
     tasks = TaskSupervisor()
     try:
-        port = await central.start(host=HOST)
-        ports = [await m.serve_clients(host=HOST) for m in mirrors] or [port]
-        runs = [tasks.spawn(m.run(HOST, port)) for m in mirrors]
-        central_run = tasks.spawn(central.run())
+        await cluster.start(host=HOST)
+        running = tasks.spawn(cluster.run())
 
         async def drive():
             if before is not None:
-                await before(ports)
+                await before(cluster.client_ports)
             for se in sc.fresh_events():
                 await central.feed([se.event])
             if after is not None:
-                await until(lambda: site.main.events_applied == len(sc))
-                await after(ports)
+                await until(lambda: central.site.main.events_applied == len(sc))
+                await after(cluster.client_ports)
             await central.feed(EOS)
-            await central_run
-            await asyncio.gather(*runs)
+            await running
 
         await tasks.guard(drive())
     finally:
         await tasks.cancel()
-        await central.close()
-        for mirror in mirrors:
-            await mirror.close()
+        await cluster.close()
 
 
 async def until(condition, timeout=10.0):
@@ -258,30 +254,28 @@ def test_live_checkpoints_commit():
 
 
 def test_live_backup_queues_trimmed():
-    central = NetCentral(1)
-    mirrors = [NetMirror("mirror1")]
-    run(serve(script(positions_per_flight=60), central, mirrors))
-    for backup in (central.site.backup, mirrors[0].site.backup):
+    cluster = NetCluster(1)
+    run(serve(script(positions_per_flight=60), cluster))
+    for backup in (cluster.central.site.backup, cluster.mirrors[0].site.backup):
         assert backup.total_trimmed > 0
         assert len(backup) < backup.total_appended
 
 
 def test_live_requests_served_round_robin():
-    central = NetCentral(2)
-    mirrors = [NetMirror(name) for name in central.mirror_names]
+    cluster = NetCluster(2)
     latencies = []
 
     async def client(ports):
         latencies.extend(await _run_client(HOST, ports * 3, WireStats()))
 
-    run(serve(script(), central, mirrors, after=client))
+    run(serve(script(), cluster, after=client))
     assert len(latencies) == 6
-    by_site = {m.name: len(m.site.main.responses) for m in mirrors}
+    by_site = {m.name: len(m.site.main.responses) for m in cluster.mirrors}
     assert by_site == {"mirror1": 3, "mirror2": 3}
 
 
 def test_live_requests_to_central_without_mirrors():
-    summary = run(run_net_scenario(script(), n_mirrors=0, request_times=[0.0, 0.0]))
+    summary = run(run_net_scenario(script(), n_mirrors=0, n_requests=2))
     assert summary.requests_served == 2  # central's own: there is no mirror
 
 
@@ -302,8 +296,8 @@ def test_live_adaptation_triggers():
     cfg.monitors[MONITOR_PENDING_REQUESTS] = MonitorSpec(
         MONITOR_PENDING_REQUESTS, primary=3, secondary=2
     )
-    central = NetCentral(1, config=cfg, adaptation=True)
-    mirror = NetMirror("mirror1", config=cfg)
+    cluster = NetCluster(1, config=cfg, adaptation=True)
+    central, (mirror,) = cluster.central, cluster.mirrors
     mirror.site.main.request_service_delay = 0.002
     answered = []
     conn = {}
@@ -331,7 +325,7 @@ def test_live_adaptation_triggers():
         await conn["reader"]
         conn["writer"].close()
 
-    run(serve(script(positions_per_flight=200), central, [mirror],
+    run(serve(script(positions_per_flight=200), cluster,
               before=flood, after=drain))
     assert len(answered) == 200
     assert central.site.adaptation.adaptations >= 1
@@ -348,8 +342,8 @@ def test_live_delta_serving_for_resuming_clients():
     # the tiny 4-flight script makes even a 1-flight delta ~26% of the
     # full view; raise the fallback bound so the delta path is taken
     cfg.delta_fallback_fraction = 0.5
-    central = NetCentral(0, config=cfg)
-    main = central.site.main
+    cluster = NetCluster(0, config=cfg)
+    main = cluster.central.site.main
     responses = []
 
     async def resume(ports):
@@ -371,7 +365,7 @@ def test_live_delta_serving_for_resuming_clients():
         assert await frames.next_message() is None  # served, then hung up
         writer.close()
 
-    run(serve(script(positions_per_flight=60), central, [], after=resume))
+    run(serve(script(positions_per_flight=60), cluster, after=resume))
     first, second = responses
     assert not first.delta and first.generation > 0
     assert second.delta
@@ -412,7 +406,7 @@ def test_live_games_domain_runs_on_injected_engine(monkeypatch):
     summary = run(run_net_scenario(
         games_script, n_mirrors=2,
         config=games_mirroring(overwrite_scores=5),
-        request_times=[0.0] * 4,
+        n_requests=4,
     ))
     assert summary.events_processed_central == len(games_script)
     assert summary.events_mirrored < len(games_script)

@@ -1,10 +1,9 @@
 """Plateau drill: the live TCP path holds a fixed amount of memory
 however many events it has handled.
 
-One ``NetCentral`` and two ``NetMirror`` on loopback, composed the way
-``benchmarks/e2e/server.py`` composes them, take three bursts of 10 000
-events from a source socket while a ``MatchAll`` subscriber reads the
-push stream and a client pipelines requests.  After each burst has
+One ``NetCluster`` — a ``NetCentral`` and two ``NetMirror`` — on
+loopback takes three bursts of 10 000 events from a source socket
+while a ``MatchAll`` subscriber reads the push stream and a client pipelines requests.  After each burst has
 drained, every queue is empty and never ran past its declared bound,
 no mirror transport held more than its high-water mark plus one run,
 the backup queue stayed within what the bounds and the checkpoint rule
@@ -23,7 +22,7 @@ from repro.core.events import FAA_POSITION, EventBatch, UpdateEvent
 from repro.ois import state as ois_state
 from repro.ois.clients import InitStateRequest, InitStateResponse
 from repro.rt import net, sites
-from repro.rt.net import NetCentral, NetMirror, WireStats, _FrameReader
+from repro.rt.net import NetCluster, WireStats, _FrameReader
 from repro.rt.tasks import TaskSupervisor
 from repro.sub.messages import Subscribe
 from repro.sub.predicate import MatchAll
@@ -57,8 +56,8 @@ async def until(condition, what, timeout=30.0):
 
 async def drill():
     config = simple_mirroring()
-    central = NetCentral(2, config=config)
-    mirrors = [NetMirror(name, config=config) for name in central.mirror_names]
+    cluster = NetCluster(2, config=config)
+    central, mirrors = cluster.central, cluster.mirrors
     site = central.site
     tasks = TaskSupervisor()
     stats = WireStats()
@@ -94,12 +93,10 @@ async def drill():
             responses.extend(m for m in chunk if isinstance(m, InitStateResponse))
 
     async def body():
-        port = await central.start(host=HOST)
-        client_ports = [await m.serve_clients(host=HOST) for m in mirrors]
-        for mirror in mirrors:
-            tasks.spawn(mirror.run(HOST, port))
+        port = await cluster.start(host=HOST)
+        client_ports = cluster.client_ports
+        tasks.spawn(cluster.run())
         await central.mirrors_connected.wait()
-        tasks.spawn(central.run())
 
         encoder = WireEncoder()
         sub_reader, sub_writer = await asyncio.open_connection(HOST, client_ports[0])
@@ -221,9 +218,7 @@ async def drill():
     finally:
         net.AdaptiveFlusher.flush = real_flush
         await tasks.cancel()
-        await central.close()
-        for mirror in mirrors:
-            await mirror.close()
+        await cluster.close()
 
 
 def test_live_path_plateaus(monkeypatch):

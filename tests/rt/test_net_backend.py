@@ -5,7 +5,11 @@ traffic travels as binary wire frames through each connection's cork.
 """
 
 import asyncio
+import signal
+import socket
 from dataclasses import replace
+
+import pytest
 
 from repro.core import simple_mirroring
 from repro.core.checkpoint import ChkptMsg
@@ -21,8 +25,10 @@ from repro.rt.net import (
     NetProcessRunner,
     WireStats,
     _MirrorConnection,
+    _preassign_ports,
     run_net_scenario,
 )
+from repro.rt.shards import ShardProcessRunner
 from repro.wire import FrameSplitter, WireDecoder
 
 
@@ -74,7 +80,7 @@ def test_net_serves_client_requests():
             script(),
             n_mirrors=1,
             config=batched(),
-            request_times=[0.0, 0.0, 0.0],
+            n_requests=3,
         )
     )
     assert summary.requests_served == 3
@@ -88,7 +94,7 @@ def test_net_central_serves_requests_without_mirrors():
     hanging the scenario."""
     summary = run(
         asyncio.wait_for(
-            run_net_scenario(script(), n_mirrors=0, request_times=[0.0, 0.0]),
+            run_net_scenario(script(), n_mirrors=0, n_requests=2),
             timeout=30,
         )
     )
@@ -312,3 +318,43 @@ def test_process_runner_serves_a_consistent_cluster():
     assert result["client"]["responses"] == result["client"]["requests"] == 4
     assert [m["events_applied"] for m in result["mirrors"]] == [len(sc)] * 2
     assert result["checkpoint_commits"] > 0
+
+
+def within(seconds, call):
+    """``call()``, cut short by a TimeoutError after ``seconds``: a run
+    that hangs fails instead."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return call()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("make, child", [
+    (lambda sc: NetProcessRunner(n_mirrors=2, script=sc), "mirror1"),
+    (lambda sc: ShardProcessRunner(n_shards=2, script=sc), "shard0"),
+], ids=["processes", "shards"])
+def test_a_dead_child_fails_the_run(monkeypatch, make, child):
+    """The first pre-assigned port is taken, so the child that binds it
+    exits with code 1: the run fails at once and names that child,
+    instead of waiting for a peer that will never connect."""
+    held = socket.socket()  # bound, not listening: the child's bind fails
+    held.bind(("127.0.0.1", 0))
+
+    def planted(host, count):
+        return [held.getsockname()[1]] + _preassign_ports(host, count - 1)
+
+    monkeypatch.setattr("repro.rt.net._preassign_ports", planted)
+    monkeypatch.setattr("repro.rt.shards._preassign_ports", planted)
+    sc = generate_script(FlightDataConfig(n_flights=4, positions_per_flight=10, seed=7))
+    try:
+        with pytest.raises(ChildProcessError, match=f"'{child}' exited with code 1"):
+            within(20, make(sc).run)
+    finally:
+        held.close()

@@ -10,11 +10,10 @@ gives.
 import asyncio
 
 from repro.ois import FlightDataConfig, generate_script
-from repro.rt.net import NetCentral, NetMirror, run_net_scenario
-from repro.rt.shards import IngressRouter, ShardRuntime, run_sharded_scenario
+from repro.rt.net import NetCentral, NetCluster, NetMirror, run_net_scenario
+from repro.rt.shards import IngressRouter, run_sharded_scenario
 from repro.shard.partition import ShardMap
 from repro.rt.sites import EOS
-from repro.rt.tasks import TaskSupervisor
 
 HOST = "127.0.0.1"
 
@@ -30,44 +29,37 @@ def pending_tasks():
     return [t for t in asyncio.all_tasks() if t is not current and not t.done()]
 
 
-async def stream_through(central, mirrors, sc):
-    """Start ``central`` and ``mirrors``, feed ``sc`` and its EOS, and
-    await ``central.run()``; returns the mirrors' run tasks.  Nothing
-    but the EOS tells the cluster to stop."""
-    tasks = TaskSupervisor()
-    port = await central.start(host=HOST)
-    runs = [tasks.spawn(m.run(HOST, port)) for m in mirrors]
-    central_run = tasks.spawn(central.run())
+async def stream_through(cluster, sc):
+    """Start ``cluster``, feed ``sc`` and its EOS to its central, and
+    await ``cluster.run()``.  Nothing but the EOS tells the cluster to
+    stop."""
+    await cluster.start(host=HOST)
     for se in sc.fresh_events():
-        await central.feed([se.event])
-    await central.feed(EOS)
-    await tasks.guard(asyncio.wait_for(central_run, timeout=10))
-    return runs
+        await cluster.central.feed([se.event])
+    await cluster.central.feed(EOS)
+    await asyncio.wait_for(cluster.run(), timeout=10)
 
 
 def test_central_winds_its_cluster_down_after_the_source_eos():
-    """``central.run()`` returns by itself once the source's EOS is in:
+    """``cluster.run()`` returns by itself once the source's EOS is in:
     both mirrors have applied the whole stream and said EOS, and the
     closing round has committed."""
     sc = script()
 
     async def main():
-        central = NetCentral(2)
-        mirrors = [NetMirror(name) for name in central.mirror_names]
+        cluster = NetCluster(2)
+        central, mirrors = cluster.central, cluster.mirrors
         try:
-            runs = await stream_through(central, mirrors, sc)
+            await stream_through(cluster, sc)
             coordinator = central.site.coordinator
             assert not coordinator.collecting  # the closing round committed
             assert coordinator.rounds_committed > 0
             for mirror in mirrors:
                 assert mirror.site.main.ede.processed == len(sc)
             assert all(conn.done.is_set() for conn in central.connections.values())
-            await asyncio.wait_for(asyncio.gather(*runs), timeout=5)
             assert pending_tasks() == []
         finally:
-            await central.close()
-            for mirror in mirrors:
-                await mirror.close()
+            await cluster.close()
         digests = {m.site.main.ede.state_digest() for m in mirrors}
         assert digests == {central.site.main.ede.state_digest()}
 
@@ -79,18 +71,16 @@ def test_a_mirror_connecting_after_the_stream_ended_is_sent_eos():
     it out of the fan-out: the late mirror's run returns."""
 
     async def main():
-        central = NetCentral(1)
-        mirror, late = NetMirror("mirror1"), NetMirror("late")
+        cluster = NetCluster(1)
+        late = NetMirror("late")
         try:
-            runs = await stream_through(central, [mirror], script())
-            await asyncio.gather(*runs)
-            await asyncio.wait_for(late.run(HOST, central.port), timeout=5)
+            await stream_through(cluster, script())
+            await asyncio.wait_for(late.run(HOST, cluster.port), timeout=5)
             assert late.site.main.ede.processed == 0
-            assert list(central.connections) == ["mirror1"]
+            assert list(cluster.central.connections) == ["mirror1"]
         finally:
-            await central.close()
-            for m in (mirror, late):
-                await m.close()
+            await cluster.close()
+            await late.close()
 
     asyncio.run(main())
 
@@ -146,14 +136,14 @@ def test_central_close_is_idempotent():
 
 
 def test_shard_abort_leaks_nothing():
-    """`ShardRuntime.abort` is the error-path teardown used by the
-    sharded scenario's finally block: after it, the loop is clean."""
+    """`NetCluster.close` is the teardown of every path, the sharded
+    scenario's finally block included: after it, the loop is clean."""
 
     async def main():
-        rt = ShardRuntime(0, n_mirrors=2)
-        await rt.start(host="127.0.0.1")
-        await rt.abort()
-        await rt.abort()  # idempotent
+        cluster = NetCluster(2, shard="shard0")
+        await cluster.start(host="127.0.0.1")
+        await cluster.close()
+        await cluster.close()  # idempotent
         assert pending_tasks() == []
 
     asyncio.run(main())

@@ -224,7 +224,7 @@ def test_recent_window_counts_everything_and_keeps_the_tail():
 
 def test_run_summaries_keep_their_counts():
     sc = script()
-    tcp = run(run_net_scenario(sc, n_mirrors=1, request_times=[0.0] * 3))
+    tcp = run(run_net_scenario(sc, n_mirrors=1, n_requests=3))
     assert tcp.updates_distributed >= len(sc)  # one per event + derived
     assert tcp.requests_served == 3
     assert tcp.mean_update_delay > 0.0

@@ -11,7 +11,8 @@ import pytest
 
 from repro.ois import FlightDataConfig, generate_script
 from repro.rt import shards as shards_mod
-from repro.rt.shards import run_sharded_scenario, shard_site
+from repro.rt.net import NetCluster
+from repro.rt.shards import run_sharded_scenario
 
 SEED = 31
 
@@ -111,24 +112,24 @@ def test_failure_domains_are_per_shard(monkeypatch):
     """Each shard's checkpoint coordinator agrees over that shard's
     qualified sites and no other, and its rounds commit — a shard never
     waits on a site of another."""
-    shards = []
-    init = shards_mod.ShardRuntime.__init__
+    clusters = []
+    init = NetCluster.__init__
 
     def recording(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        shards.append(self)
+        clusters.append(self)
 
-    monkeypatch.setattr(shards_mod.ShardRuntime, "__init__", recording)
+    monkeypatch.setattr(NetCluster, "__init__", recording)
     summary = run(run_sharded_scenario(script=script(), n_shards=2))
-    assert [rt.index for rt in shards] == [0, 1]
-    for rt in shards:
-        coordinator = rt.central.site.coordinator
+    assert [cluster.shard for cluster in clusters] == ["shard0", "shard1"]
+    for cluster in clusters:
+        coordinator = cluster.central.site.coordinator
         assert coordinator.participants == {
-            shard_site(rt.index, "central"), shard_site(rt.index, "mirror1"),
+            f"{cluster.shard}/central", f"{cluster.shard}/mirror1",
         }
         assert coordinator.rounds_committed > 0
     assert summary.checkpoint_commits == sum(
-        rt.central.site.coordinator.rounds_committed for rt in shards
+        cluster.central.site.coordinator.rounds_committed for cluster in clusters
     )
 
 
