@@ -152,6 +152,15 @@ class CentralCore(_BackupSite):
         """Count a mirror's vote; returns the COMMIT it completed."""
         return self.coordinator.on_reply(reply)
 
+    def leave(self, site: str) -> Optional[CommitMsg]:
+        """Leave a dead ``site`` out of agreement: rounds no longer wait
+        for its vote.  Returns the COMMIT of a collecting round that its
+        vote alone held open — the caller broadcasts it."""
+        coordinator = self.coordinator
+        if site not in coordinator.participants:
+            return None
+        return coordinator.set_participants(coordinator.participants - {site})
+
     def adapt(self, commit: CommitMsg, readings: Dict[str, float]) -> CommitMsg:
         """Decide on adaptation over the votes' piggybacked readings and
         the local ``readings`` (worst value wins), install any change and

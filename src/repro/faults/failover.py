@@ -304,10 +304,8 @@ class FailoverSupervisor:
         server = self.server
         server.mirror_channel.unsubscribe(f"{site}.aux.data")
         server.ctrl_channel.unsubscribe(f"{site}.aux.ctrl")
-        alive = set(self.membership.serving_sites()) | {server.primary_site}
-        alive.discard(site)
         primary = server.aux_of(server.primary_site)
-        commit = primary.primary_core.coordinator.set_participants(alive)
+        commit = primary.primary_core.leave(site)
         if commit is not None:
             # the dead site was the last missing vote: broadcast the
             # completed round so survivors trim their backups

@@ -10,15 +10,15 @@ simulation backend while this one demonstrates the system live.
 
 A site publishes on a :class:`Channel`, which hands each payload
 straight to the link it is bound to (the TCP layer's encoder and
-per-connection corks) — no queue and no task between them.  A mirror's
-socket reader puts each run on its main unit's inbox through an
+per-connection corks) — no queue and no task between them.  A site's
+socket link puts each run on its main unit's inbox through an
 :class:`AsyncSubscription`, which counts how often the inbox was full.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Protocol, Tuple
+from typing import Any, Awaitable, Optional, Protocol, Tuple
 
 
 __all__ = ["AsyncSubscription", "Channel", "Link"]
@@ -36,10 +36,11 @@ class AsyncSubscription:
         #: puts that found the queue full and had to block the publisher
         self.blocked_puts = 0
 
-    async def put(self, item: Any) -> None:
-        """Enqueue for this subscriber, tracking backpressure.
+    def offer(self, item: Any) -> Optional[Awaitable[None]]:
+        """Enqueue ``item`` now if there is room; otherwise return the
+        put the caller must await before it takes anything more.
 
-        A full queue blocks the caller (that *is* the backpressure
+        A full queue holds the caller up (that *is* the backpressure
         coupling), but the stall is counted so a run can report how
         often publishers were held up and how deep queues ran.
         """
@@ -47,7 +48,21 @@ class AsyncSubscription:
             self.queue.put_nowait(item)
         except asyncio.QueueFull:
             self.blocked_puts += 1
-            await self.queue.put(item)
+            return self._put(item)
+        self._note_depth()
+        return None
+
+    async def put(self, item: Any) -> None:
+        """Enqueue for this subscriber, waiting while the queue is full."""
+        waiting = self.offer(item)
+        if waiting is not None:
+            await waiting
+
+    async def _put(self, item: Any) -> None:
+        await self.queue.put(item)
+        self._note_depth()
+
+    def _note_depth(self) -> None:
         depth = self.queue.qsize()
         if depth > self.high_watermark:
             self.high_watermark = depth
@@ -56,12 +71,12 @@ class AsyncSubscription:
 class Link(Protocol):
     """Where a site's channels deliver: :meth:`send` takes one payload
     (a control payload leaves at once, with whatever data is held);
-    :meth:`drain` ships what is held and waits while any peer's
-    transport is past its high-water mark."""
+    :meth:`drain` ships what is held and returns what to await while
+    any peer's transport is past its high-water mark (None: nothing)."""
 
     def send(self, kind: str, payload: Any) -> None: ...
 
-    async def drain(self) -> None: ...
+    def drain(self) -> Optional[Awaitable[None]]: ...
 
 
 class Channel:
@@ -86,6 +101,7 @@ class Channel:
         self.published += 1
         self.link.send(self.kind, payload)
 
-    async def drain(self) -> None:
-        """Ship what the link holds; wait only on a backed-up peer."""
-        await self.link.drain()
+    def drain(self) -> Optional[Awaitable[None]]:
+        """Ship what the link holds; returns the wait on a backed-up
+        peer, or None when no peer is backed up."""
+        return self.link.drain()

@@ -17,23 +17,33 @@ over real TCP connections carrying the binary wire format
 * **clients** connect round-robin, mirroring the request balancer of
   the other backends.
 
-Central has one entry point, :meth:`NetCentral.feed`: the source
-connection's reader hands it each run it reads, and the run is stamped,
-put on the main unit's inbox, mirrored and written in that same turn —
-no queue, receiving, sending, broadcast or writer task sits between the
-source socket and the mirror transports.  Each connection's
-:class:`AdaptiveFlusher` (the cork) hands what it holds to the
-transport in one ``writelines`` when the run is done; a control frame
-leaves at once, with whatever data it follows, because checkpoint
-latency bounds backup-queue growth.  Back-pressure is the transport's:
-after a run the reader waits on any connection whose transport is past
-its high-water mark, so the slowest mirror paces the stream.  Every
-reply the socket layer sends back — a mirror's checkpoint vote, a
-client's response, a shard's transfer — is written in the turn that
-produces it, and central counts a vote in the turn its handler reads
-it.  The source's EOS is the one wind-down signal: :meth:`NetCentral.run`
-returns once it has been through the closing round and every mirror
-connection has ended.
+Every connection a site accepts or dials is one :class:`_Link`, an
+``asyncio.BufferedProtocol`` served in the transport's own read
+callback: each read (at most :data:`READ_BYTES`) is split, decoded,
+regrouped into runs and handed, item by item, to the step of the
+connection's role — central's source, a mirror's votes, a thin client,
+a subscriber, a mirror's uplink to central — which does the work in
+that same callback.  A source run is stamped, put on the main unit's
+inbox, mirrored and written to every mirror's cork there (central's
+one entry point, :meth:`NetCentral.feed`, does the same for an
+in-process caller); on a mirror it is backed up, matched against the
+subscribers and put on the inbox in the callback that reads it, and a
+vote is written back there.  No task and no stream buffer sits between
+a socket and a site's code.  A step that must wait — a full inbox, a
+transport past its high-water mark, a request's service delay, the
+yield between two pipelined requests — hands the wait back: the link
+pauses reading, awaits it in a task under the site's supervisor, steps
+the rest of what it read, in order, and reads again.  Back-pressure is
+the transports': a paused link leaves the peer's bytes in its socket,
+and ``pause_writing`` / ``resume_writing`` tell a step when to wait for
+its own.  Each connection's :class:`AdaptiveFlusher` (the cork) hands
+what it holds to the transport in one ``writelines`` when a run is
+done; a control frame leaves at once, with whatever data it follows,
+because checkpoint latency bounds backup-queue growth.  The source's
+EOS is the one wind-down signal: :meth:`NetCentral.run` returns once it
+has been through the closing round and every mirror connection has
+ended.  A mirror connection that ends before that leaves agreement
+(:meth:`AsyncCentralSite.on_mirror_lost`).
 
 A live cluster is stood up one way, as a :class:`NetCluster`: a
 central and the mirrors it feeds, started, fed, run and closed as one
@@ -48,7 +58,9 @@ unit.  Two ways to run it:
   dies fails the run.
 
 Every outbound connection opens through one dial (:func:`_dial`:
-connect, with retry, and say HELLO).
+connect, with retry, and say HELLO): a mirror's uplink as a link, the
+clients' and the router's connections as a :class:`_FrameReader` they
+await.
 
 Link chaos (:mod:`repro.faults.link`) plugs into the frame send path:
 an optional :class:`~repro.faults.link.LinkFaultController` is
@@ -65,6 +77,7 @@ import json
 import time
 from collections import deque
 from dataclasses import dataclass, field, fields
+from functools import partial
 from itertools import cycle, islice
 from pathlib import Path
 from types import SimpleNamespace
@@ -81,6 +94,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -110,7 +124,13 @@ from ..wire import (
     WireEncoder,
 )
 from .channels import AsyncSubscription, Channel
-from .sites import EOS, MAX_RUN_EVENTS, AsyncCentralSite, AsyncMirrorSite
+from .sites import (
+    EOS,
+    MAX_RUN_EVENTS,
+    AsyncCentralSite,
+    AsyncMirrorSite,
+    _settled,
+)
 from .tasks import TaskSupervisor
 
 __all__ = [
@@ -205,10 +225,12 @@ class NetRunSummary:
     #: seconds from central's stamp to its local apply, averaged
     mean_update_delay: float = 0.0
     #: backpressure evidence: deepest any mirror's inbox ran (in runs)
-    #: and how many of its socket reader's puts found it full
+    #: and how many of its uplink's puts found it full
     channel_high_watermark: int = 0
     channel_blocked_puts: int = 0
     wire: WireStats = field(default_factory=WireStats)
+    #: mirror connections that ended before central's stream did
+    mirrors_lost: int = 0
     #: per-subscriber result dicts (client_id, acks, received events)
     subscriber_results: List[Dict[str, Any]] = field(default_factory=list)
 
@@ -231,7 +253,7 @@ class AdaptiveFlusher:
     reaches :data:`FLUSH_BYTES` is written out at once.
     """
 
-    def __init__(self, writer: asyncio.StreamWriter, stats: WireStats):
+    def __init__(self, writer: "_Link", stats: WireStats):
         self._writer = writer
         self._stats = stats
         #: a closed/reset peer marks the cork dead instead of letting the
@@ -265,8 +287,8 @@ class AdaptiveFlusher:
         self._bytes = 0
         stats = self._stats
         if self.dead or self._writer.is_closing():
-            # peer already gone: drop silently, the reader side of the
-            # connection is what reports the failure
+            # peer already gone: drop silently, the link's own
+            # connection_lost is what reports the end
             self.dead = True
             stats.dead_connection_flushes += 1
             return
@@ -290,13 +312,9 @@ class AdaptiveFlusher:
         )
 
     async def drain(self) -> None:
-        """Wait until the transport is below its low-water mark."""
-        try:
-            await self._writer.drain()
-        except ConnectionError:
-            # the transport died under us (peer reset / chaos kill)
-            self.dead = True
-            self._stats.dead_connection_flushes += 1
+        """Wait until the transport is below its low-water mark (or
+        gone: the next flush then finds it closing and goes dead)."""
+        await self._writer.drain()
 
 
 @dataclass
@@ -311,7 +329,7 @@ class _FrameEnvelope:
 class _MirrorConnection:
     """Central-side state for one connected mirror."""
 
-    def __init__(self, name: str, writer: asyncio.StreamWriter, stats: WireStats):
+    def __init__(self, name: str, writer: "_Link", stats: WireStats):
         self.name = name
         self.cork = AdaptiveFlusher(writer, stats)
         #: connection-local encoder, used only under fault injection —
@@ -374,7 +392,9 @@ class NetCentral:
     Wraps an :class:`AsyncCentralSite` whose mirror/control channels
     are bound to this object: :meth:`send` encodes each message once and
     corks it for every live mirror connection, :meth:`drain` writes the
-    corks out at the end of a run.
+    corks out at the end of a run.  Its listener serves every accepted
+    connection as a :class:`_Link` whose role its HELLO names: source,
+    mirror, client or subscriber.
     """
 
     def __init__(
@@ -416,8 +436,6 @@ class NetCentral:
         self.mirrors_connected = asyncio.Event()
         if n_mirrors == 0:
             self.mirrors_connected.set()
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._conn_tasks: List[asyncio.Task] = []
         self.port: Optional[int] = None
         # shared-encode fan-out: every mirror connection carries an
         # identical outbound frame sequence (events + control messages),
@@ -433,9 +451,10 @@ class NetCentral:
         self.subfan = SubscriptionFanout(self.stats)
         #: set by _end_stream: nothing is sent after EOS
         self._ended = False
-        #: what :meth:`run` supervises; the source connection's handler,
-        #: which no supervisor spawned, reports its failure here
+        #: what :meth:`run` supervises: the links' waits, and the
+        #: failures of the source and mirror links' read callbacks
         self._tasks = TaskSupervisor()
+        self._listener = _Listener(self.stats, self._tasks, self._dispatch)
         # recycled: the fault controller only reads kind/size, so one
         # mutable envelope serves every frame
         self._envelope = _FrameEnvelope(kind="data", size=0)
@@ -445,36 +464,44 @@ class NetCentral:
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> int:
         """Bind the listening socket; returns the bound port."""
-        self._server = await asyncio.start_server(
-            _tracked_handler(self._on_connection, self._conn_tasks), host, port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        self.port = await self._listener.start(host, port)
         return self.port
 
     async def run(self) -> None:
         """Run the central site for its whole life: its main unit's
-        event loop, supervised with the source handler's :meth:`feed`
-        (the first to fail ends the run with its exception); then, the
-        source's EOS applied, send EOS to every mirror and subscriber
-        and return once each mirror connection has ended."""
-        tasks = self._tasks
-        applying = tasks.spawn(self.site.main.event_loop())
+        event loop, supervised with every link's waits and read
+        callbacks (the first to fail ends the run with its exception);
+        then, the source's EOS applied, send EOS to every mirror and
+        subscriber and return once each mirror connection has ended."""
 
-        async def finished() -> None:
-            await applying
+        async def life() -> None:
+            await self.site.main.event_loop()
             await self._end_stream()
 
         try:
-            await tasks.guard(finished())
+            await self._tasks.guard(life())
         finally:
-            await tasks.cancel()
+            await self._tasks.cancel()
 
     async def feed(self, item: Any) -> None:
         """Central's one entry point: once every mirror has connected,
         handle one item of the source stream whole
         (:meth:`AsyncCentralSite.on_input`)."""
         await self.mirrors_connected.wait()
-        await self.site.on_input(item)
+        await _settled(self.site.on_input(item))
+
+    def _dispatch(self, link: "_Link", hello: Hello) -> Optional["_Role"]:
+        """The role of a connection that said ``hello`` (None: hang up)."""
+        role = hello.role
+        if role == "source":
+            return _Source(self, link)
+        if role == "mirror":
+            return _Downlink(self, link, hello.name)
+        if role == "client":
+            return _Client(link, self.site.main, self.stats)
+        if role == "subscriber":
+            return _Subscriber(link, self.subfan, hello.name)
+        return None
 
     # -- the site's link (see repro.rt.channels.Link) -----------------------
     def send(self, kind: str, payload: Any) -> None:
@@ -506,15 +533,19 @@ class NetCentral:
         if kind == "control":
             self._flush("control")
 
-    async def drain(self) -> None:
+    def drain(self) -> Optional[Awaitable[None]]:
         """End of a run: write every cork out in one ``writelines``
-        each, push the subscribers' share, then wait on any mirror whose
-        transport is past its high-water mark — the slowest mirror paces
-        the stream."""
+        each and push the subscribers' share; returns the wait on the
+        mirrors whose transport is past its high-water mark — the
+        slowest mirror paces the stream — or None when there is none."""
         self._flush("dry")
         self.subfan.flush()
         backed_up = [conn.cork for conn in self._live if conn.cork.backed_up]
-        for cork in backed_up:
+        return self._drain(backed_up) if backed_up else None
+
+    @staticmethod
+    async def _drain(corks: List[AdaptiveFlusher]) -> None:
+        for cork in corks:
             await cork.drain()
 
     def _flush(self, reason: str) -> None:
@@ -573,98 +604,6 @@ class NetCentral:
         if len(self.connections) >= self.n_mirrors:
             self.mirrors_connected.set()
 
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        frames = _FrameReader(reader, self.stats)
-        hello = await frames.first_message()
-        if not isinstance(hello, Hello):
-            writer.close()
-            return
-        if hello.role == "mirror":
-            await self._serve_mirror(hello.name, writer, frames)
-        elif hello.role == "client":
-            await _serve_client(self.site.main, writer, frames, self.stats)
-        elif hello.role == "subscriber":
-            await _serve_subscriber(self.subfan, hello.name, writer, frames)
-        elif hello.role == "source":
-            await self._serve_source(writer, frames)
-        else:
-            writer.close()
-
-    async def _serve_mirror(
-        self, name: str, writer: asyncio.StreamWriter,
-        frames: "_FrameReader",
-    ) -> None:
-        conn = _MirrorConnection(name, writer, self.stats)
-        if self._ended:  # the stream is over: EOS at once, no fan-out
-            self.stats.frames_sent += 1
-            conn.send(conn.encoder.encode_eos())
-            conn.cork.flush("control")
-        else:
-            self._attach(conn)
-        try:
-            while True:
-                msg = await frames.next_message()
-                if msg is None or msg == WIRE_EOS:
-                    break
-                self.site.on_vote(msg)
-        except Exception as exc:
-            # no supervisor spawned this handler either (see _serve_source)
-            self._tasks.fail(exc)
-        finally:
-            if conn in self._live:  # stop the fan-out to this one
-                self._live.remove(conn)
-                if self.fault_controller is None:
-                    self.shared.detach(name)
-            conn.close()
-            writer.close()
-            conn.done.set()
-
-    async def _serve_source(
-        self, writer: asyncio.StreamWriter, frames: "_FrameReader",
-    ) -> None:
-        """Serve a source connection (the ingress router's event stream).
-
-        Each run a read completed is fed to the site in the turn that
-        reads it (:meth:`feed`): one decoded chunk, the run in hand and
-        the central inbox are all that sit between this socket and
-        central's apply.  Handoff tombstones and transfer installs ride
-        the same connection (their ordering against events is the
-        handoff protocol's correctness argument).  The shard's transfer
-        *replies* go back on this socket, each written by the main
-        unit's ``shard_out`` sink in the turn that extracts the flight;
-        the protocol bounds them to one per tombstone the router sent.
-        No supervisor spawned this handler, so a failure in :meth:`feed`
-        goes to the one :meth:`run` keeps.
-        """
-        encoder = WireEncoder()
-
-        def reply(transfer: ShardTransfer) -> None:
-            if not writer.is_closing():
-                _reply(writer, self.stats, encoder.encode_message, transfer)
-
-        self.site.main.shard_out = reply
-        try:
-            ended = False
-            while not ended:
-                chunk = await frames.next_chunk()
-                ended = chunk is None
-                for item in _runs(chunk or ()):
-                    if type(item) is list or isinstance(item, ShardControl):
-                        await self.feed(item)
-                    elif item == WIRE_EOS:
-                        ended = True
-                        break
-            await self.feed(EOS)
-        except Exception as exc:
-            self._tasks.fail(exc)
-        finally:
-            # by the time the router sends EOS it has received every
-            # transfer reply (it only closes the stream when no handoff
-            # is pending), so nothing is owed on this socket any more
-            writer.close()
-
     async def _end_stream(self) -> None:
         """Send EOS to every mirror connection and every subscriber —
         nothing is sent after it — and wait until each mirror connection
@@ -684,71 +623,423 @@ class NetCentral:
             await conn.done.wait()
 
     async def close(self) -> None:
-        """Close the listener and every connection still being served
+        """Close the listener and abort every link still open
         (idempotent, so error-path ``finally`` blocks can call it
         unconditionally)."""
-        server, self._server = self._server, None
-        if server is not None:
+        if self._listener.serving:
             self.stats.frames_shared += self.shared.frames_shared
             self.stats.shared_encodes_saved += self.shared.encodes_saved
             self.subfan.collect_shared_stats()
-            server.close()
-            await server.wait_closed()
-        # the listener spawns one handler task per accepted connection;
-        # server.close() does NOT cancel the in-flight ones, so an
-        # error-path close with live peers would leak them into the loop
-        await _cancel_tracked(self._conn_tasks)
+        await self._listener.close()
 
 
-_ConnHandler = Callable[
-    [asyncio.StreamReader, asyncio.StreamWriter], Awaitable[None]
-]
+#: What a role's step returns: None when the item is dealt with, or
+#: what the link must await before it steps the next one.
+_Waiting = Optional[Awaitable[None]]
 
 
-def _tracked_handler(
-    handler: _ConnHandler, registry: List[asyncio.Task]
-) -> _ConnHandler:
-    """Wrap a start_server callback so its per-connection tasks are
-    registered for cancellation at close time."""
+class _Role:
+    """What a :class:`_Link` serves: :meth:`step` takes one item read
+    (``None``: the peer's stream ended), :meth:`closed` runs once the
+    link is closed, whatever closed it.  A ``fatal`` role's failure is
+    its site's; any other's closes the link and nothing else."""
 
-    async def wrapped(
-        reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        assert task is not None  # always inside a task: start_server callback
-        registry.append(task)
+    fatal = False
+
+    def step(self, item: Any) -> _Waiting:
+        raise NotImplementedError
+
+    def closed(self) -> None:
+        """The link is closed: let go of what the connection held."""
+
+
+class _Source(_Role):
+    """Central's source connection (the ingress router's event stream).
+
+    Each run a read completed is fed to the site in the read's own
+    callback (:meth:`AsyncCentralSite.on_input`): one decoded read, the
+    run in hand and the central inbox are all that sit between this
+    socket and central's apply.  Handoff tombstones and transfer
+    installs ride the same connection (their ordering against events is
+    the handoff protocol's correctness argument).  The shard's transfer
+    *replies* go back on this socket, each written by the main unit's
+    ``shard_out`` sink in the turn that extracts the flight; the
+    protocol bounds them to one per tombstone the router sent.  The end
+    of the stream — EOS, or the source gone — is central's EOS.
+    """
+
+    fatal = True
+
+    def __init__(self, central: NetCentral, link: "_Link"):
+        self.central = central
+        self.link = link
+        encoder = WireEncoder()
+        stats = central.stats
+
+        def reply(transfer: ShardTransfer) -> None:
+            if not link.is_closing():
+                _reply(link, stats, encoder.encode_message, transfer)
+
+        central.site.main.shard_out = reply
+
+    def step(self, item: Any) -> Optional[Awaitable[None]]:
+        central = self.central
+        if item is None:
+            return self._end()
+        if type(item) is not list and not isinstance(item, ShardControl):
+            return None
+        if not central.mirrors_connected.is_set():
+            return central.feed(item)
+        return central.site.on_input(item)
+
+    async def _end(self) -> None:
+        await self.central.feed(EOS)
+        # by the time the router sends EOS it has received every
+        # transfer reply (it only closes the stream when no handoff is
+        # pending), so nothing is owed on this socket any more
+        self.link.close()
+
+
+class _Downlink(_Role):
+    """Central's connection to one mirror: the mirrored stream out
+    through the connection's cork, votes in, each counted in the
+    callback that reads it (:meth:`AsyncCentralSite.on_vote`).  The end
+    of the mirror's stream before central's own EOS is the mirror's
+    death: it leaves agreement (:meth:`AsyncCentralSite.on_mirror_lost`)
+    and is not re-admitted mid-stream."""
+
+    fatal = True
+
+    def __init__(self, central: NetCentral, link: "_Link", name: str):
+        self.central = central
+        self.link = link
+        conn = self.conn = _MirrorConnection(name, link, central.stats)
+        if central._ended:  # the stream is over: EOS at once, no fan-out
+            central.stats.frames_sent += 1
+            conn.send(conn.encoder.encode_eos())
+            conn.cork.flush("control")
+        else:
+            central._attach(conn)
+
+    def step(self, msg: Any) -> _Waiting:
+        if msg is None:
+            self.link.close()
+            if not self.central._ended:
+                self.central.site.on_mirror_lost(self.conn.name)
+            return None
+        self.central.site.on_vote(msg)
+        return None
+
+    def closed(self) -> None:
+        central, conn = self.central, self.conn
+        if conn in central._live:  # stop the fan-out to this one
+            central._live.remove(conn)
+            if central.fault_controller is None:
+                central.shared.detach(conn.name)
+        conn.close()
+        conn.done.set()
+
+
+def _decode(
+    splitter: FrameSplitter, decoder: WireDecoder, stats: WireStats, data: Any
+) -> List[Any]:
+    """Split and decode what one read brought, counting frames, bytes
+    and decode time.  RESET is connection-state maintenance, already
+    applied to the decoder's tables — never a message to deliver."""
+    frames = splitter.feed(data)
+    stats.frames_received += len(frames)
+    received = 8 * len(frames)
+    decode = decoder.decode_body
+    messages = []
+    t0 = time.perf_counter_ns()
+    for mtype, body in frames:
+        received += len(body)
+        msg = decode(mtype, body)
+        if msg is not WIRE_RESET:
+            messages.append(msg)
+    stats.decode_ns += time.perf_counter_ns() - t0
+    stats.bytes_received += received
+    return messages
+
+
+class _Link(asyncio.BufferedProtocol):
+    """One connection of a site, served in its transport's callbacks.
+
+    Each read lands in a :data:`READ_BYTES` buffer; the read callback
+    splits and decodes it, regroups it into runs (:func:`_runs`) and
+    steps each item, in order, through its ``role``, which does its
+    work there and then.  A step that must wait returns the awaitable:
+    the link pauses reading, awaits it in a task under the site's
+    supervisor, steps what is left in ``backlog`` and resumes reading.
+    The end of the peer's stream — an EOS frame, a close or a reset —
+    is stepped once, as ``None``, after everything read before it.  A
+    failure while reading or stepping fails the site's run through its
+    supervisor when the role is fatal, and closes this link either way;
+    nothing reaches the loop's exception handler.
+
+    The link is also its connection's writer, with the part of the
+    ``StreamWriter`` surface the site code uses: ``write`` /
+    ``writelines`` (dropped once the connection is closing),
+    ``is_closing``, ``transport`` and :meth:`drain`, which waits for the
+    transport's ``resume_writing``.
+    """
+
+    def __init__(
+        self, stats: WireStats, tasks: TaskSupervisor,
+        home: Optional[Set["_Link"]] = None,
+    ):
+        self.stats = stats
+        self.tasks = tasks
+        self.role: _Role = _Role()
+        self.transport: Any = None
+        #: items read and not yet stepped
+        self.backlog: Deque[Any] = deque()
+        self._buffer = memoryview(bytearray(READ_BYTES))
+        self._splitter = FrameSplitter()
+        self._decoder = WireDecoder()
+        #: the listener's open links (None: a dialled link)
+        self._home = home
+        self._waiting: Optional[asyncio.Task] = None
+        self._ended = False  # the end of the peer's stream was stepped
+        self._lost = False  # the connection is gone
+        self._closed = False  # closed here: nothing more is stepped
+        self._write_paused = False
+        self._resumed: Optional[asyncio.Future] = None
+
+    # -- the transport's callbacks ---------------------------------------
+    def connection_made(self, transport: Any) -> None:
+        self.transport = transport
+        if self._home is not None:
+            self._home.add(self)
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._buffer
+
+    def buffer_updated(self, nbytes: int) -> None:
         try:
-            await handler(reader, writer)
+            self.backlog.extend(_runs(_decode(
+                self._splitter, self._decoder, self.stats, self._buffer[:nbytes]
+            )))
+        except Exception as exc:  # a malformed frame, say
+            self._fail(exc)
+            return
+        self._pump()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._lost = True
+        if self._home is not None:
+            self._home.discard(self)
+        self._wake()
+        if self._closed:
+            return
+        self.backlog.append(None)
+        if self._waiting is None:
+            self._pump()
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        self._wake()
+
+    # -- stepping ----------------------------------------------------------
+    def _step(self, item: Any) -> _Waiting:
+        if self._ended:
+            return None  # nothing counts after the end of the stream
+        if item is None or item == WIRE_EOS:
+            self._ended = True
+            item = None
+        return self.role.step(item)
+
+    def _pump(self) -> None:
+        """Step the backlog until it is empty or a step must wait."""
+        backlog = self.backlog
+        try:
+            while backlog and not self._closed:
+                waiting = self._step(backlog.popleft())
+                if waiting is not None:
+                    self.transport.pause_reading()
+                    task = self._waiting = self.tasks.spawn(self._wait(waiting))
+                    task.add_done_callback(partial(_discard, waiting))
+                    return
+        except Exception as exc:
+            self._fail(exc)
+            return
+        if self._lost:
+            self.close()
+
+    async def _wait(self, waiting: Awaitable[None]) -> None:
+        """Await what a step handed back, then step the rest of the
+        backlog, awaiting in turn, and read again."""
+        backlog = self.backlog
+        try:
+            await waiting
+            while backlog and not self._closed:
+                waiting = self._step(backlog.popleft())
+                if waiting is not None:
+                    await waiting
         except asyncio.CancelledError:
-            # close-time cancellation of a still-open connection (e.g. a
-            # subscriber that outlives the stream) is a normal shutdown
-            # path, not an error for the loop's exception handler
-            writer.close()
+            self.abort()  # the site is winding down
+            raise
+        except Exception as exc:
+            self._fail(exc)
         finally:
-            registry.remove(task)
+            self._waiting = None
+        if self._lost:
+            self.close()
+        elif not self._closed:
+            self.transport.resume_reading()
 
-    return wrapped
+    def _fail(self, exc: Exception) -> None:
+        if self.role.fatal:
+            self.tasks.fail(exc)
+        self.close()
+
+    # -- the writer's side ------------------------------------------------
+    def write(self, data: bytes) -> None:
+        if not self.is_closing():
+            self.transport.write(data)
+
+    def writelines(self, chunks: Iterable[bytes]) -> None:
+        if not self.is_closing():
+            self.transport.writelines(chunks)
+
+    def is_closing(self) -> bool:
+        return self._lost or self.transport.is_closing()
+
+    def drained(self) -> _Waiting:
+        """The wait for the transport to take more, when it has paused
+        writing; otherwise None."""
+        return self.drain() if self._write_paused and not self._lost else None
+
+    async def drain(self) -> None:
+        """Until the transport resumes writing, or the connection is gone."""
+        if not self._write_paused or self._lost:
+            return
+        if self._resumed is None:
+            self._resumed = asyncio.get_running_loop().create_future()
+        await self._resumed
+
+    def _wake(self) -> None:
+        resumed, self._resumed = self._resumed, None
+        if resumed is not None and not resumed.done():
+            resumed.set_result(None)
+
+    def close(self) -> None:
+        """Close here, after what is written has gone out; nothing more
+        is stepped."""
+        if self._shut():
+            self.transport.close()
+
+    def abort(self) -> None:
+        """Close here at once, dropping what is unsent."""
+        if self._shut():
+            self.transport.abort()
+
+    def _shut(self) -> bool:
+        if self._closed:
+            return False
+        self._closed = True
+        task = self._waiting
+        if task is not None and task is not asyncio.current_task():
+            task.cancel()
+        self.role.closed()
+        return True
 
 
-async def _cancel_tracked(registry: List[asyncio.Task]) -> None:
-    """Cancel every still-live tracked connection handler."""
-    tasks = [t for t in registry if not t.done()]
-    for task in tasks:
-        task.cancel()
-    if tasks:
-        await asyncio.gather(*tasks, return_exceptions=True)
+def _discard(waiting: Awaitable[None], _task: asyncio.Task) -> None:
+    """A link's wait is over: close the coroutine it awaited, which is
+    a no-op unless the wait was cancelled before it could start."""
+    finish = getattr(waiting, "close", None)
+    if finish is not None:
+        finish()
+
+
+class _Hello(_Role):
+    """A listener link's first role: read HELLO, then re-point the link
+    to the role ``dispatch`` returns for it (None: hang up).  A peer
+    that says nothing for :data:`HELLO_TIMEOUT_S` is hung up on — a
+    listener holds no task for it."""
+
+    def __init__(
+        self, link: _Link,
+        dispatch: Callable[[_Link, Hello], Optional[_Role]],
+    ):
+        self.link = link
+        self.dispatch = dispatch
+        self.deadline = asyncio.get_running_loop().call_later(
+            HELLO_TIMEOUT_S, link.close
+        )
+
+    def step(self, msg: Any) -> _Waiting:
+        self.deadline.cancel()
+        role = self.dispatch(self.link, msg) if isinstance(msg, Hello) else None
+        if role is None:
+            self.link.close()
+        else:
+            self.link.role = role
+        return None
+
+    def closed(self) -> None:
+        self.deadline.cancel()
+
+
+class _Listener:
+    """A listening socket that serves each accepted connection as a
+    :class:`_Link`, starting with :class:`_Hello`; :meth:`close` aborts
+    the links still open."""
+
+    def __init__(
+        self, stats: WireStats, tasks: TaskSupervisor,
+        dispatch: Callable[[_Link, Hello], Optional[_Role]],
+    ):
+        self._stats = stats
+        self._tasks = tasks
+        self._dispatch = dispatch
+        self._server: Optional[asyncio.base_events.Server] = None
+        #: the accepted links not yet closed
+        self.links: Set[_Link] = set()
+
+    @property
+    def serving(self) -> bool:
+        return self._server is not None
+
+    async def start(self, host: str, port: int) -> int:
+        """Bind ``host:port`` (``0``: any free port); returns the port."""
+
+        def accept() -> _Link:
+            link = _Link(self._stats, self._tasks, home=self.links)
+            link.role = _Hello(link, self._dispatch)
+            return link
+
+        self._server = await asyncio.get_running_loop().create_server(
+            accept, host, port
+        )
+        return self._server.sockets[0].getsockname()[1]
+
+    async def close(self) -> None:
+        """Stop listening and abort every open link (idempotent)."""
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
+        waits = [link._waiting for link in self.links if link._waiting is not None]
+        for link in list(self.links):
+            link.abort()
+        if server is not None:
+            await server.wait_closed()
+        await asyncio.gather(*waits, return_exceptions=True)
 
 
 class _FrameReader:
-    """Decode messages from one socket stream, a chunk at a time.
+    """Decode messages from one dialled socket stream, a chunk at a time.
 
-    A single TCP read can complete many frames — a client's HELLO and
-    first REQUEST routinely coalesce, and under load one read carries
-    hundreds of events.  :meth:`next_chunk` hands out everything a read
-    completed, so the consumer pays its queue hops once per chunk;
-    :meth:`next_message` hands the same messages out one by one.  Both
-    draw on one queue that travels with the connection from the
-    preamble read to a serve loop, so no frame is dropped at the handoff.
+    The awaiting side of a connection — a thin client, a subscriber, the
+    ingress router — reads through this.  A single TCP read can
+    complete many frames (under load one read carries hundreds of
+    events): :meth:`next_chunk` hands out everything a read completed,
+    :meth:`next_message` the same messages one by one; both draw on one
+    queue, so no frame is dropped between them.
     """
 
     __slots__ = ("_reader", "_splitter", "_decoder", "_stats", "_pending")
@@ -764,8 +1055,6 @@ class _FrameReader:
         """Return every message pending or, failing that, completed by
         the next read; None once the peer closed or reset."""
         pending = self._pending
-        decode = self._decoder.decode_body
-        stats = self._stats
         while not pending:
             try:
                 data = await self._reader.read(READ_BYTES)
@@ -775,19 +1064,7 @@ class _FrameReader:
                 data = b""
             if not data:
                 return None
-            frames = self._splitter.feed(data)
-            stats.frames_received += len(frames)
-            received = 8 * len(frames)
-            t0 = time.perf_counter_ns()
-            for mtype, body in frames:
-                received += len(body)
-                msg = decode(mtype, body)
-                # RESET is connection-state maintenance, already applied
-                # to the decoder's tables — never a message to deliver
-                if msg is not WIRE_RESET:
-                    pending.append(msg)
-            stats.decode_ns += time.perf_counter_ns() - t0
-            stats.bytes_received += received
+            pending.extend(_decode(self._splitter, self._decoder, self._stats, data))
         chunk = list(pending)
         pending.clear()
         return chunk
@@ -797,20 +1074,6 @@ class _FrameReader:
         if not self._pending:
             self._pending.extend(await self.next_chunk() or ())
         return self._pending.popleft() if self._pending else None
-
-    async def first_message(self) -> Any:
-        """A new connection's opening message (its HELLO); None when
-        the peer hangs up or says nothing for :data:`HELLO_TIMEOUT_S`
-        — a listener holds no task for a silent peer."""
-        try:
-            return await asyncio.wait_for(self.next_message(), HELLO_TIMEOUT_S)
-        except asyncio.TimeoutError:
-            return None
-
-    def push_back(self, msg: Any) -> None:
-        """Return a peeked message so the next read hands it out again
-        (role dispatch reads one frame ahead)."""
-        self._pending.appendleft(msg)
 
 
 def _runs(chunk: Iterable[Any]) -> Iterator[Any]:
@@ -838,7 +1101,7 @@ def _runs(chunk: Iterable[Any]) -> Iterator[Any]:
 
 
 def _reply(
-    writer: asyncio.StreamWriter, stats: WireStats,
+    writer: _Link, stats: WireStats,
     encode: Callable[[Any], bytes], msg: Any,
 ) -> None:
     """Encode ``msg`` and write it on its own, in the caller's turn: a
@@ -853,42 +1116,53 @@ def _reply(
     writer.write(frame)
 
 
-async def _serve_client(
-    main: Any, writer: asyncio.StreamWriter,
-    frames: _FrameReader, stats: WireStats,
-) -> None:
-    """Serve REQUEST frames from one thin-client connection.  Requests
-    decoded but not yet answered count into the main unit's pending
-    gauge (the monitored variable votes carry); between two of them the
-    loop yields, so a pipelined burst cannot hold the event path up."""
-    encoder = WireEncoder()
-    owed = 0
-    try:
-        while True:
-            chunk = await frames.next_chunk()
-            if chunk is None:
-                break
-            owed = sum(1 for msg in chunk if isinstance(msg, InitStateRequest))
-            main._pending_requests += owed
-            for msg in chunk:
-                if isinstance(msg, InitStateRequest):
-                    if main.request_service_delay > 0:
-                        await asyncio.sleep(main.request_service_delay)
-                    state = getattr(main.ede, "state", None)
-                    response = main._serve_one(msg, state)
-                    main.responses.append(response)
-                    # a gauge: meant to be seen across the awaits
-                    main._pending_requests -= 1  # lint: allow-async-interleaving
-                    owed -= 1
-                    _reply(writer, stats, encoder.encode_response, response)
-                    await writer.drain()
-                    if owed:
-                        await asyncio.sleep(0)
-                elif msg == WIRE_EOS:
-                    return
-    finally:
-        main._pending_requests -= owed
-        writer.close()
+class _Client(_Role):
+    """A thin client's connection: each REQUEST is answered in the
+    callback that reads it.  Requests read and not yet answered count
+    into the main unit's pending gauge (the monitored variable votes
+    carry); between two of them the link yields, so a pipelined burst
+    cannot hold the event path up."""
+
+    def __init__(self, link: _Link, main: Any, stats: WireStats):
+        self.link = link
+        self.main = main
+        self.stats = stats
+        self.encoder = WireEncoder()
+        #: this connection's share of the pending gauge
+        self.owed = 0
+
+    def step(self, msg: Any) -> _Waiting:
+        if msg is None:
+            self.link.close()
+            return None
+        if not isinstance(msg, InitStateRequest):
+            return None
+        if self.main.request_service_delay > 0:
+            self._owe(1 + len(self.link.backlog))
+            return self._answer_later(msg)
+        return self._answer(msg)
+
+    def _answer(self, request: InitStateRequest) -> _Waiting:
+        main = self.main
+        response = main._serve_one(request, getattr(main.ede, "state", None))
+        main.responses.append(response)
+        self._owe(len(self.link.backlog))
+        _reply(self.link, self.stats, self.encoder.encode_response, response)
+        waiting = self.link.drained()
+        if waiting is None and self.owed:
+            waiting = asyncio.sleep(0)
+        return waiting
+
+    async def _answer_later(self, request: InitStateRequest) -> None:
+        await asyncio.sleep(self.main.request_service_delay)
+        await _settled(self._answer(request))
+
+    def _owe(self, owed: int) -> None:
+        self.main._pending_requests += owed - self.owed
+        self.owed = owed
+
+    def closed(self) -> None:
+        self._owe(0)
 
 
 #: A standalone RESET frame (constant bytes): dropped onto a subscriber
@@ -916,7 +1190,7 @@ class _SubscriberConn:
         "group", "pending",
     )
 
-    def __init__(self, conn_id: str, name: str, writer: asyncio.StreamWriter):
+    def __init__(self, conn_id: str, name: str, writer: _Link):
         self.conn_id = conn_id
         self.name = name
         self.writer = writer
@@ -992,7 +1266,7 @@ class SubscriptionFanout:
         return len(self._groups)
 
     # -- connection lifecycle -------------------------------------------
-    def attach(self, name: str, writer: asyncio.StreamWriter) -> _SubscriberConn:
+    def attach(self, name: str, writer: _Link) -> _SubscriberConn:
         self._next_conn += 1
         return _SubscriberConn(f"{name}#{self._next_conn}", name, writer)
 
@@ -1175,30 +1449,29 @@ class SubscriptionFanout:
             self.stats.sub_encodes_saved += group.cache.encodes_saved
 
 
-async def _serve_subscriber(
-    fanout: SubscriptionFanout, name: str,
-    writer: asyncio.StreamWriter, frames: _FrameReader,
-) -> None:
-    """Serve one subscriber connection: SUBSCRIBE/UNSUBSCRIBE frames in,
-    fenced SUB_ACKs plus the matched event stream out."""
-    conn = fanout.attach(name, writer)
-    try:
-        ended = False
-        while not ended and not writer.is_closing():
-            chunk = await frames.next_chunk()
-            if chunk is None:
-                break
-            for msg in chunk:
-                if isinstance(msg, (Subscribe, Unsubscribe)):
-                    fanout.apply(conn, msg)
-                elif msg == WIRE_EOS:
-                    ended = True
-                    break
-            fanout.flush()
-            await writer.drain()
-    finally:
-        fanout.drop(conn)
-        writer.close()
+class _Subscriber(_Role):
+    """One subscriber connection: SUBSCRIBE/UNSUBSCRIBE frames in, each
+    applied in the callback that reads it; fenced SUB_ACKs plus the
+    matched event stream out, the acks of one read in one write."""
+
+    def __init__(self, link: _Link, fanout: SubscriptionFanout, name: str):
+        self.link = link
+        self.fanout = fanout
+        self.conn = fanout.attach(name, link)
+
+    def step(self, msg: Any) -> _Waiting:
+        if msg is None:
+            self.link.close()
+            return None
+        if isinstance(msg, (Subscribe, Unsubscribe)):
+            self.fanout.apply(self.conn, msg)
+        if self.link.backlog:
+            return None
+        self.fanout.flush()
+        return self.link.drained()
+
+    def closed(self) -> None:
+        self.fanout.drop(self.conn)
 
 
 async def _run_subscriber(
@@ -1242,17 +1515,17 @@ async def _run_subscriber(
 class NetMirror:
     """Mirror site connected to the central server over TCP.
 
-    A mirror is its socket reader plus its main unit's event loop.  The
-    reader takes the central connection's stream a chunk per turn, in
-    stream order: each run of events is backed up
-    (:meth:`AsyncMirrorSite.on_run`), matched against the subscribers
-    once and put on the main unit's inbox once; a handoff control frame
-    is queued in place; a CHKPT's vote is written back on the same
-    socket in the turn that reads it, and a COMMIT is applied there
+    A mirror is its uplink to central plus its main unit's event loop.
+    The uplink (:class:`_Uplink`) takes the central connection's stream
+    in the callback that reads it, in stream order: each run of events
+    is backed up (:meth:`AsyncMirrorSite.on_run`), matched against the
+    subscribers once and put on the main unit's inbox once; a handoff
+    control frame is queued in place; a CHKPT's vote is written back on
+    the same socket, and a COMMIT is applied there
     (:meth:`AsyncMirrorSite.on_control`).  The event loop applies what
     the inbox holds, a budget at a time, so client requests interleave
-    with applies.  Also listens on its own port for thin-client REQUEST
-    traffic.
+    with applies.  Also listens on its own port for thin clients and
+    subscribers.
     """
 
     def __init__(self, name: str, config: Optional[MirrorConfig] = None):
@@ -1264,7 +1537,7 @@ class NetMirror:
             self.site.monitor = InvariantMonitor()
         self.site.main.delta_snapshots = self.config.delta_snapshots
         self.site.main.delta_fallback_fraction = self.config.delta_fallback_fraction
-        #: the reader's put side of the main unit's inbox (the same
+        #: the uplink's put side of the main unit's inbox (the same
         #: queue), counting how often the inbox was full
         self.data_sub = AsyncSubscription(f"{name}.data", self.site.main.inbox)
         #: inert, reads 0 / 0: nothing queues control on a mirror.
@@ -1272,11 +1545,13 @@ class NetMirror:
         #: ROADMAP 1(e) gives that reader a stats() mapping
         self.ctrl_sub = SimpleNamespace(high_watermark=0, blocked_puts=0)
         self.port: Optional[int] = None
-        self._client_server: Optional[asyncio.base_events.Server] = None
-        self._conn_tasks: List[asyncio.Task] = []
+        #: what :meth:`run` supervises: the event loop, the links' waits
+        #: and the uplink's read callbacks
+        self._tasks = TaskSupervisor()
         #: subscription fan-out over this mirror's client port — the
         #: "mirror as content broker" half of the story
         self.subfan = SubscriptionFanout(self.stats)
+        self._listener = _Listener(self.stats, self._tasks, self._dispatch)
 
     async def serve_clients(self, host: str = "127.0.0.1", port: int = 0) -> int:
         """Open this mirror's own client-facing port.
@@ -1285,113 +1560,111 @@ class NetMirror:
         thin clients asking for initial state (REQUEST/RESPONSE) and
         subscribers registering predicates for the matched push stream.
         """
-
-        async def handle(
-            reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-        ) -> None:
-            frames = _FrameReader(reader, self.stats)
-            first = await frames.first_message()
-            if isinstance(first, Hello) and first.role == "subscriber":
-                await _serve_subscriber(self.subfan, first.name, writer, frames)
-                return
-            if first is None or first == WIRE_EOS:
-                writer.close()
-                return
-            # request path: hand the peeked frame back (the serve loop
-            # ignores a client HELLO, as before)
-            frames.push_back(first)
-            await _serve_client(self.site.main, writer, frames, self.stats)
-
-        self._client_server = await asyncio.start_server(
-            _tracked_handler(handle, self._conn_tasks), host, port
-        )
-        self.port = self._client_server.sockets[0].getsockname()[1]
+        self.port = await self._listener.start(host, port)
         return self.port
 
+    def _dispatch(self, link: _Link, hello: Hello) -> Optional[_Role]:
+        if hello.role == "client":
+            return _Client(link, self.site.main, self.stats)
+        if hello.role == "subscriber":
+            return _Subscriber(link, self.subfan, hello.name)
+        return None
+
     async def run(self, host: str, port: int) -> None:
-        """Connect to central and run the mirror site to completion: the
-        socket reader and the main unit's event loop, supervised — the
-        first of the two to fail cancels the other and its exception is
-        raised."""
+        """Connect to central and run the mirror site to completion: its
+        main unit's event loop, supervised with the uplink — the first
+        failure ends the run with its exception.  The end of central's
+        stream (its EOS, or central gone) ends the inbox's stream; once
+        the event loop has applied it, the mirror says EOS."""
+        tasks = self._tasks
+        link = _Link(self.stats, tasks)
+        uplink = link.role = _Uplink(self, link)
         # the uplink's encoder writes HELLO, the votes and EOS
-        frames, writer, encoder = await _dial(
-            host, port, Hello("mirror", self.name), self.stats
+        _, _, uplink.encoder = await _dial(
+            host, port, Hello("mirror", self.name), self.stats, link
         )
-        tasks = TaskSupervisor()
         try:
-            applying = tasks.spawn(self.site.main.event_loop())
-            await tasks.guard(self._reader_loop(frames, writer, encoder, applying))
+            await tasks.guard(self.site.main.event_loop())
+            frame = uplink.encoder.encode_eos()
+            self.stats.frames_sent += 1
+            self.stats.bytes_sent += len(frame)
+            link.write(frame)
+            await link.drain()
         finally:
-            writer.close()  # first: a second cancellation may cut the rest short
+            link.close()  # first: a second cancellation may cut the rest short
             await tasks.cancel()
             await self.close()
 
     async def close(self) -> None:
-        """Close the client-facing listener (idempotent)."""
-        server, self._client_server = self._client_server, None
-        if server is not None:
-            server.close()
-            await server.wait_closed()
+        """Close the client-facing listener and its links (idempotent)."""
+        if self._listener.serving:
             self.subfan.collect_shared_stats()
-        await _cancel_tracked(self._conn_tasks)
+        await self._listener.close()
 
-    async def _reader_loop(
-        self, frames: "_FrameReader", writer: asyncio.StreamWriter,
-        encoder: WireEncoder, applying: "asyncio.Task[None]",
-    ) -> None:
-        """Take the central connection's stream into the site a chunk
-        per turn (a lone event travels as itself).  At end of stream —
-        clean EOS, or central vanished — end the subscribers' and the
-        inbox's streams, wait for the event loop to apply what is
-        queued, and close the uplink with EOS."""
-        site, inbox, subfan, stats = self.site, self.data_sub, self.subfan, self.stats
-        while True:
-            chunk = await frames.next_chunk()
-            ended = chunk is None
-            for item in _runs(chunk or ()):
-                if type(item) is list:
-                    site.on_run(item)
-                    payload = item[0] if len(item) == 1 else EventBatch(item)
-                    subfan.fanout(payload)
-                    await inbox.put(payload)
-                elif isinstance(item, ShardControl):
-                    # handoff control frames take the data path: their
-                    # whole contract is ordering against the event stream
-                    await inbox.put(item)
-                elif item == WIRE_EOS:
-                    ended = True
-                    break
-                else:
-                    vote = site.on_control(item)
-                    if vote is not None:
-                        _reply(writer, stats, encoder.encode_message, vote)
-                        await writer.drain()
-            if ended:
-                break
-            # the chunk is dealt with, trailing control frame and all:
-            # subscribers get what it matched in one write each
-            subfan.flush()
-        subfan.eos()
-        await inbox.put(EOS)
-        await applying
-        frame = encoder.encode_eos()
-        stats.frames_sent += 1
-        stats.bytes_sent += len(frame)
-        writer.write(frame)
-        await writer.drain()
+
+class _Uplink(_Role):
+    """A mirror's connection to central, stepped in stream order: a run
+    is backed up, matched against the subscribers and put on the inbox;
+    a handoff control frame goes to the inbox in place; a CHKPT's vote
+    is written back and a COMMIT applied.  Subscribers get what a read
+    matched in one write each — when the read is done, or before a step
+    waits.  The end of central's stream ends the subscribers' and the
+    inbox's."""
+
+    fatal = True
+
+    def __init__(self, mirror: NetMirror, link: _Link):
+        self.mirror = mirror
+        self.link = link
+        self.encoder = WireEncoder()
+
+    def step(self, item: Any) -> _Waiting:
+        mirror = self.mirror
+        if type(item) is list:
+            mirror.site.on_run(item)
+            payload = item[0] if len(item) == 1 else EventBatch(item)
+            mirror.subfan.fanout(payload)
+            waiting = mirror.data_sub.offer(payload)
+        elif isinstance(item, ShardControl):
+            # handoff control frames take the data path: their whole
+            # contract is ordering against the event stream
+            waiting = mirror.data_sub.offer(item)
+        elif item is None:
+            mirror.subfan.eos()
+            return mirror.data_sub.offer(EOS)
+        else:
+            vote = mirror.site.on_control(item)
+            waiting = None
+            if vote is not None:
+                _reply(self.link, mirror.stats, self.encoder.encode_message, vote)
+                waiting = self.link.drained()
+        if waiting is not None or not self.link.backlog:
+            mirror.subfan.flush()
+        return waiting
 
 
 async def _dial(
     host: str, port: int, hello: Hello, stats: WireStats,
-) -> Tuple[_FrameReader, asyncio.StreamWriter, WireEncoder]:
+    link: Optional[_Link] = None,
+) -> Tuple[Any, Any, WireEncoder]:
     """Open a connection to ``host:port`` and say ``hello`` on it;
-    returns the connection's frame reader, writer and encoder.  A peer
-    that is not listening yet is dialled again for :data:`DIAL_RETRY_S`
-    seconds: in the multiprocess shapes it may still be starting up."""
+    returns the connection's reader, writer and encoder: a
+    :class:`_FrameReader` and a ``StreamWriter``, or, when the caller
+    serves the connection with its own ``link``, that link twice.  A
+    peer that is not listening yet is dialled again for
+    :data:`DIAL_RETRY_S` seconds: in the multiprocess shapes it may
+    still be starting up."""
     deadline = time.monotonic() + DIAL_RETRY_S
+    reader = writer = None
     while True:
         try:
-            reader, writer = await asyncio.open_connection(host, port)
+            if link is None:
+                reader, writer = await asyncio.open_connection(host, port)
+            else:
+                await asyncio.get_running_loop().create_connection(
+                    lambda: link, host, port
+                )
+                reader = writer = link
             break
         except OSError:
             if time.monotonic() >= deadline:
@@ -1402,7 +1675,9 @@ async def _dial(
     stats.frames_sent += 1
     stats.bytes_sent += len(frame)
     writer.write(frame)
-    return _FrameReader(reader, stats), writer, encoder
+    if link is None:
+        reader = _FrameReader(reader, stats)
+    return reader, writer, encoder
 
 
 async def _run_client(
@@ -1642,6 +1917,7 @@ async def run_net_scenario(
         checkpoint_commits=site.coordinator.rounds_committed,
         adaptations=site.adaptation.adaptations if site.adaptation else 0,
         reversions=site.adaptation.reversions if site.adaptation else 0,
+        mirrors_lost=site.mirrors_lost,
         snapshot_builds=sum(m.snapshot_builds for m in mains),
         snapshot_cache_hits=sum(m.snapshot_cache_hits for m in mains),
         delta_snapshots_served=sum(m.delta_snapshots_served for m in mains),

@@ -64,14 +64,14 @@ from ..wire import EOS as WIRE_EOS, Hello, WireEncoder
 from .net import (
     NetCluster,
     WireStats,
-    _cancel_tracked,
     _Children,
     _dial,
     _FrameReader,
+    _Link,
+    _Listener,
     _latency_report,
     _preassign_ports,
     _run_client,
-    _tracked_handler,
 )
 from .tasks import TaskSupervisor
 
@@ -148,9 +148,9 @@ class IngressRouter:
         self._pending: List[List[UpdateEvent]] = []
         self._readers: List[asyncio.Task] = []
         self._idle = asyncio.Event()
-        self._map_server: Optional[asyncio.base_events.Server] = None
-        #: the map listener's handler tasks, cancelled by :meth:`close`
-        self._map_tasks: List[asyncio.Task] = []
+        #: answers each connection's HELLO with the map; nothing it
+        #: serves ever waits, so its supervisor watches nothing
+        self._map_listener = _Listener(self.stats, TaskSupervisor(), self._send_map)
         self.map_port: Optional[int] = None
         self.shard_events: List[int] = [0] * shard_map.n_shards
         # -- subscription forwarding state --------------------------------
@@ -196,26 +196,16 @@ class IngressRouter:
         """Listen for clients asking for the shard map (one T_SHARD_MAP
         frame per connection; placement is pure, so the map is the whole
         topology handshake)."""
-
-        async def handle(
-            reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-        ) -> None:
-            frames = _FrameReader(reader, self.stats)
-            hello = await frames.first_message()
-            if isinstance(hello, Hello):
-                encoder = WireEncoder()
-                frame = encoder.encode_shard_map(self.shard_map)
-                self.stats.frames_sent += 1
-                self.stats.bytes_sent += len(frame)
-                writer.write(frame)
-                await writer.drain()
-            writer.close()
-
-        self._map_server = await asyncio.start_server(
-            _tracked_handler(handle, self._map_tasks), host, port
-        )
-        self.map_port = self._map_server.sockets[0].getsockname()[1]
+        self.map_port = await self._map_listener.start(host, port)
         return self.map_port
+
+    def _send_map(self, link: _Link, _hello: Hello) -> None:
+        """Answer a HELLO on the map port with the map; the link then
+        hangs up, once the map has gone out."""
+        frame = WireEncoder().encode_shard_map(self.shard_map)
+        self.stats.frames_sent += 1
+        self.stats.bytes_sent += len(frame)
+        link.write(frame)
 
     # -- subscriptions ---------------------------------------------------
     async def register_subscription(
@@ -454,11 +444,7 @@ class IngressRouter:
         for writer, _encoder in self._sub_conns.values():
             writer.close()
         self._sub_conns = {}
-        server, self._map_server = self._map_server, None
-        if server is not None:
-            server.close()
-            await server.wait_closed()
-        await _cancel_tracked(self._map_tasks)
+        await self._map_listener.close()
 
     async def wait_readers(self) -> None:
         """Wait for the shard connections to close (post-EOS).  The

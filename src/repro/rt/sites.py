@@ -2,9 +2,11 @@
 
 Each site keeps the simulation backend's unit split — an auxiliary unit
 and a main unit (EDE + request service).  An auxiliary unit has no task
-of its own: it is what a socket reader calls in stream order, feeding
-the main unit's event loop — on central, :meth:`AsyncCentralSite.on_input`
-per source item and :meth:`~AsyncCentralSite.on_vote` per vote.  Every
+of its own: it is what a connection's read callback calls in stream
+order, feeding the main unit's event loop — on central,
+:meth:`AsyncCentralSite.on_input` per source item (it returns what the
+caller must await, or None) and :meth:`~AsyncCentralSite.on_vote` per
+vote.  Every
 protocol decision is the simulation's own: the sites subclass the cores
 of :mod:`repro.core.sitecore` (:class:`AsyncCentralSite` a
 :class:`~repro.core.sitecore.CentralCore`, :class:`AsyncMirrorSite` a
@@ -17,7 +19,7 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Any, Awaitable, Callable, Deque, Dict, List, Optional
 
 from ..core.adaptation import (
     MONITOR_BACKUP_QUEUE,
@@ -44,7 +46,7 @@ from ..shard.handoff import (
     extract_transfer,
     install_transfer,
 )
-from .channels import Channel
+from .channels import AsyncSubscription, Channel
 
 __all__ = [
     "EOS",
@@ -63,25 +65,25 @@ EOS = "__end_of_stream__"
 # MAX_RUN_EVENTS of them — so a queue hop is paid per run, not per
 # event.  The data path,
 #
-#   source reader -> inbox
-#                 -> cork -> transport -> socket
-#     -> mirror reader -> mirror inbox
+#   source link -> inbox
+#               -> cork -> transport -> socket
+#     -> mirror uplink -> mirror inbox
 #
-# has no cycle: each reader blocks only on what is to its right, and the
-# ends (a main unit's event loop, the kernel) block on nothing.  In the
-# turn that reads a run, the source reader stamps it, queues it, writes
-# it to every mirror's transport and then waits on any transport past
-# its high-water mark — so a transport holds at most its mark plus one
-# run, and the slowest mirror paces the stream.  The control path does
-# loop (CHKPT down, CHKPT_REP up, COMMIT down), but the protocol sets its
-# volume, not the load — one round collects at a time — and no queue
-# holds it: a mirror writes its vote in the turn its reader takes the
-# CHKPT, and central counts it in the turn its handler reads it.
+# has no cycle: each link waits only on what is to its right, and the
+# ends (a main unit's event loop, the kernel) wait on nothing.  In the
+# read callback that takes a run, the source link stamps it, queues it,
+# writes it to every mirror's transport and then waits on any transport
+# past its high-water mark — so a transport holds at most its mark plus
+# one run, and the slowest mirror paces the stream.  The control path
+# does loop (CHKPT down, CHKPT_REP up, COMMIT down), but the protocol
+# sets its volume, not the load — one round collects at a time — and no
+# queue holds it: a mirror writes its vote in the callback that takes
+# the CHKPT, and central counts it in the callback that reads it.
 # (rt/net.py declares the socket layer's share.)
 
-#: A main unit's inbox holds runs (one EventBatch each), put by a socket
-#: reader and drained by ``event_loop``.  Full: the reader blocks and
-#: stops reading its socket — on central the source sees TCP
+#: A main unit's inbox holds runs (one EventBatch each), put by a
+#: connection's link and drained by ``event_loop``.  Full: the link
+#: pauses reading its socket — on central the source sees TCP
 #: back-pressure, with at most 2 * MAX_RUN_EVENTS = 256 events (the
 #: inbox and the run in hand) past its socket.
 CENTRAL_INBOX_BOUND = 1
@@ -90,6 +92,12 @@ MIRROR_INBOX_BOUND = 8
 MAX_RUN_EVENTS = 128
 #: Events ``event_loop`` applies before it yields to the other tasks.
 EVENT_LOOP_BUDGET = 512
+
+
+async def _settled(waiting: Optional[Awaitable[None]]) -> None:
+    """Await ``waiting`` unless there is nothing to wait for."""
+    if waiting is not None:
+        await waiting
 
 
 class RecentWindow:
@@ -310,7 +318,7 @@ class AsyncMainUnit:
 
 class AsyncCentralSite(CentralCore):
     """Live central site: the :class:`CentralCore` driven by its source
-    reader and its mirrors' handlers, in front of a main unit."""
+    link and its mirrors' links, in front of a main unit."""
 
     def __init__(
         self,
@@ -336,7 +344,11 @@ class AsyncCentralSite(CentralCore):
         #: ready queue, counted in events as its thresholds are)
         self.ready_events = 0
         self.mirrored_events = 0
+        #: mirrors whose stream ended before central's
+        self.mirrors_lost = 0
         self.adaptation_log: List[tuple] = []
+        #: the put side of the main unit's inbox
+        self.to_main = AsyncSubscription(f"{site}.main", self.main.inbox)
 
     def monitor_readings(self) -> Dict[str, float]:
         """Central-site monitored variables."""
@@ -346,27 +358,37 @@ class AsyncCentralSite(CentralCore):
             MONITOR_PENDING_REQUESTS: float(self.main._pending_requests),
         }
 
-    async def on_input(self, item: Any) -> None:
+    def on_input(self, item: Any) -> Optional[Awaitable[None]]:
         """Handle one item of the source stream in the turn that reads it.
 
         A run is stamped whole and goes to the main unit as one item
-        (fwd(): the EDE sees everything), then out to the mirrors; once
-        it is written, this waits only on a mirror whose transport is
-        past its high-water mark.  A handoff control frame passes the
-        shard barrier; EOS ends the stream."""
+        (fwd(): the EDE sees everything), then out to the mirrors.
+        Returns None when that is all done, or what the caller must
+        await before it hands over the next item: the put, when the
+        inbox is full (the run is mirrored after it), or the wait on a
+        mirror whose transport is past its high-water mark.  A handoff
+        control frame passes the shard barrier; EOS ends the stream."""
         if isinstance(item, ShardControl):
-            await self._shard_barrier(item)
-            return
+            return self._shard_barrier(item)
         if item == EOS:
-            await self._finish_stream()
-            return
+            return self._finish_stream()
         now = self.clock()
         stamp = self.stamp
         run = [stamp(event, now) for event in item]
         self.ready_events += len(run)
-        await self.main.inbox.put(EventBatch(run))
+        waiting = self.to_main.offer(EventBatch(run))
+        if waiting is not None:
+            return self._mirror_after(waiting, run)
         self._mirror_run(run)
-        await self.mirror_channel.drain()
+        return self.mirror_channel.drain()
+
+    async def _mirror_after(
+        self, put: Awaitable[None], run: List[UpdateEvent]
+    ) -> None:
+        """:meth:`on_input` past a full inbox: the put, then the mirroring."""
+        await put
+        self._mirror_run(run)
+        await _settled(self.mirror_channel.drain())
 
     def _mirror_run(self, run: List[UpdateEvent]) -> None:
         """Run the rules over ``run`` a slice at a time and publish what
@@ -420,16 +442,16 @@ class AsyncCentralSite(CentralCore):
         backup queue (it carries no vector timestamp to trim by).
         """
         self._flush_rules()
-        await self.main.inbox.put(ctrl)
+        await self.to_main.put(ctrl)
         self.mirror_channel.publish(ctrl)
-        await self.mirror_channel.drain()
+        await _settled(self.mirror_channel.drain())
 
     async def _finish_stream(self) -> None:
         self._flush_rules()
         # the closing round must run: nothing after it would absorb it
         self._initiate_checkpoint(final=True)
-        await self.mirror_channel.drain()
-        await self.main.inbox.put(EOS)
+        await _settled(self.mirror_channel.drain())
+        await self.to_main.put(EOS)
 
     def _initiate_checkpoint(self, final: bool = False) -> None:
         """Every ``checkpoint_freq`` events: start a round, unless the
@@ -442,13 +464,22 @@ class AsyncCentralSite(CentralCore):
             self.ctrl_channel.publish(msg)
 
     def on_vote(self, msg: Any) -> None:
-        """Count a mirror's CHKPT_REP in the turn its handler reads it,
+        """Count a mirror's CHKPT_REP in the turn its link reads it,
         broadcasting the COMMIT when it completes the round.  Anything
         else is ignored."""
         if isinstance(msg, ChkptRepMsg):
             commit = self.on_reply(msg)
             if commit is not None:
                 self._broadcast_commit(commit)
+
+    def on_mirror_lost(self, site: str) -> None:
+        """A mirror's stream ended before central's: leave it out of
+        agreement, so rounds commit without it, and broadcast the COMMIT
+        its missing vote alone held back."""
+        self.mirrors_lost += 1
+        commit = self.leave(site)
+        if commit is not None:
+            self._broadcast_commit(commit)
 
     async def _no_task(self) -> None:
         """Returns at once: the source stream enters by :meth:`on_input`
@@ -469,11 +500,11 @@ class AsyncCentralSite(CentralCore):
 
 
 class AsyncMirrorSite(MirrorCore):
-    """Live mirror site: the paper's auxiliary unit as what its socket
-    reader calls in stream order — back up a run (:meth:`on_run`), vote
-    on a CHKPT and apply a COMMIT (:meth:`on_control`) — in front of a
-    main unit that applies the runs and serves requests.  No task of
-    its own: the reader queues each run on ``main.inbox``."""
+    """Live mirror site: the paper's auxiliary unit as what its uplink's
+    read callback calls in stream order — back up a run (:meth:`on_run`),
+    vote on a CHKPT and apply a COMMIT (:meth:`on_control`) — in front
+    of a main unit that applies the runs and serves requests.  No task
+    of its own: the uplink queues each run on ``main.inbox``."""
 
     def __init__(self, site: str, clock: Callable[[], float] = time.monotonic):
         self.main = AsyncMainUnit(

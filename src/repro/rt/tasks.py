@@ -9,7 +9,7 @@ makes the first exception among them the run's outcome.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Coroutine, List, Optional, TypeVar
+from typing import Any, Coroutine, Optional, Set, TypeVar
 
 __all__ = ["TaskSupervisor"]
 
@@ -20,7 +20,9 @@ class TaskSupervisor:
     """A set of tasks of which none may fail quietly."""
 
     def __init__(self) -> None:
-        self.tasks: List[asyncio.Task] = []
+        #: the tasks still running (a finished one leaves the set, so
+        #: a link's short waits do not pile up for the run's lifetime)
+        self.tasks: Set[asyncio.Task] = set()
         self._failure: Optional[asyncio.Future] = None
 
     def _failed(self) -> asyncio.Future:
@@ -32,16 +34,17 @@ class TaskSupervisor:
         """Start ``coro`` as a supervised task."""
         task = asyncio.create_task(coro)
         task.add_done_callback(self._on_done)
-        self.tasks.append(task)
+        self.tasks.add(task)
         return task
 
     def _on_done(self, task: asyncio.Task) -> None:
+        self.tasks.discard(task)
         if not task.cancelled() and task.exception() is not None:
             self.fail(task.exception())  # type: ignore[arg-type]
 
     def fail(self, exc: BaseException) -> None:
         """Make ``exc`` the outcome, as a supervised task's would be —
-        for work no supervisor spawned (a listener's handler task).
+        for work no supervisor spawned (a link's read callback).
         The first failure wins."""
         if not self._failed().done():
             self._failed().set_exception(exc)
@@ -65,7 +68,7 @@ class TaskSupervisor:
 
     async def cancel(self) -> None:
         """Cancel whatever still runs and wait for it (idempotent)."""
-        tasks, self.tasks = self.tasks, []
+        tasks, self.tasks = self.tasks, set()
         for task in tasks:
             task.cancel()
         await asyncio.gather(*tasks, return_exceptions=True)

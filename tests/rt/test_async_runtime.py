@@ -152,10 +152,11 @@ def test_subscription_puts_into_the_queue_it_wraps_and_counts_stalls():
 
 
 # --------------------------------------------------------------- full runs
-def test_a_connected_mirror_adds_at_most_four_tasks():
-    """A mirror is its socket reader plus its main unit's event loop:
-    connected, it adds its run, the reader, the event loop and central's
-    handler for its connection — no task per queue hop or per reply."""
+def test_a_connected_mirror_adds_at_most_two_tasks():
+    """A mirror is its uplink plus its main unit's event loop: connected,
+    it adds its run and the event loop the run supervises.  The uplink
+    and central's end of the connection are links, stepped in their
+    read callbacks — no task per connection, queue hop or reply."""
 
     async def scenario():
         central = NetCentral(1)
@@ -186,14 +187,15 @@ def test_a_connected_mirror_adds_at_most_four_tasks():
         assert mirror.site.main.ede.state_digest() == site.main.ede.state_digest()
         return added
 
-    assert run(scenario()) <= 4
+    assert run(scenario()) <= 2
 
 
-def test_central_and_a_connected_source_add_at_most_four_tasks():
-    """Central is its source reader plus its main unit's event loop:
-    ``run()`` and one connected source add the run, its guarded body,
-    the event loop and the source connection's handler — no task per
-    queue hop.  The stream fed on the socket is applied whole."""
+def test_central_and_a_connected_source_add_at_most_two_tasks():
+    """Central is its source link plus its main unit's event loop:
+    ``run()`` and one connected source add the run and its guarded body,
+    which runs the event loop — the source connection is a link, stepped
+    in its read callback.  The stream fed on the socket is applied
+    whole."""
     sc = script()
 
     async def scenario():
@@ -222,8 +224,43 @@ def test_central_and_a_connected_source_add_at_most_four_tasks():
         return added, central.site.main.ede.processed
 
     added, applied = run(scenario())
-    assert added <= 4
+    assert added <= 2
     assert applied == len(sc)
+
+
+def test_idle_clients_that_said_hello_add_no_task():
+    """32 clients idle after their HELLO on central's port and 32 on a
+    mirror's client port hold 64 links open, and not one task; each is
+    still answered when it asks."""
+
+    async def scenario():
+        central, mirror = NetCentral(0), NetMirror("mirror1")
+        conns = []
+        try:
+            ports = [await central.start(host=HOST),
+                     await mirror.serve_clients(host=HOST)]
+            before = len(asyncio.all_tasks())
+            for port in ports:
+                for i in range(32):
+                    reader, writer = await asyncio.open_connection(HOST, port)
+                    encoder = WireEncoder()
+                    writer.write(encoder.encode_hello(Hello("client", f"idle{i}")))
+                    conns.append((reader, writer, encoder))
+            await asyncio.sleep(0.1)  # every connection accepted, every HELLO read
+            added = len(asyncio.all_tasks()) - before
+            answered = 0
+            for reader, writer, encoder in conns[::16]:
+                writer.write(encoder.encode_request(InitStateRequest("idle", 0.0)))
+                frames = _FrameReader(reader, WireStats())
+                answered += isinstance(await frames.next_message(), InitStateResponse)
+        finally:
+            for _reader, writer, _encoder in conns:
+                writer.close()
+            await central.close()
+            await mirror.close()
+        return added, answered
+
+    assert run(scenario()) == (0, 4)
 
 
 def test_live_run_processes_everything():

@@ -8,6 +8,7 @@ gives.
 """
 
 import asyncio
+import contextlib
 
 from repro.ois import FlightDataConfig, generate_script
 from repro.rt.net import NetCentral, NetCluster, NetMirror, run_net_scenario
@@ -151,8 +152,9 @@ def test_shard_abort_leaks_nothing():
 
 def test_router_close_ends_its_map_listener_handlers():
     """A client that connects to the map port and never says HELLO holds
-    a handler task; closing the router cancels it, and the cancellation
-    is a normal shutdown, not an error for the loop."""
+    a link open (and no task); closing the router aborts it — the peer
+    sees its connection end — as a normal shutdown, not an error for the
+    loop."""
     unhandled = []
 
     async def main():
@@ -163,13 +165,16 @@ def test_router_close_ends_its_map_listener_handlers():
             ShardMap(strategy="hash", names=("shard0",), client_ports=(1,))
         )
         port = await router.serve_map(host=HOST)
-        _reader, writer = await asyncio.open_connection(HOST, port)
+        reader, writer = await asyncio.open_connection(HOST, port)
         deadline = asyncio.get_running_loop().time() + 5
-        while not pending_tasks():  # until its handler waits for HELLO
+        while not router._map_listener.links:  # until its link waits for HELLO
             assert asyncio.get_running_loop().time() < deadline
             await asyncio.sleep(0.001)
+        assert pending_tasks() == []
         await asyncio.wait_for(router.close(), timeout=5)
         leftover = pending_tasks()
+        with contextlib.suppress(ConnectionResetError):
+            assert await asyncio.wait_for(reader.read(), timeout=5) == b""
         writer.close()
         return leftover
 

@@ -429,6 +429,45 @@ def test_silent_peer_is_hung_up_on(monkeypatch):
     run(main())
 
 
+@pytest.mark.parametrize("after_hello", [False, True], ids=["before-hello", "after-hello"])
+@pytest.mark.parametrize("listener", ["central", "mirror"])
+def test_hostile_bytes_close_that_client_only(listener, after_hello):
+    """24 bytes that are no frame, sent to a listener before or after a
+    client's HELLO: that connection is closed, nothing reaches the
+    loop's exception handler, and the next well-behaved client is
+    answered."""
+    heard = []
+
+    async def main():
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: heard.append(context)
+        )
+        central = NetCentral(0)
+        mirror = NetMirror("mirror1")
+        try:
+            port = (await central.start(host=HOST) if listener == "central"
+                    else await mirror.serve_clients(host=HOST))
+            reader, writer = await asyncio.open_connection(HOST, port)
+            hello = WireEncoder().encode_hello(Hello("client", "hostile"))
+            writer.write((hello if after_hello else b"") + b"\xa5" * 24)
+            assert await asyncio.wait_for(reader.read(), timeout=5) == b""
+            writer.close()
+            reader, writer = await asyncio.open_connection(HOST, port)
+            encoder = WireEncoder()
+            writer.write(encoder.encode_hello(Hello("client", "polite")))
+            writer.write(encoder.encode_request(InitStateRequest("polite", 0.0)))
+            frames = _FrameReader(reader, WireStats())
+            response = await asyncio.wait_for(frames.next_message(), timeout=5)
+            writer.close()
+            return response
+        finally:
+            await central.close()
+            await mirror.close()
+
+    assert isinstance(run(main()), InitStateResponse)
+    assert heard == []
+
+
 # --------------------------------------------------------- registration scaling
 class _NullWriter:
     def is_closing(self):

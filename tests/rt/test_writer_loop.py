@@ -74,14 +74,12 @@ def attach(central, n=1, closing=False):
     return writers
 
 
-def finishes_without_yielding(coro) -> bool:
-    """True when ``coro`` runs to completion in the turn it starts in."""
-    try:
-        coro.send(None)
-    except StopIteration:
-        return True
-    coro.close()
-    return False
+async def drained(central):
+    """End a run: write the corks out, and wait on a backed-up mirror
+    when ``drain`` hands back such a wait."""
+    waiting = central.drain()
+    if waiting is not None:
+        await waiting
 
 
 def spy_timers(loop):
@@ -105,7 +103,7 @@ def test_lone_frame_on_an_idle_link_leaves_at_once_with_no_timer():
         event = position(1)
         central.send("data", event)
         assert writer.writes == []  # corked until the run is done
-        assert finishes_without_yielding(central.drain())
+        assert central.drain() is None  # nothing to wait for
         frame = SharedFrameCache().encode(event)
         assert writer.writes == [[frame]]
         assert central.stats.dry_flushes == 1
@@ -122,7 +120,7 @@ def test_frames_queued_together_leave_in_one_write():
         writers = attach(central, 2)
         for i in range(3):
             central.send("data", position(i + 1))
-        await central.drain()
+        await drained(central)
         assert central.stats.flushes == central.stats.dry_flushes == 2
         return writers
 
@@ -141,7 +139,7 @@ def test_backlog_leaves_by_byte_budget_then_the_rest_when_dry():
             cork.add(big)
         assert [len(w) for w in writer.writes] == [2]
         assert cork.qsize() == 1
-        await central.drain()
+        await drained(central)
         assert [len(w) for w in writer.writes] == [2, 1]
         assert central.stats.size_flushes == 1
         assert central.stats.dry_flushes == 1
@@ -157,7 +155,7 @@ def test_control_frame_flushes_at_once_with_what_was_held():
         central.send("control", ChkptMsg.from_wire(1, VectorTimestamp()))
         assert [len(w) for w in writer.writes] == [2]  # no drain needed
         central.send("data", position(2))
-        await central.drain()
+        await drained(central)
         assert [len(w) for w in writer.writes] == [2, 1]
         assert central.stats.control_flushes == 1
         assert central.stats.dry_flushes == 1
@@ -171,7 +169,7 @@ def test_dead_transport_still_empties_the_queue():
         (writer,) = attach(central, closing=True)
         for i in range(3):
             central.send("data", position(i + 1))
-        await central.drain()
+        await drained(central)
         # the peer is gone: nothing written, nothing held for the
         # sending path to block behind, and the cork stays dead
         cork = central.connections["mirror1"].outbound
@@ -179,7 +177,7 @@ def test_dead_transport_still_empties_the_queue():
         assert cork.qsize() == 0 and cork.dead and not cork.backed_up
         assert central.stats.dead_connection_flushes == 1
         central.send("data", position(4))
-        await central.drain()
+        await drained(central)
         assert cork.qsize() == 0
         assert central.stats.dead_connection_flushes == 1
 
@@ -192,9 +190,10 @@ def test_a_backed_up_transport_paces_the_sending_path():
         slow, fast = attach(central, 2)
         slow.transport.buffered = HIGH_WATER + 1
         central.send("data", position(1))
-        assert not finishes_without_yielding(central.drain())
+        waiting = central.drain()
+        assert waiting is not None  # the slow mirror holds the path up
         assert len(slow.writes) == len(fast.writes) == 1  # written first
-        await central.drain()
+        await waiting
         assert slow.transport.buffered == 0
 
     asyncio.run(scenario())
