@@ -93,24 +93,28 @@ class EventDerivationEngine:
         self.derived += len(derived)
         return [update] + derived
 
-    def process_many(self, events, note_processed=None) -> int:
+    def process_many(self, events, note_processed=None, derived=None) -> int:
         """Discard-mode bulk :meth:`process` over ``events``.
 
         Equivalent to ``process(event, emit_update=False)`` per member
         (same state transitions, same ``processed``/``derived``
-        counters) with outputs dropped, in a single loop frame — the
-        mirror event loop's hot path.  ``note_processed(stream, seqno)``
-        is invoked per event when given, so checkpoint floors advance
-        exactly as in the unfused loop.  Returns the number processed.
+        counters) in a single loop frame — the event loops' hot path.
+        ``note_processed(stream, seqno)`` is invoked per event when
+        given, so checkpoint floors advance exactly as in the unfused
+        loop.  The derived events are appended to ``derived`` when it is
+        a list, in order, and dropped otherwise.  Returns the number
+        processed.
         """
         state_apply = self.state.apply
         derive = self._derive
         n = 0
         for event in events:
             flight = state_apply(event)
-            derived = derive(event, flight)
-            if derived:
-                self.derived += len(derived)
+            outputs = derive(event, flight)
+            if outputs:
+                self.derived += len(outputs)
+                if derived is not None:
+                    derived.extend(outputs)
             n += 1
             if note_processed is not None:
                 note_processed(event.stream, event.seqno)

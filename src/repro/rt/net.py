@@ -19,21 +19,26 @@ over real TCP connections carrying the binary wire format
 
 Every connection a site accepts or dials is one :class:`_Link`, an
 ``asyncio.BufferedProtocol`` served in the transport's own read
-callback: each read (at most :data:`READ_BYTES`) is split, decoded,
-regrouped into runs and handed, item by item, to the step of the
+callback: each read (at most :data:`READ_BYTES`) is split and decoded
+in one call by the connection's :class:`~repro.wire.FrameWalker` — one
+C function on the codec's C lane — into runs of events and the other
+messages in place, and handed, item by item, to the step of the
 connection's role — central's source, a mirror's votes, a thin client,
 a subscriber, a mirror's uplink to central — which does the work in
 that same callback.  A source run is stamped, put on the main unit's
 inbox, mirrored and written to every mirror's cork there (central's
 one entry point, :meth:`NetCentral.feed`, does the same for an
-in-process caller); on a mirror it is backed up, matched against the
-subscribers and put on the inbox in the callback that reads it, and a
-vote is written back there.  No task and no stream buffer sits between
-a socket and a site's code.  A step that must wait — a full inbox, a
-transport past its high-water mark, a request's service delay, the
-yield between two pipelined requests — hands the wait back: the link
-pauses reading, awaits it in a task under the site's supervisor, steps
-the rest of what it read, in order, and reads again.  Back-pressure is
+in-process caller): the events the rules pass are encoded in one call,
+still one EVENT frame each, and the same ``bytes`` goes to every cork.
+On a mirror a run is backed up, matched against the subscribers and
+put on the inbox in the callback that reads it, and a vote is written
+back there.  Each main unit applies a run in one call.  No task and no
+stream buffer sits between a socket and a site's code.  A step that
+must wait — a full inbox, a transport past its high-water mark, a
+request's service delay, the yield between two pipelined requests —
+hands the wait back: the link pauses reading, awaits it in a task
+under the site's supervisor, steps the rest of what it read, in order,
+and reads again.  Back-pressure is
 the transports': a paused link leaves the peer's bytes in its socket,
 and ``pause_writing`` / ``resume_writing`` tell a step when to wait for
 its own.  Each connection's :class:`AdaptiveFlusher` (the cork) hands
@@ -60,7 +65,7 @@ unit.  Two ways to run it:
 Every outbound connection opens through one dial (:func:`_dial`:
 connect, with retry, and say HELLO): a mirror's uplink as a link, the
 clients' and the router's connections as a :class:`_FrameReader` they
-await.
+await, which reads through the same walker.
 
 Link chaos (:mod:`repro.faults.link`) plugs into the frame send path:
 an optional :class:`~repro.faults.link.LinkFaultController` is
@@ -90,7 +95,6 @@ from typing import (
     Deque,
     Dict,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -116,11 +120,9 @@ from ..sub.messages import SubAck, Subscribe, Unsubscribe
 from ..sub.registry import SubscriptionRegistry
 from ..wire import (
     EOS as WIRE_EOS,
-    RESET as WIRE_RESET,
-    FrameSplitter,
+    FrameWalker,
     Hello,
     SharedFrameCache,
-    WireDecoder,
     WireEncoder,
 )
 from .channels import AsyncSubscription, Channel
@@ -506,10 +508,12 @@ class NetCentral:
     # -- the site's link (see repro.rt.channels.Link) -----------------------
     def send(self, kind: str, payload: Any) -> None:
         """Cork one message for every live mirror; a control message
-        leaves at once, with whatever data it follows.
+        leaves at once, with whatever data it follows.  A list of
+        events is a run of them, each its own EVENT frame.
 
         Under fault injection each connection encodes with its own
-        table (see :meth:`_send_faulty`); otherwise the message is
+        table, each event judged on its own (see :meth:`_send_faulty`);
+        otherwise the message — or the whole run, in one call — is
         encoded once and the same bytes go to every cork."""
         if self._ended:
             return
@@ -519,15 +523,21 @@ class NetCentral:
             # links, not the subscriber port)
             self.subfan.fanout(payload)
         live = self._live
+        run = type(payload) is list
         if self.fault_controller is not None:
-            for conn in live:
-                self._send_faulty(conn, kind, payload)
+            for item in payload if run else (payload,):
+                for conn in live:
+                    self._send_faulty(conn, kind, item)
         else:
             stats = self.stats
             t0 = time.perf_counter_ns()
-            frame = self.shared.encode(payload)
+            if run:
+                frame = self.shared.encode_events(payload)
+                stats.frames_sent += len(live) * len(payload)
+            else:
+                frame = self.shared.encode(payload)
+                stats.frames_sent += len(live)
             stats.encode_ns += time.perf_counter_ns() - t0
-            stats.frames_sent += len(live)
             for conn in live:
                 conn.cork.add(frame)
         if kind == "control":
@@ -740,37 +750,33 @@ class _Downlink(_Role):
         conn.done.set()
 
 
-def _decode(
-    splitter: FrameSplitter, decoder: WireDecoder, stats: WireStats, data: Any
-) -> List[Any]:
-    """Split and decode what one read brought, counting frames, bytes
-    and decode time.  RESET is connection-state maintenance, already
-    applied to the decoder's tables — never a message to deliver."""
-    frames = splitter.feed(data)
-    stats.frames_received += len(frames)
-    received = 8 * len(frames)
-    decode = decoder.decode_body
-    messages = []
+def _walk(walker: FrameWalker, stats: WireStats, data: Any) -> List[Any]:
+    """Split and decode what one read brought in one walk
+    (:meth:`FrameWalker.walk <repro.wire.FrameWalker.walk>`: runs of
+    events, other messages in place, RESETs applied and never
+    delivered), counting frames, bytes and decode time."""
+    decoder = walker.decoder
+    frames, received = decoder.frames_in, decoder.bytes_in
     t0 = time.perf_counter_ns()
-    for mtype, body in frames:
-        received += len(body)
-        msg = decode(mtype, body)
-        if msg is not WIRE_RESET:
-            messages.append(msg)
+    items = walker.walk(data)
     stats.decode_ns += time.perf_counter_ns() - t0
-    stats.bytes_received += received
-    return messages
+    stats.frames_received += decoder.frames_in - frames
+    stats.bytes_received += decoder.bytes_in - received
+    return items
 
 
 class _Link(asyncio.BufferedProtocol):
     """One connection of a site, served in its transport's callbacks.
 
     Each read lands in a :data:`READ_BYTES` buffer; the read callback
-    splits and decodes it, regroups it into runs (:func:`_runs`) and
-    steps each item, in order, through its ``role``, which does its
-    work there and then.  A step that must wait returns the awaitable:
-    the link pauses reading, awaits it in a task under the site's
-    supervisor, steps what is left in ``backlog`` and resumes reading.
+    hands it to the connection's :class:`~repro.wire.FrameWalker`, which
+    splits and decodes it in one call into runs of at most
+    :data:`~repro.rt.sites.MAX_RUN_EVENTS` events and the other
+    messages in place (:func:`_walk`), and steps each item, in order,
+    through its ``role``, which does its work there and then.  A step
+    that must wait returns the awaitable: the link pauses reading,
+    awaits it in a task under the site's supervisor, steps what is left
+    in ``backlog`` and resumes reading.
     The end of the peer's stream — an EOS frame, a close or a reset —
     is stepped once, as ``None``, after everything read before it.  A
     failure while reading or stepping fails the site's run through its
@@ -795,8 +801,7 @@ class _Link(asyncio.BufferedProtocol):
         #: items read and not yet stepped
         self.backlog: Deque[Any] = deque()
         self._buffer = memoryview(bytearray(READ_BYTES))
-        self._splitter = FrameSplitter()
-        self._decoder = WireDecoder()
+        self._walker = FrameWalker(MAX_RUN_EVENTS)
         #: the listener's open links (None: a dialled link)
         self._home = home
         self._waiting: Optional[asyncio.Task] = None
@@ -817,9 +822,9 @@ class _Link(asyncio.BufferedProtocol):
 
     def buffer_updated(self, nbytes: int) -> None:
         try:
-            self.backlog.extend(_runs(_decode(
-                self._splitter, self._decoder, self.stats, self._buffer[:nbytes]
-            )))
+            self.backlog.extend(
+                _walk(self._walker, self.stats, self._buffer[:nbytes])
+            )
         except Exception as exc:  # a malformed frame, say
             self._fail(exc)
             return
@@ -1035,25 +1040,26 @@ class _FrameReader:
     """Decode messages from one dialled socket stream, a chunk at a time.
 
     The awaiting side of a connection — a thin client, a subscriber, the
-    ingress router — reads through this.  A single TCP read can
+    ingress router — reads through this, with the same
+    :class:`~repro.wire.FrameWalker` a link reads through: events come
+    as runs (lists), other messages in place.  A single TCP read can
     complete many frames (under load one read carries hundreds of
     events): :meth:`next_chunk` hands out everything a read completed,
-    :meth:`next_message` the same messages one by one; both draw on one
+    :meth:`next_message` the same items one by one; both draw on one
     queue, so no frame is dropped between them.
     """
 
-    __slots__ = ("_reader", "_splitter", "_decoder", "_stats", "_pending")
+    __slots__ = ("_reader", "_walker", "_stats", "_pending")
 
     def __init__(self, reader: asyncio.StreamReader, stats: WireStats) -> None:
         self._reader = reader
-        self._splitter = FrameSplitter()
-        self._decoder = WireDecoder()
+        self._walker = FrameWalker(MAX_RUN_EVENTS)
         self._stats = stats
         self._pending: deque = deque()
 
     async def next_chunk(self) -> Optional[List[Any]]:
-        """Return every message pending or, failing that, completed by
-        the next read; None once the peer closed or reset."""
+        """Return every item pending or, failing that, completed by the
+        next read; None once the peer closed or reset."""
         pending = self._pending
         while not pending:
             try:
@@ -1064,40 +1070,17 @@ class _FrameReader:
                 data = b""
             if not data:
                 return None
-            pending.extend(_decode(self._splitter, self._decoder, self._stats, data))
+            pending.extend(_walk(self._walker, self._stats, data))
         chunk = list(pending)
         pending.clear()
         return chunk
 
     async def next_message(self) -> Any:
-        """Return the next decoded message; None once the peer closed."""
+        """Return the next item — a run of events or a message; None
+        once the peer closed."""
         if not self._pending:
             self._pending.extend(await self.next_chunk() or ())
         return self._pending.popleft() if self._pending else None
-
-
-def _runs(chunk: Iterable[Any]) -> Iterator[Any]:
-    """Regroup one chunk for its next hop: consecutive events (EVENT and
-    BATCH frames alike) become lists of at most :data:`MAX_RUN_EVENTS`;
-    any other message passes through in place, ending the run before it
-    — a control frame keeps its position in the stream."""
-    run: List[UpdateEvent] = []
-    for msg in chunk:
-        if isinstance(msg, UpdateEvent):
-            run.append(msg)
-        elif isinstance(msg, EventBatch):
-            run.extend(msg.events)
-        else:
-            if run:
-                yield run
-                run = []
-            yield msg
-            continue
-        if len(run) >= MAX_RUN_EVENTS:
-            yield run
-            run = []
-    if run:
-        yield run
 
 
 def _reply(
@@ -1391,7 +1374,8 @@ class SubscriptionFanout:
 
     # -- data plane ------------------------------------------------------
     def fanout(self, payload: Any) -> None:
-        """Push ``payload``'s matched events to subscriber groups.
+        """Push ``payload``'s matched events — an event, an
+        :class:`EventBatch` or a run (a list) — to subscriber groups.
 
         One registry call yields every event's matched clients
         (:meth:`SubscriptionRegistry.match_clients_batch`); their groups
@@ -1402,6 +1386,8 @@ class SubscriptionFanout:
             return
         if isinstance(payload, EventBatch):
             events: Sequence[UpdateEvent] = payload.events
+        elif type(payload) is list:
+            events = payload
         elif isinstance(payload, UpdateEvent):
             events = (payload,)
         else:
@@ -1502,10 +1488,8 @@ async def _run_subscriber(
             acks += 1
             if ready is not None and acks >= len(predicates):
                 ready.set()
-        elif isinstance(msg, EventBatch):
-            events.extend(msg.events)
-        elif isinstance(msg, UpdateEvent):
-            events.append(msg)
+        elif type(msg) is list:
+            events.extend(msg)
     writer.close()
     if ready is not None:
         ready.set()  # never leave the caller gated on a dead connection

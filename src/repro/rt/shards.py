@@ -54,7 +54,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import MirrorConfig
-from ..core.events import EventBatch, UpdateEvent
+from ..core.events import UpdateEvent
 from ..ois.flightdata import EventScript, FlightDataConfig, generate_script
 from ..shard.handoff import RoutingCore, ShardTransfer, merge_digests
 from ..shard.partition import ShardMap, shard_name
@@ -318,10 +318,8 @@ class IngressRouter:
             if isinstance(msg, SubAck):
                 self.sub_acks += 1
                 self._ack_event.set()
-            elif isinstance(msg, EventBatch):
-                self.sub_events.extend(msg.events)
-            elif isinstance(msg, UpdateEvent):
-                self.sub_events.append(msg)
+            elif type(msg) is list:
+                self.sub_events.extend(msg)
         # the broker's EOS means its matched stream is complete: hang up
         # so the shard side can finish serving before it closes
         conn = self._sub_conns.pop(index, None)

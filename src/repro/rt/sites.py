@@ -122,6 +122,16 @@ class RecentWindow:
         self.total += value
         self.append(value)
 
+    def extend(self, items: List[Any]) -> None:
+        """:meth:`append` each of ``items``."""
+        self.count += len(items)
+        self._recent.extend(items)
+
+    def add_all(self, values: List[float]) -> None:
+        """:meth:`add` each of ``values``."""
+        self.total += sum(values)
+        self.extend(values)
+
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
@@ -210,16 +220,22 @@ class AsyncMainUnit:
                 self._apply_shard_control(item)
                 continue
             events = item.events if isinstance(item, EventBatch) else (item,)
-            if self.distribute_updates:
+            if self.distribute_updates and discard:
                 # nothing on the live path consumes the update *objects*:
-                # an engine that can skip building them does, and the
-                # input event stands in the recent window for its copy
+                # the engine skips building them, and each input event
+                # stands in the recent window for its copy, its derived
+                # events after the run's.  One bulk call applies the
+                # run; one clock read dates every output's delay.
+                outputs = list(events)
+                ede.process_many(
+                    events, self.checkpointer.processed_vt.advance, outputs
+                )
+                now = clock()
+                self.updates.extend(outputs)
+                self.update_delays.add_all([now - out.entered_at for out in outputs])
+            elif self.distribute_updates:
                 for event in events:
-                    if discard:
-                        outputs = ede.process(event, emit_update=False)
-                        outputs.insert(0, event)
-                    else:
-                        outputs = ede.process(event)
+                    outputs = ede.process(event)
                     note_processed(event.stream, event.seqno)
                     for out in outputs:
                         count_update(out)
@@ -426,8 +442,10 @@ class AsyncCentralSite(CentralCore):
             self._mirror([out])
 
     def _mirror(self, outs: List[UpdateEvent]) -> None:
-        for out in outs:
-            self.mirror_channel.publish(out)
+        """Publish ``outs`` as one run, each its own event on the wire
+        (the link encodes a run in one call)."""
+        if outs:
+            self.mirror_channel.publish(outs)
         self.backup.extend(outs)
         self.mirrored_events += len(outs)
 

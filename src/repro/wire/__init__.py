@@ -6,9 +6,10 @@ backend (:mod:`repro.rt.net`) and the simulation's measured-size probe:
 * :mod:`repro.wire.primitives` — varints, per-connection string
   interning, tagged values.
 * :mod:`repro.wire.codec` — frame header, one encoder/decoder pair per
-  connection, stream reassembly, and the :class:`WireSizeProbe` that
-  lets the simulated transport charge *measured* frame sizes instead of
-  modeled constants.
+  connection, stream reassembly (the :class:`FrameWalker` every live
+  link reads through decodes a read in one call), and the
+  :class:`WireSizeProbe` that lets the simulated transport charge
+  *measured* frame sizes instead of modeled constants.
 
 The package is deliberately free of I/O and of wall-clock access: it is
 a pure bytes-in/bytes-out library (strict determinism lint applies), so
@@ -37,6 +38,8 @@ from .codec import (
     T_TRANSFER,
     WIRE_VERSION,
     FrameSplitter,
+    FrameWalker,
+    MAX_FRAME_BYTES,
     Hello,
     SharedFrameCache,
     WireDecoder,
@@ -82,6 +85,8 @@ __all__ = [
     "WireEncoder",
     "WireDecoder",
     "FrameSplitter",
+    "FrameWalker",
+    "MAX_FRAME_BYTES",
     "SharedFrameCache",
     "WireSizeProbe",
     "Hello",

@@ -1,5 +1,6 @@
 /* Accelerated wire-codec lane: C implementations of the event-body hot
- * path (encode/decode of EVENT and BATCH frame bodies).
+ * path (encode/decode of EVENT and BATCH frame bodies, and the frame
+ * walker that decodes every data frame of one read in one call).
  *
  * Contract (enforced by tests/wire/test_accel_parity.py): every byte
  * this module produces, and every decode result, is IDENTICAL to the
@@ -57,6 +58,9 @@ static PyObject *g_i0, *g_i1, *g_i1024, *g_f0;
 #define HEADER_SIZE 8
 #define T_EVENT 0x01
 #define T_BATCH 0x02
+#define T_RESET 0x0B
+/* must match codec.py MAX_FRAME_BYTES (exported as a module constant) */
+#define MAX_FRAME_BYTES (8u << 20)
 
 /* value tags (must match primitives.py) */
 #define T_NONE 0
@@ -1080,6 +1084,96 @@ accel_decode_event_body(PyObject *self, PyObject *args)
     return Py_BuildValue("NL", event, (long long)uid);
 }
 
+/* Events regrouped into runs: each event goes on ``run``; a run that
+ * reaches ``max_run`` events is appended to ``items`` and a new one
+ * begins.  decode_batch_body collects one unbounded run. */
+typedef struct {
+    PyObject *items;
+    PyObject *run;
+    Py_ssize_t max_run;
+} Runs;
+
+static int
+runs_end(Runs *g)
+{
+    if (g->run == NULL)
+        return 0;
+    int rc = PyList_Append(g->items, g->run);
+    Py_CLEAR(g->run);
+    return rc;
+}
+
+/* adds ``event`` (a NEW reference, consumed) to the run in hand */
+static int
+runs_add(Runs *g, PyObject *event)
+{
+    if (g->run == NULL && (g->run = PyList_New(0)) == NULL) {
+        Py_DECREF(event);
+        return -1;
+    }
+    int rc = PyList_Append(g->run, event);
+    Py_DECREF(event);
+    if (rc < 0)
+        return -1;
+    return PyList_GET_SIZE(g->run) >= g->max_run ? runs_end(g) : 0;
+}
+
+/* one EVENT body, the whole of ``r``: trailing bytes are an error */
+static int
+decode_event_frame(Reader *r, PyObject *table, int64_t *uid, Runs *g)
+{
+    PyObject *event = decode_event_body(r, table, uid);
+    if (event == NULL)
+        return -1;
+    if (r->pos != r->end) {
+        Py_DECREF(event);
+        PyErr_Format(g_wire_error, "frame body has %zd trailing byte(s)",
+                     r->end - r->pos);
+        return -1;
+    }
+    return runs_add(g, event);
+}
+
+/* one BATCH body, the whole of ``r``: uvarint(count), then per member
+ * uvarint(len(body)) + body */
+static int
+decode_batch_members(Reader *r, PyObject *table, int64_t *uid, Runs *g)
+{
+    uint64_t count;
+    if (r_uvarint(r, &count) < 0)
+        return -1;
+    for (uint64_t i = 0; i < count; i++) {
+        uint64_t length;
+        if (r_uvarint(r, &length) < 0)
+            return -1;
+        if (length > (uint64_t)(r->end - r->pos)) {
+            PyErr_SetString(g_truncated,
+                            "batch member runs past end of frame");
+            return -1;
+        }
+        Py_ssize_t member_end = r->pos + (Py_ssize_t)length;
+        Reader mr = {r->buf, r->pos, member_end};
+        PyObject *event = decode_event_body(&mr, table, uid);
+        if (event == NULL)
+            return -1;
+        if (mr.pos != member_end) {
+            Py_DECREF(event);
+            PyErr_SetString(g_wire_error,
+                            "batch member body has trailing bytes");
+            return -1;
+        }
+        if (runs_add(g, event) < 0)
+            return -1;
+        r->pos = member_end;
+    }
+    if (r->pos != r->end) {
+        PyErr_Format(g_wire_error, "frame body has %zd trailing byte(s)",
+                     r->end - r->pos);
+        return -1;
+    }
+    return 0;
+}
+
 /* decode_batch_body(buf, table, last_uid) -> (list_of_events, new_last_uid)
  * buf is one BATCH frame *body*. */
 static PyObject *
@@ -1095,49 +1189,101 @@ accel_decode_batch_body(PyObject *self, PyObject *args)
         return NULL;
     Reader r = {view.buf, 0, view.len};
     int64_t uid = last_uid;
-    PyObject *events = NULL;
-    uint64_t count;
-    if (r_uvarint(&r, &count) < 0)
-        goto fail;
-    events = PyList_New(0);
-    if (events == NULL)
-        goto fail;
-    for (uint64_t i = 0; i < count; i++) {
-        uint64_t length;
-        if (r_uvarint(&r, &length) < 0)
-            goto fail;
-        if (length > (uint64_t)(r.end - r.pos)) {
-            PyErr_SetString(g_truncated,
-                            "batch member runs past end of frame");
-            goto fail;
-        }
-        Py_ssize_t member_end = r.pos + (Py_ssize_t)length;
-        Reader mr = {r.buf, r.pos, member_end};
-        PyObject *event = decode_event_body(&mr, table, &uid);
-        if (event == NULL)
-            goto fail;
-        if (mr.pos != member_end) {
-            Py_DECREF(event);
-            PyErr_SetString(g_wire_error,
-                            "batch member body has trailing bytes");
-            goto fail;
-        }
-        if (PyList_Append(events, event) < 0) {
-            Py_DECREF(event);
-            goto fail;
-        }
-        Py_DECREF(event);
-        r.pos = member_end;
-    }
-    if (r.pos != r.end) {
-        PyErr_Format(g_wire_error, "frame body has %zd trailing byte(s)",
-                     r.end - r.pos);
-        goto fail;
-    }
+    Runs g = {NULL, NULL, PY_SSIZE_T_MAX};
+    int rc = decode_batch_members(&r, table, &uid, &g);
     PyBuffer_Release(&view);
-    return Py_BuildValue("NL", events, (long long)uid);
+    if (rc < 0) {
+        Py_XDECREF(g.run);
+        return NULL;
+    }
+    if (g.run == NULL && (g.run = PyList_New(0)) == NULL)
+        return NULL;
+    return Py_BuildValue("NL", g.run, (long long)uid);
+}
+
+/* walk_frames(buf, pos, table, last_uid, max_run, items)
+ *     -> (new_pos, new_last_uid, frames)
+ *
+ * From ``pos``, decode every EVENT and BATCH frame of ``buf`` in a row
+ * and append their events to ``items`` as runs (lists) of at most
+ * ``max_run``; a RESET (bodyless) is applied to ``table`` and the uid
+ * base and does not end a run.  Stops — handing the frame back to
+ * codec.FrameWalker, which judges it — at the first frame that is any
+ * other type, has a header FrameSplitter.feed would reject, or is not
+ * yet complete.  ``frames`` counts the frames taken, RESETs included.
+ * Holds no view of ``buf`` past the call. */
+static PyObject *
+accel_walk_frames(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (check_configured() < 0)
+        return NULL;
+    if (nargs != 6) {
+        PyErr_SetString(PyExc_TypeError, "walk_frames takes 6 arguments");
+        return NULL;
+    }
+    PyObject *table = args[2], *items = args[5];
+    if (!PyList_Check(table) || !PyList_Check(items)) {
+        PyErr_SetString(PyExc_TypeError, "table and items must be lists");
+        return NULL;
+    }
+    Py_ssize_t pos = PyLong_AsSsize_t(args[1]);
+    long long last_uid = PyLong_AsLongLong(args[3]);
+    Py_ssize_t max_run = PyLong_AsSsize_t(args[4]);
+    if (PyErr_Occurred())
+        return NULL;
+    if (max_run < 1) {
+        PyErr_SetString(PyExc_ValueError, "max_run must be positive");
+        return NULL;
+    }
+    Py_buffer view;
+    if (PyObject_GetBuffer(args[0], &view, PyBUF_SIMPLE) < 0)
+        return NULL;
+    if (pos < 0 || pos > view.len) {
+        PyBuffer_Release(&view);
+        PyErr_SetString(PyExc_ValueError, "pos outside the buffer");
+        return NULL;
+    }
+    const unsigned char *p = view.buf;
+    Py_ssize_t n = view.len;
+    int64_t uid = last_uid;
+    Py_ssize_t frames = 0;
+    Runs g = {items, NULL, max_run};
+    while (n - pos >= HEADER_SIZE) {
+        const unsigned char *h = p + pos;
+        uint32_t length = (uint32_t)h[4] | (uint32_t)h[5] << 8 |
+                          (uint32_t)h[6] << 16 | (uint32_t)h[7] << 24;
+        if (h[0] != MAGIC || h[1] != WIRE_VERSION || h[3] != 0 ||
+            length > MAX_FRAME_BYTES)
+            break;
+        Py_ssize_t body = pos + HEADER_SIZE;
+        Py_ssize_t end = body + (Py_ssize_t)length;
+        if (h[2] == T_RESET) {
+            if (length != 0)
+                break;
+            if (PyList_SetSlice(table, 0, PyList_GET_SIZE(table), NULL) < 0)
+                goto fail;
+            uid = 0;
+        }
+        else if (h[2] == T_EVENT || h[2] == T_BATCH) {
+            if (end > n)
+                break;
+            Reader r = {p, body, end};
+            if ((h[2] == T_EVENT
+                     ? decode_event_frame(&r, table, &uid, &g)
+                     : decode_batch_members(&r, table, &uid, &g)) < 0)
+                goto fail;
+        }
+        else
+            break;
+        pos = end;
+        frames++;
+    }
+    if (runs_end(&g) < 0)
+        goto fail;
+    PyBuffer_Release(&view);
+    return Py_BuildValue("nLn", pos, (long long)uid, frames);
 fail:
-    Py_XDECREF(events);
+    Py_XDECREF(g.run);
     PyBuffer_Release(&view);
     return NULL;
 }
@@ -1238,6 +1384,10 @@ static PyMethodDef accel_methods[] = {
      "decode_event_body(buf, table, last_uid) -> (event, new_last_uid)"},
     {"decode_batch_body", accel_decode_batch_body, METH_VARARGS,
      "decode_batch_body(buf, table, last_uid) -> (events, new_last_uid)"},
+    {"walk_frames", (PyCFunction)(void (*)(void))accel_walk_frames,
+     METH_FASTCALL,
+     "walk_frames(buf, pos, table, last_uid, max_run, items) -> "
+     "(new_pos, new_last_uid, frames)"},
     {"encode_value", accel_encode_value, METH_VARARGS,
      "encode_value(value, ids) -> bytes (one tagged value)"},
     {"decode_value", accel_decode_value, METH_VARARGS,
@@ -1274,5 +1424,12 @@ PyInit__accel(void)
     g_empty_tuple = PyTuple_New(0);
     if (s_clock == NULL || g_f0 == NULL || g_empty_tuple == NULL)
         return NULL;
-    return PyModule_Create(&accel_module);
+    PyObject *module = PyModule_Create(&accel_module);
+    if (module != NULL &&
+        PyModule_AddIntConstant(module, "MAX_FRAME_BYTES",
+                                MAX_FRAME_BYTES) < 0) {
+        Py_DECREF(module);
+        return NULL;
+    }
+    return module;
 }

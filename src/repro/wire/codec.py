@@ -40,7 +40,7 @@ an encoder produced always agrees.
 from __future__ import annotations
 
 import struct
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.adaptation import AdaptCommand
 from ..core.checkpoint import ChkptMsg, ChkptRepMsg, CommitMsg
@@ -94,6 +94,8 @@ __all__ = [
     "WireEncoder",
     "WireDecoder",
     "FrameSplitter",
+    "FrameWalker",
+    "MAX_FRAME_BYTES",
     "SharedFrameCache",
     "WireSizeProbe",
     "Hello",
@@ -102,6 +104,12 @@ __all__ = [
 MAGIC = 0xA5
 WIRE_VERSION = 1
 HEADER = struct.Struct("<BBBBI")
+#: Longest body a frame header may claim.  A header past it is rejected
+#: before any of its body is buffered, so a peer cannot make a
+#: connection hold more than this for one frame.  The largest frames the
+#: encoders produce are whole-state SNAPSHOTs, about 55 bytes a flight
+#: (2 000 flights: 107 kB), so this holds about 150 000 flights.
+MAX_FRAME_BYTES = 8 << 20
 
 # Frame types.  New types may be added within a wire version; existing
 # body layouts may not change without bumping WIRE_VERSION.
@@ -204,6 +212,37 @@ _CONFIG_WIRE_FIELDS = (
 )
 
 
+def _check_header(
+    magic: int, version: int, mtype: int, flags: int, length: int
+) -> None:
+    """Reject a frame header no body may follow: wrong magic or version,
+    reserved flags set, a bodyless control frame that claims a body, or
+    a body past :data:`MAX_FRAME_BYTES`."""
+    if magic != MAGIC:
+        raise WireError(f"bad magic byte 0x{magic:02x}")
+    if version != WIRE_VERSION:
+        raise WireError(
+            f"wire version {version} not supported (speaking {WIRE_VERSION})"
+        )
+    if flags != 0:
+        raise WireError(f"reserved flags set: 0x{flags:02x}")
+    if length and mtype in (T_EOS, T_RESET):
+        # bodyless control frames: a length here means the stream is
+        # corrupt, and buffering `length` bytes of the *following*
+        # frames as this frame's body would lose them silently (the
+        # decoder used to ignore RESET/EOS body bytes entirely) — fail
+        # loudly before any body is taken
+        raise WireError(
+            f"control frame 0x{mtype:02x} claims a {length}-byte "
+            "body; RESET/EOS frames are bodyless"
+        )
+    if length > MAX_FRAME_BYTES:
+        raise WireError(
+            f"frame 0x{mtype:02x} claims a {length}-byte body, "
+            f"past the {MAX_FRAME_BYTES}-byte bound"
+        )
+
+
 class WireEncoder:
     """One side of a connection: stateful (interning) frame encoder."""
 
@@ -300,6 +339,24 @@ class WireEncoder:
         body = bytearray()
         self._event_body(ev, body)
         return self._frame(T_EVENT, body)
+
+    def encode_events(self, events: Sequence[UpdateEvent]) -> bytes:
+        """Frame each event as its own EVENT frame, back to back, in one
+        ``bytes``: the same bytes as one :meth:`encode_event` per event,
+        joined."""
+        acc = _accel.impl
+        if acc is not None:
+            ids, uid = self._interner._ids, self._last_uid
+            frames = []
+            for ev in events:
+                frame, uid = acc.encode_event_frame(ev, ids, uid)
+                frames.append(frame)
+            self._last_uid = uid
+            data = b"".join(frames)
+            self.frames_out += len(frames)
+            self.bytes_out += len(data)
+            return data
+        return b"".join([self.encode_event(ev) for ev in events])
 
     def encode_batch(self, batch: Union[EventBatch, List[UpdateEvent]]) -> bytes:
         """Frame several events as one BATCH: ``count`` length-prefixed
@@ -989,7 +1046,9 @@ class FrameSplitter:
         """Add received bytes; returns (frame type, body view) for every
         frame completed by this chunk.  The completed region is detached
         from the reassembly buffer in one move, and the returned views
-        slice that immutable block — bodies are never copied again."""
+        slice that immutable block — bodies are never copied again.
+        Each header is judged as soon as it is whole, so a bad one
+        raises before any of its body is buffered."""
         self._buf += data
         pos = 0
         buf = self._buf
@@ -997,24 +1056,7 @@ class FrameSplitter:
         frames: List[Tuple[int, int, int]] = []
         while n - pos >= HEADER.size:
             magic, version, mtype, flags, length = HEADER.unpack_from(buf, pos)
-            if magic != MAGIC:
-                raise WireError(f"bad magic byte 0x{magic:02x}")
-            if version != WIRE_VERSION:
-                raise WireError(
-                    f"wire version {version} not supported (speaking {WIRE_VERSION})"
-                )
-            if flags != 0:
-                raise WireError(f"reserved flags set: 0x{flags:02x}")
-            if length and mtype in (T_EOS, T_RESET):
-                # bodyless control frames: a length here means the
-                # stream is corrupt, and buffering `length` bytes of the
-                # *following* frames as this frame's body would lose
-                # them silently (the decoder used to ignore RESET/EOS
-                # body bytes entirely) — fail loudly at the splitter
-                raise WireError(
-                    f"control frame 0x{mtype:02x} claims a {length}-byte "
-                    "body; RESET/EOS frames are bodyless"
-                )
+            _check_header(magic, version, mtype, flags, length)
             body_start = pos + HEADER.size
             if n - body_start < length:
                 break
@@ -1030,6 +1072,131 @@ class FrameSplitter:
     def pending(self) -> int:
         """Bytes buffered awaiting the rest of a frame."""
         return len(self._buf)
+
+
+class FrameWalker:
+    """Splits and decodes one connection's byte stream, a read at a time.
+
+    :meth:`walk` takes what one read brought and returns what it
+    completed, in stream order: the events of consecutive EVENT and
+    BATCH frames regrouped into runs — lists of at most ``max_run``
+    events — and every other message in its place, ending the run
+    before it.  A RESET is applied to the decoder, never delivered, and
+    does not end a run.  On the C lane one call (``walk_frames``) takes
+    every data frame in a row; the pure lane's twin is
+    :meth:`_walk_data`.  A frame of any other type is decoded here by
+    :meth:`WireDecoder.decode_body`.
+
+    Contract, shared by both lanes and checked against
+    :meth:`FrameSplitter.feed` plus ``decode_body`` by
+    ``tests/wire/test_walker.py``: a header is judged as ``feed`` judges
+    it (:func:`_check_header`), so a bad one raises :class:`WireError`
+    before any of its body is buffered; the decoder's interning table,
+    uid delta base and ``frames_in`` / ``bytes_in`` counters move as one
+    ``decode_body`` per frame moves them; and no view into ``data`` is
+    kept — the bytes of a frame not yet complete are copied out.
+    """
+
+    __slots__ = ("decoder", "max_run", "_pending", "_need")
+
+    def __init__(self, max_run: int) -> None:
+        self.decoder = WireDecoder()
+        self.max_run = max_run
+        #: the bytes of the frame not yet complete
+        self._pending = bytearray()
+        #: what ``_pending`` must hold before a walk can complete a frame
+        self._need = 0
+
+    def walk(self, data: Any) -> List[Any]:
+        """Add what one read brought; returns what it completed."""
+        pending = self._pending
+        if pending:
+            pending += data
+            if len(pending) < self._need:
+                return []
+            buf = pending
+        else:
+            buf = data
+        items: List[Any] = []
+        pos = self._walk(buf, items)
+        if buf is pending:
+            del pending[:pos]
+        elif pos < len(buf):
+            pending += buf[pos:]
+        return items
+
+    def pending(self) -> int:
+        """Bytes buffered awaiting the rest of a frame."""
+        return len(self._pending)
+
+    def _walk(self, buf: Any, items: List[Any]) -> int:
+        """Walk ``buf`` from its start into ``items``; returns where the
+        first frame not yet complete begins."""
+        decoder = self.decoder
+        n = len(buf)
+        pos = 0
+        while True:
+            acc = _accel.impl
+            if acc is not None:
+                start = pos
+                pos, decoder._last_uid, frames = acc.walk_frames(
+                    buf, pos, decoder._interner._table, decoder._last_uid,
+                    self.max_run, items,
+                )
+                decoder.frames_in += frames
+                decoder.bytes_in += pos - start
+            else:
+                pos = self._walk_data(buf, pos, items)
+            # stopped at the end, at a frame not yet complete, or at a
+            # frame the walk leaves to decode_body
+            if n - pos < HEADER.size:
+                self._need = HEADER.size
+                return pos
+            magic, version, mtype, flags, length = HEADER.unpack_from(buf, pos)
+            _check_header(magic, version, mtype, flags, length)
+            end = pos + HEADER.size + length
+            if end > n:
+                self._need = end - pos
+                return pos
+            items.append(decoder.decode_body(mtype, buf[pos + HEADER.size:end]))
+            pos = end
+
+    def _walk_data(self, buf: Any, pos: int, items: List[Any]) -> int:
+        """The C lane's ``walk_frames`` in Python: from ``pos``, decode
+        the EVENT and BATCH frames into runs and apply the RESETs;
+        returns where it stopped — at the first frame that is anything
+        else, has a header ``feed`` would reject, or is not complete."""
+        decode = self.decoder.decode_body
+        max_run = self.max_run
+        n = len(buf)
+        run: List[UpdateEvent] = []
+        while n - pos >= HEADER.size:
+            magic, version, mtype, flags, length = HEADER.unpack_from(buf, pos)
+            if (
+                magic != MAGIC or version != WIRE_VERSION or flags
+                or length > MAX_FRAME_BYTES
+            ):
+                break
+            end = pos + HEADER.size + length
+            if mtype == T_RESET:
+                if length:
+                    break
+                decode(T_RESET, b"")
+            elif mtype == T_EVENT or mtype == T_BATCH:
+                if end > n:
+                    break
+                msg = decode(mtype, buf[pos + HEADER.size:end])
+                for ev in msg.events if mtype == T_BATCH else (msg,):
+                    run.append(ev)
+                    if len(run) >= max_run:
+                        items.append(run)
+                        run = []
+            else:
+                break
+            pos = end
+        if run:
+            items.append(run)
+        return pos
 
 
 class SharedFrameCache:
@@ -1121,6 +1288,18 @@ class SharedFrameCache:
         if fanout > 1:
             self.encodes_saved += fanout - 1
         return frame
+
+    def encode_events(self, events: Sequence[UpdateEvent]) -> bytes:
+        """Encode ``events`` once for the whole group, one EVENT frame
+        each, in one ``bytes`` (:meth:`WireEncoder.encode_events`);
+        counted per event, as one :meth:`encode` each would be."""
+        data = self._encoder.encode_events(events)
+        n = len(events)
+        self.frames_shared += n
+        fanout = len(self._members)
+        if fanout > 1:
+            self.encodes_saved += (fanout - 1) * n
+        return data
 
     def encode_eos(self) -> bytes:
         frame = self._encoder.encode_eos()

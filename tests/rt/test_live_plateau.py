@@ -18,7 +18,7 @@ import tracemalloc
 
 from repro.core import simple_mirroring
 from repro.core.checkpoint import MAX_SKIPPED_INITIATIONS
-from repro.core.events import FAA_POSITION, EventBatch, UpdateEvent
+from repro.core.events import FAA_POSITION, UpdateEvent
 from repro.ois import state as ois_state
 from repro.ois.clients import InitStateRequest, InitStateResponse
 from repro.rt import net, sites
@@ -82,9 +82,8 @@ async def drill():
         frames = _FrameReader(reader, stats)
         while (chunk := await frames.next_chunk()) is not None:
             for msg in chunk:
-                events = msg.events if isinstance(msg, EventBatch) else (msg,)
-                for event in events:
-                    if isinstance(event, UpdateEvent):
+                if type(msg) is list:  # a run of events
+                    for event in msg:
                         delivered[event.seqno - 1] += 1
 
     async def client(reader):

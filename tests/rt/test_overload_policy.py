@@ -36,7 +36,16 @@ from repro.rt.sites import RecentWindow
 from repro.rt.tasks import TaskSupervisor
 from repro.sub.messages import Subscribe
 from repro.sub.predicate import And, ByFlight, ByKind, FieldCmp, MatchAll, Or
-from repro.wire import EOS as WIRE_EOS, Hello, WireEncoder
+from repro.wire import (
+    EOS as WIRE_EOS,
+    HEADER,
+    MAGIC,
+    WIRE_VERSION,
+    FrameWalker,
+    Hello,
+    WireEncoder,
+    WireError,
+)
 
 HOST = "127.0.0.1"
 
@@ -375,10 +384,8 @@ def test_stalled_subscriber_is_dropped_while_its_neighbour_gets_everything(
             frames = _FrameReader(reader, WireStats())
             while (chunk := await frames.next_chunk()) is not None:
                 for msg in chunk:
-                    if isinstance(msg, EventBatch):
-                        got.extend(e.seqno for e in msg.events)
-                    elif isinstance(msg, UpdateEvent):
-                        got.append(msg.seqno)
+                    if type(msg) is list:  # a run of events
+                        got.extend(e.seqno for e in msg)
 
         reading = asyncio.create_task(read())
         try:
@@ -466,6 +473,99 @@ def test_hostile_bytes_close_that_client_only(listener, after_hello):
 
     assert isinstance(run(main()), InitStateResponse)
     assert heard == []
+
+
+#: a frame header that claims a 4 GiB body, then 1 MiB of that body
+_PAST_THE_BOUND = HEADER.pack(MAGIC, WIRE_VERSION, 0x01, 0, 0xFFFFFFFF) + bytes(1 << 20)
+
+
+def _spy_on_pending(monkeypatch):
+    """Record what each walk leaves buffered, whether it raised or not."""
+    pending = []
+    walk = FrameWalker.walk
+
+    def spy(self, data):
+        try:
+            return walk(self, data)
+        finally:
+            pending.append(self.pending())
+
+    monkeypatch.setattr(FrameWalker, "walk", spy)
+    return pending
+
+
+@pytest.mark.parametrize("listener", ["central", "mirror"])
+def test_a_header_past_the_bound_closes_that_client_at_once(listener, monkeypatch):
+    """A client that says HELLO and then sends a header past
+    ``MAX_FRAME_BYTES`` and 1 MiB after it is hung up on at that header:
+    no byte of the body is buffered, and the next client is answered."""
+    pending = _spy_on_pending(monkeypatch)
+    heard = []
+
+    async def main():
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: heard.append(context)
+        )
+        central = NetCentral(0)
+        mirror = NetMirror("mirror1")
+        try:
+            port = (await central.start(host=HOST) if listener == "central"
+                    else await mirror.serve_clients(host=HOST))
+            reader, writer = await asyncio.open_connection(HOST, port)
+            writer.write(WireEncoder().encode_hello(Hello("client", "hostile"))
+                         + _PAST_THE_BOUND)
+            try:
+                assert await asyncio.wait_for(reader.read(), timeout=5) == b""
+            except ConnectionResetError:
+                pass  # hung up on with the rest of the MiB unread
+            writer.close()
+            reader, writer = await asyncio.open_connection(HOST, port)
+            encoder = WireEncoder()
+            writer.write(encoder.encode_hello(Hello("client", "polite")))
+            writer.write(encoder.encode_request(InitStateRequest("polite", 0.0)))
+            frames = _FrameReader(reader, WireStats())
+            response = await asyncio.wait_for(frames.next_message(), timeout=5)
+            writer.close()
+            return response
+        finally:
+            await central.close()
+            await mirror.close()
+
+    assert isinstance(run(main()), InitStateResponse)
+    assert heard == []
+    assert max(pending) <= HEADER.size
+
+
+def test_a_header_past_the_bound_on_the_source_fails_the_run(monkeypatch):
+    """The same header on central's source link ends central's run with
+    the codec's error, before any of the body is buffered."""
+    pending = _spy_on_pending(monkeypatch)
+
+    async def main():
+        central = NetCentral(0)
+        tasks = TaskSupervisor()
+        writer = None
+        try:
+            port = await central.start(host=HOST)
+            running = tasks.spawn(central.run())
+            _reader, writer = await asyncio.open_connection(HOST, port)
+            encoder = WireEncoder()
+            writer.write(encoder.encode_hello(Hello("source", "hostile"))
+                         + encoder.encode_event(position(1)))
+            # the link is the source's once a read after HELLO is stepped
+            while central.site.main.events_applied < 1:
+                await asyncio.sleep(0.001)
+            writer.write(_PAST_THE_BOUND)
+            await asyncio.wait_for(running, timeout=5)
+        finally:
+            if writer is not None:
+                writer.close()
+            await tasks.cancel()
+            await central.close()
+
+    with pytest.raises(WireError, match="bound"):
+        run(main())
+    assert max(pending) <= HEADER.size
 
 
 # --------------------------------------------------------- registration scaling
