@@ -106,8 +106,9 @@ def modelcheck_main(argv: Optional[List[str]] = None) -> int:
     transfer handoff.  A violation prints the counterexample schedule
     and exits 1.
     """
+    from .explore import ModelCheckViolation
     from .handoffcheck import HANDOFF_MUTANTS, check_handoff
-    from .modelcheck import MUTANTS, ModelCheckViolation, check_protocol
+    from .modelcheck import MUTANTS, check_protocol
 
     parser = argparse.ArgumentParser(
         prog="python -m repro modelcheck",

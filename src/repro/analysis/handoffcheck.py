@@ -47,26 +47,31 @@ owner instead of buffering; ``replay-before-install`` flushes the
 buffered updates to the new shard *before* the install frame.  Both
 must be caught with a counterexample schedule.
 
-Schedules serialize to/from text (:func:`serialize_schedule`,
-:func:`parse_schedule`) and :func:`replay_schedule` re-executes one
-deterministically — a printed counterexample is a reproducer, not just
-a log.
+The scenario is a :class:`~repro.analysis.explore.Model`; the explorer
+walks it, and :func:`~repro.analysis.explore.replay_schedule` re-executes
+a printed counterexample on a fresh :class:`HandoffModel`.
 """
 
 from __future__ import annotations
 
-import copy
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.events import HANDOFF, UpdateEvent
 from ..shard.handoff import RoutingCore, ShardHandoff, ShardTransfer
 from ..shard.partition import Partitioner
-from .modelcheck import ModelCheckViolation
+from .explore import (
+    Model,
+    ModelCheckReport,
+    ModelCheckViolation,
+    explore,
+    parse_schedule,
+    replay_schedule,
+    serialize_schedule,
+)
 
 __all__ = [
-    "HandoffCheckReport",
+    "HandoffModel",
     "check_handoff",
     "HANDOFF_MUTANTS",
     "serialize_schedule",
@@ -136,12 +141,10 @@ def _build_script(n_shards: int, n_updates: int) -> List[UpdateEvent]:
 
 
 class _World:
-    """One protocol configuration: the real router core + modelled shards."""
+    """The router core and the modelled shards with their connections."""
 
     __slots__ = (
-        "n_shards",
         "core",
-        "script",
         "script_pos",
         "to_shard",
         "from_shard",
@@ -151,20 +154,10 @@ class _World:
         "completed_seqs",
         "dups_left",
         "crashes_left",
-        "full_labels",
     )
 
-    def __init__(
-        self,
-        n_shards: int,
-        events: List[UpdateEvent],
-        dups: int,
-        crashes: int,
-        core_cls=RoutingCore,
-    ):
-        self.n_shards = n_shards
-        self.core = core_cls(_TablePartitioner(n_shards))
-        self.script = events
+    def __init__(self, core: RoutingCore, n_shards: int, dups: int, crashes: int):
+        self.core = core
         self.script_pos = 0
         self.to_shard: Dict[int, Deque[Tuple]] = {
             i: deque() for i in range(n_shards)
@@ -186,12 +179,6 @@ class _World:
         self.completed_seqs: Set[int] = set()
         self.dups_left = dups
         self.crashes_left = crashes
-        self.full_labels = tuple(
-            int(ev.payload["label"]) for ev in events
-        )
-
-    def clone(self) -> "_World":
-        return copy.deepcopy(self)
 
 
 def _frame_key(frame: Tuple) -> Tuple:
@@ -205,48 +192,6 @@ def _frame_key(frame: Tuple) -> Tuple:
         t = frame[1]
         return (kind, t.flight_id, t.seq, t.to_shard, frame[2])
     raise TypeError(f"unexpected frame {frame!r}")  # pragma: no cover
-
-
-def _state_key(w: _World) -> Tuple:
-    core = w.core
-    core_key = (
-        tuple(sorted(core._owner.items())),
-        tuple(
-            sorted(
-                (
-                    f,
-                    p.seq,
-                    p.from_shard,
-                    p.to_shard,
-                    tuple(int(e.payload["label"]) for e in p.buffered),
-                )
-                for f, p in core._pending.items()
-            )
-        ),
-        core._seq,
-    )
-    shard_keys = tuple(
-        (
-            tuple(_frame_key(fr) for fr in w.to_shard[i]),
-            tuple(_frame_key(fr) for fr in w.from_shard[i]),
-            tuple(sorted((f, tuple(ls)) for f, ls in w.held[i].items())),
-            tuple(sorted(w.tombstoned[i])),
-            (
-                _frame_key(w.last_extract[i])
-                if w.last_extract[i] is not None
-                else None
-            ),
-        )
-        for i in range(w.n_shards)
-    )
-    return (
-        w.script_pos,
-        w.dups_left,
-        w.crashes_left,
-        tuple(sorted(w.completed_seqs)),
-        core_key,
-        shard_keys,
-    )
 
 
 def _enqueue_emissions(
@@ -264,180 +209,23 @@ def _enqueue_emissions(
             w.to_shard[shard].append(("ev", item))
 
 
-def _apply_update(w: _World, shard: int, event: UpdateEvent, trace: List[str]) -> None:
+def _apply_update(w: _World, shard: int, event: UpdateEvent) -> None:
     flight = event.key
     label = int(event.payload["label"])
     if flight in w.tombstoned[shard]:
         raise ModelCheckViolation(
             f"stale owner: shard{shard} asked to apply label {label} of "
             f"{flight} after tombstoning it — the router forwarded an "
-            "update to the old shard mid-transfer",
-            trace,
+            "update to the old shard mid-transfer"
         )
     record = w.held[shard].setdefault(flight, [])
     if label != (record[-1] if record else 0) + 1:
         raise ModelCheckViolation(
             f"out-of-order apply: shard{shard} applying label {label} of "
             f"{flight} onto record {record} — an update was lost, "
-            "duplicated, or replayed before the transfer installed",
-            trace,
+            "duplicated, or replayed before the transfer installed"
         )
     record.append(label)
-
-
-def _actions(w: _World) -> List[Tuple]:
-    acts: List[Tuple] = []
-    if w.script_pos < len(w.script):
-        acts.append(("route",))
-    for i in range(w.n_shards):
-        if w.to_shard[i]:
-            acts.append(("deliver", i))
-        if w.from_shard[i]:
-            acts.append(("reply", i))
-            if w.dups_left > 0:
-                acts.append(("dup", i))
-        if w.crashes_left > 0 and w.last_extract[i] is not None:
-            acts.append(("crash", i))
-    return acts
-
-
-def _apply_action(w: _World, action: Tuple, trace: List[str]) -> None:
-    kind = action[0]
-    if kind == "route":
-        event = w.script[w.script_pos]
-        w.script_pos += 1
-        _enqueue_emissions(w, w.core.route(event), None)
-    elif kind == "deliver":
-        shard = action[1]
-        frame = w.to_shard[shard].popleft()
-        if frame[0] == "ev":
-            _apply_update(w, shard, frame[1], trace)
-        elif frame[0] == "tomb":
-            handoff: ShardHandoff = frame[1]
-            flight = handoff.flight_id
-            record = w.held[shard].pop(flight, None)
-            w.tombstoned[shard].add(flight)
-            payload = tuple(record) if record is not None else None
-            reply = ShardTransfer(
-                flight_id=flight,
-                airport=handoff.airport,
-                from_shard=handoff.from_shard,
-                to_shard=handoff.to_shard,
-                seq=handoff.seq,
-            )
-            w.from_shard[shard].append(("rep", reply, payload))
-            w.last_extract[shard] = ("rep", reply, payload)
-        else:  # install
-            transfer: ShardTransfer = frame[1]
-            payload = frame[2]
-            flight = transfer.flight_id
-            w.tombstoned[shard].discard(flight)
-            if payload is not None:
-                w.held[shard][flight] = list(payload)
-    elif kind == "reply":
-        shard = action[1]
-        _, transfer, payload = w.from_shard[shard].popleft()
-        try:
-            emissions = w.core.complete(transfer)
-        except ValueError:
-            # the core rejected the reply: legal only for a re-send of
-            # an already-completed transfer (idempotence), never for a
-            # first delivery
-            if transfer.seq not in w.completed_seqs:
-                raise ModelCheckViolation(
-                    f"reply rejected: transfer seq {transfer.seq} for "
-                    f"{transfer.flight_id} refused by the router but was "
-                    "never completed — the transferred state is lost",
-                    trace,
-                )
-            return
-        w.completed_seqs.add(transfer.seq)
-        _enqueue_emissions(w, emissions, payload)
-    elif kind == "dup":
-        shard = action[1]
-        w.from_shard[shard].append(w.from_shard[shard][0])
-        w.dups_left -= 1
-    elif kind == "crash":
-        # shard's incarnation dies mid-transfer; the promoted replica
-        # (replica consistency proven in tests/rt) re-derives its last
-        # extraction and re-sends the reply on the fresh connection
-        shard = action[1]
-        resend = w.last_extract[shard]
-        assert resend is not None
-        w.from_shard[shard].append(resend)
-        w.crashes_left -= 1
-    else:  # pragma: no cover
-        raise ValueError(f"unknown action {action!r}")
-
-
-def _verify_terminal(w: _World, trace: List[str]) -> None:
-    owners = [
-        i for i in range(w.n_shards) if _FLIGHT in w.held[i]
-    ]
-    if len(owners) != 1:
-        raise ModelCheckViolation(
-            f"terminal state: {_FLIGHT} held by shards {owners} — "
-            + (
-                "the record was lost in transfer"
-                if not owners
-                else "ownership was duplicated"
-            ),
-            trace,
-        )
-    record = tuple(w.held[owners[0]][_FLIGHT])
-    if record != w.full_labels:
-        raise ModelCheckViolation(
-            f"terminal state: shard{owners[0]} record {list(record)} != "
-            f"full update sequence {list(w.full_labels)} — an update was "
-            "lost or duplicated across the handoff",
-            trace,
-        )
-    mapped = w.core.owner_of(_FLIGHT)
-    if mapped != owners[0]:
-        raise ModelCheckViolation(
-            f"terminal state: router owner map names shard{mapped} but "
-            f"shard{owners[0]} holds the record",
-            trace,
-        )
-    if w.core.pending:
-        raise ModelCheckViolation(
-            f"terminal state: {w.core.pending} transfer(s) never "
-            "completed",
-            trace,
-        )
-
-
-def _explore(world: _World) -> Tuple[int, int]:
-    """DFS with state dedup; returns (interleavings, distinct states) —
-    the same memoised engine as :func:`repro.analysis.modelcheck._explore`,
-    pointed at the handoff state machine."""
-    memo: Dict[Tuple, int] = {}
-    trace: List[str] = []
-
-    def visit(w: _World) -> int:
-        key = _state_key(w)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        acts = _actions(w)
-        if not acts:
-            _verify_terminal(w, trace)
-            memo[key] = 1
-            return 1
-        total = 0
-        for action in acts:
-            branch = w.clone()
-            trace.append(" ".join(str(part) for part in action))
-            try:
-                _apply_action(branch, action, trace)
-                total += visit(branch)
-            finally:
-                trace.pop()
-        memo[key] = total
-        return total
-
-    paths = visit(world)
-    return paths, len(memo)
 
 
 # -- deliberately broken protocol variants ------------------------------
@@ -492,43 +280,178 @@ _CORE_CLASSES = {
 }
 
 
-@dataclass(frozen=True)
-class HandoffCheckReport:
-    """Result of an exhaustive run (violation-free, or it would have raised)."""
+class HandoffModel(Model):
+    """``shards`` shards, ``events`` scripted updates, up to ``dups``
+    duplicated replies and ``crashes`` crash re-sends."""
 
-    shards: int
-    events: int
-    handoffs: int
-    interleavings: int
-    states: int
-    dups: int
-    crashes: int
-    mutant: Optional[str] = None
+    def __init__(self, shards: int, events: int, dups: int, crashes: int,
+                 mutant: Optional[str] = None):
+        try:
+            self.core_cls = _CORE_CLASSES[mutant]
+        except KeyError:
+            raise ValueError(f"unknown mutant {mutant!r}") from None
+        self.n_shards = shards
+        self.script = _build_script(shards, events)
+        self.full_labels = tuple(int(ev.payload["label"]) for ev in self.script)
+        self.dups = dups
+        self.crashes = crashes
 
-    def render(self) -> str:
-        return "\n".join(
-            [
-                f"modelcheck[handoff]: {self.shards} shard(s), "
-                f"{self.events} update(s), {self.handoffs} cross-shard "
-                "handoff(s)"
-                + (f" [mutant={self.mutant}]" if self.mutant else ""),
-                f"  <= {self.dups} duplicated reply/ies, <= {self.crashes}"
-                f" crash re-send(s): {self.interleavings} interleavings "
-                f"over {self.states} distinct states — no loss, no "
-                "duplication, no stale owner",
-            ]
+    def initial(self) -> _World:
+        core = self.core_cls(_TablePartitioner(self.n_shards))
+        return _World(core, self.n_shards, self.dups, self.crashes)
+
+    def key(self, w: _World) -> Tuple:
+        core = w.core
+        core_key = (
+            tuple(sorted(core._owner.items())),
+            tuple(
+                sorted(
+                    (
+                        f,
+                        p.seq,
+                        p.from_shard,
+                        p.to_shard,
+                        tuple(int(e.payload["label"]) for e in p.buffered),
+                    )
+                    for f, p in core._pending.items()
+                )
+            ),
+            core._seq,
+        )
+        shard_keys = tuple(
+            (
+                tuple(_frame_key(fr) for fr in w.to_shard[i]),
+                tuple(_frame_key(fr) for fr in w.from_shard[i]),
+                tuple(sorted((f, tuple(ls)) for f, ls in w.held[i].items())),
+                tuple(sorted(w.tombstoned[i])),
+                (
+                    _frame_key(w.last_extract[i])
+                    if w.last_extract[i] is not None
+                    else None
+                ),
+            )
+            for i in range(self.n_shards)
+        )
+        return (
+            w.script_pos,
+            w.dups_left,
+            w.crashes_left,
+            tuple(sorted(w.completed_seqs)),
+            core_key,
+            shard_keys,
         )
 
+    def actions(self, w: _World) -> List[Tuple]:
+        acts: List[Tuple] = []
+        if w.script_pos < len(self.script):
+            acts.append(("route",))
+        for i in range(self.n_shards):
+            if w.to_shard[i]:
+                acts.append(("deliver", i))
+            if w.from_shard[i]:
+                acts.append(("reply", i))
+                if w.dups_left > 0:
+                    acts.append(("dup", i))
+            if w.crashes_left > 0 and w.last_extract[i] is not None:
+                acts.append(("crash", i))
+        return acts
 
-def _make_world(
-    shards: int, events: List[UpdateEvent], dups: int, crashes: int,
-    mutant: Optional[str],
-) -> _World:
-    try:
-        core_cls = _CORE_CLASSES[mutant]
-    except KeyError:
-        raise ValueError(f"unknown mutant {mutant!r}") from None
-    return _World(shards, events, dups, crashes, core_cls=core_cls)
+    def step(self, w: _World, action: Tuple) -> None:
+        kind = action[0]
+        if kind == "route":
+            event = self.script[w.script_pos]
+            w.script_pos += 1
+            _enqueue_emissions(w, w.core.route(event), None)
+        elif kind == "deliver":
+            shard = action[1]
+            frame = w.to_shard[shard].popleft()
+            if frame[0] == "ev":
+                _apply_update(w, shard, frame[1])
+            elif frame[0] == "tomb":
+                handoff: ShardHandoff = frame[1]
+                flight = handoff.flight_id
+                record = w.held[shard].pop(flight, None)
+                w.tombstoned[shard].add(flight)
+                payload = tuple(record) if record is not None else None
+                reply = ShardTransfer(
+                    flight_id=flight,
+                    airport=handoff.airport,
+                    from_shard=handoff.from_shard,
+                    to_shard=handoff.to_shard,
+                    seq=handoff.seq,
+                )
+                w.from_shard[shard].append(("rep", reply, payload))
+                w.last_extract[shard] = ("rep", reply, payload)
+            else:  # install
+                transfer: ShardTransfer = frame[1]
+                payload = frame[2]
+                flight = transfer.flight_id
+                w.tombstoned[shard].discard(flight)
+                if payload is not None:
+                    w.held[shard][flight] = list(payload)
+        elif kind == "reply":
+            shard = action[1]
+            _, transfer, payload = w.from_shard[shard].popleft()
+            try:
+                emissions = w.core.complete(transfer)
+            except ValueError:
+                # the core rejected the reply: legal only for a re-send of
+                # an already-completed transfer (idempotence), never for a
+                # first delivery
+                if transfer.seq not in w.completed_seqs:
+                    raise ModelCheckViolation(
+                        f"reply rejected: transfer seq {transfer.seq} for "
+                        f"{transfer.flight_id} refused by the router but was "
+                        "never completed — the transferred state is lost"
+                    ) from None
+                return
+            w.completed_seqs.add(transfer.seq)
+            _enqueue_emissions(w, emissions, payload)
+        elif kind == "dup":
+            shard = action[1]
+            w.from_shard[shard].append(w.from_shard[shard][0])
+            w.dups_left -= 1
+        elif kind == "crash":
+            # shard's incarnation dies mid-transfer; the promoted replica
+            # (replica consistency proven in tests/rt) re-derives its last
+            # extraction and re-sends the reply on the fresh connection
+            shard = action[1]
+            resend = w.last_extract[shard]
+            assert resend is not None
+            w.from_shard[shard].append(resend)
+            w.crashes_left -= 1
+        else:  # pragma: no cover
+            raise ValueError(f"unknown action {action!r}")
+
+    def check_terminal(self, w: _World) -> None:
+        owners = [i for i in range(self.n_shards) if _FLIGHT in w.held[i]]
+        if len(owners) != 1:
+            raise ModelCheckViolation(
+                f"terminal state: {_FLIGHT} held by shards {owners} — "
+                + (
+                    "the record was lost in transfer"
+                    if not owners
+                    else "ownership was duplicated"
+                )
+            )
+        record = tuple(w.held[owners[0]][_FLIGHT])
+        if record != self.full_labels:
+            raise ModelCheckViolation(
+                f"terminal state: shard{owners[0]} record {list(record)} != "
+                f"full update sequence {list(self.full_labels)} — an update "
+                "was lost or duplicated across the handoff"
+            )
+        mapped = w.core.owner_of(_FLIGHT)
+        if mapped != owners[0]:
+            raise ModelCheckViolation(
+                f"terminal state: router owner map names shard{mapped} but "
+                f"shard{owners[0]} holds the record"
+            )
+        if w.core.pending:
+            raise ModelCheckViolation(
+                f"terminal state: {w.core.pending} transfer(s) never "
+                "completed"
+            )
 
 
 def check_handoff(
@@ -537,7 +460,7 @@ def check_handoff(
     dups: int = 1,
     crashes: int = 1,
     mutant: Optional[str] = None,
-) -> HandoffCheckReport:
+) -> ModelCheckReport:
     """Exhaustively check the handoff protocol; raises
     :class:`ModelCheckViolation` on the first schedule that breaks an
     invariant."""
@@ -545,76 +468,19 @@ def check_handoff(
         raise ValueError("shards must be >= 2 (a handoff needs two)")
     if events < 2:
         raise ValueError("events must be >= 2 (a handoff needs a suffix)")
-    script = _build_script(shards, events)
-    interleavings, states = _explore(
-        _make_world(shards, script, dups, crashes, mutant)
-    )
-    return HandoffCheckReport(
-        shards=shards,
-        events=events,
-        handoffs=sum(1 for ev in script if ev.kind == HANDOFF),
+    model = HandoffModel(shards, events, dups, crashes, mutant)
+    interleavings, states = explore(model)
+    handoffs = sum(1 for ev in model.script if ev.kind == HANDOFF)
+    return ModelCheckReport(
+        title=f"modelcheck[handoff]: {shards} shard(s), {events} update(s), "
+        f"{handoffs} cross-shard handoff(s)"
+        + (f" [mutant={mutant}]" if mutant else ""),
+        lines=(
+            f"<= {dups} duplicated reply/ies, <= {crashes} crash "
+            f"re-send(s): {interleavings} interleavings over {states} "
+            "distinct states — no loss, no duplication, no stale owner",
+        ),
         interleavings=interleavings,
         states=states,
-        dups=dups,
-        crashes=crashes,
-        mutant=mutant,
+        handoffs=handoffs,
     )
-
-
-# -- counterexample schedules as replayable text ------------------------
-
-
-def serialize_schedule(trace: Sequence[str]) -> str:
-    """One action per line, exactly as the violation trace prints them."""
-    return "\n".join(trace)
-
-
-def parse_schedule(text: str) -> List[Tuple]:
-    """Inverse of :func:`serialize_schedule`: action tuples again."""
-    actions: List[Tuple] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        actions.append(
-            tuple([parts[0]] + [int(p) for p in parts[1:]])
-        )
-    return actions
-
-
-def replay_schedule(
-    schedule: str,
-    shards: int = 2,
-    events: int = 3,
-    dups: int = 1,
-    crashes: int = 1,
-    mutant: Optional[str] = None,
-) -> Optional[ModelCheckViolation]:
-    """Re-execute a serialized schedule against a fresh world.
-
-    Returns the violation it reproduces (with the replayed trace
-    attached), or None when the schedule completes cleanly — the same
-    parameters plus the same schedule always produce the same outcome,
-    which is what makes a printed counterexample a reproducer.
-    """
-    world = _make_world(
-        shards, _build_script(shards, events), dups, crashes, mutant
-    )
-    actions = parse_schedule(schedule)
-    trace: List[str] = []
-    try:
-        for action in actions:
-            if action not in _actions(world):
-                # the schedule diverged — e.g. a mutant counterexample
-                # replayed against the fixed protocol reaches a state
-                # where the recorded action is not enabled.  Nothing to
-                # reproduce: the remaining steps are meaningless here.
-                return None
-            trace.append(" ".join(str(part) for part in action))
-            _apply_action(world, action, trace)
-        if not _actions(world):
-            _verify_terminal(world, trace)
-    except ModelCheckViolation as violation:
-        return violation
-    return None

@@ -144,11 +144,13 @@ class _SimPrimary:
         for _ in range(self.primary_core.count_processed(n)):
             self._initiate_checkpoint()
 
-    def _initiate_checkpoint(self) -> None:
+    def _initiate_checkpoint(self, final: bool = False) -> None:
         core = self.primary_core
         # a due round replaces one still collecting (the pinned figures
         # were made with this rule; the live central skips instead)
-        msg = core.open_round(self.monitor_readings(), skip_if_collecting=False)
+        msg = core.open_round(
+            self.monitor_readings(), skip_if_collecting=False, final=final
+        )
         if msg is None:
             return
         self.env.process(self.node.execute(self.node.costs.control_round))
@@ -209,7 +211,7 @@ class _SimPrimary:
             yield from self._mirror_one(core.engine.on_send(out), ordered=False)
         for out in core.engine.flush("send"):
             yield from self._mirror_one([out], ordered=False)
-        self._initiate_checkpoint()
+        self._initiate_checkpoint(final=True)
         self.metrics.rule_stats = core.engine.stats()
         if self.metrics.tracer is not None:
             self.metrics.tracer.record(

@@ -3,9 +3,9 @@
 :class:`InvariantMonitor` hangs off the hot paths behind ``if monitor is
 not None`` checks — with ``MirrorConfig.check_invariants`` left at its
 default (off) no monitor exists and the cost is one ``None`` test per
-hook site.  Switched on, it asserts at runtime the same safety
-properties the model checker (:mod:`repro.analysis.modelcheck`) proves
-exhaustively at small scale:
+hook site.  Switched on, it asserts these safety properties at runtime;
+the checkpoint model checker (:mod:`repro.analysis.modelcheck`) runs
+this same monitor on every schedule it explores at small scale:
 
 * **stamp monotonicity** — the receiving task sees strictly increasing
   sequence numbers per stream (the paper assumes in-stream order is
@@ -176,3 +176,7 @@ class InvariantMonitor:
                 f"commit regression at {site!r}: {commit_vt!r} after {prev!r}"
             )
         self._site_commit[site] = commit_vt
+
+    def last_commit(self, site: str) -> Optional[VectorTimestamp]:
+        """The vector ``site`` last trimmed with (None: it has not)."""
+        return self._site_commit.get(site)

@@ -129,20 +129,31 @@ class CentralCore(_BackupSite):
         return self.processed_events // freq - before // freq
 
     def open_round(
-        self, readings: Dict[str, float], skip_if_collecting: bool
+        self,
+        readings: Dict[str, float],
+        skip_if_collecting: bool,
+        final: bool = False,
     ) -> Union[ChkptMsg, CommitMsg, None]:
         """Open a round on the backup queue's newest stamp and cast the
         local main unit's vote, ``readings`` piggybacked.  Returns the
         CHKPT to send, the COMMIT if that vote completed the round (no
         other participant), or ``None`` (nothing to checkpoint, or
         ``skip_if_collecting`` and a round still collects — see
-        :meth:`CheckpointCoordinator.initiate_if_idle`)."""
+        :meth:`CheckpointCoordinator.initiate_if_idle`).
+
+        The ``final`` round, at the end of the stream, re-proposes the
+        last commit when the backup queue is empty: a mirror whose
+        COMMIT was lost still holds what that commit covered, and no
+        later round would absorb it."""
         coordinator = self.coordinator
         initiate = (
             coordinator.initiate_if_idle if skip_if_collecting
             else coordinator.initiate
         )
-        chkpt = initiate(self.backup.last_vt())
+        proposal = self.backup.last_vt()
+        if proposal is None and final:
+            proposal = coordinator.last_commit
+        chkpt = initiate(proposal)
         if chkpt is None:
             return None
         commit = coordinator.on_reply(self.checkpointer.on_chkpt(chkpt, readings))

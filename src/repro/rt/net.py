@@ -781,7 +781,9 @@ class _Link(asyncio.BufferedProtocol):
     is stepped once, as ``None``, after everything read before it.  A
     failure while reading or stepping fails the site's run through its
     supervisor when the role is fatal, and closes this link either way;
-    nothing reaches the loop's exception handler.
+    nothing reaches the loop's exception handler.  A read that breaks
+    on a malformed frame first steps what it decoded before it, so a
+    HELLO in the same read picks the role the failure is judged under.
 
     The link is also its connection's writer, with the part of the
     ``StreamWriter`` surface the site code uses: ``write`` /
@@ -826,7 +828,7 @@ class _Link(asyncio.BufferedProtocol):
                 _walk(self._walker, self.stats, self._buffer[:nbytes])
             )
         except Exception as exc:  # a malformed frame, say
-            self._fail(exc)
+            self._read_failed(exc)
             return
         self._pump()
 
@@ -895,6 +897,17 @@ class _Link(asyncio.BufferedProtocol):
             self.close()
         elif not self._closed:
             self.transport.resume_reading()
+
+    def _read_failed(self, exc: Exception) -> None:
+        """Step what the read decoded before ``exc`` — a HELLO there
+        picks the role the failure is judged under — then fail."""
+        self.backlog.extend(getattr(exc, "items", ()))
+        self._pump()
+        waiting = self._waiting
+        if waiting is None:
+            self._fail(exc)
+        else:
+            waiting.add_done_callback(lambda _task: self._fail(exc))
 
     def _fail(self, exc: Exception) -> None:
         if self.role.fatal:

@@ -475,7 +475,9 @@ class AsyncCentralSite(CentralCore):
         """Every ``checkpoint_freq`` events: start a round, unless the
         previous one is still collecting (it is then left to commit;
         see :meth:`CheckpointCoordinator.initiate_if_idle`)."""
-        msg = self.open_round(self.monitor_readings(), skip_if_collecting=not final)
+        msg = self.open_round(
+            self.monitor_readings(), skip_if_collecting=not final, final=final
+        )
         if isinstance(msg, CommitMsg):
             self._broadcast_commit(msg)
         elif msg is not None:

@@ -1108,7 +1108,9 @@ class FrameWalker:
         self._need = 0
 
     def walk(self, data: Any) -> List[Any]:
-        """Add what one read brought; returns what it completed."""
+        """Add what one read brought; returns what it completed.  A
+        :class:`WireError` carries, as ``items``, what the read
+        completed before the frame that raised it."""
         pending = self._pending
         if pending:
             pending += data
@@ -1118,7 +1120,13 @@ class FrameWalker:
         else:
             buf = data
         items: List[Any] = []
-        pos = self._walk(buf, items)
+        try:
+            pos = self._walk(buf, items)
+        except WireError as exc:
+            # what the read completed before the bad frame, for the
+            # caller to step before it fails
+            exc.items = items  # type: ignore[attr-defined]
+            raise
         if buf is pending:
             del pending[:pos]
         elif pos < len(buf):

@@ -16,12 +16,35 @@ from hypothesis import strategies as st
 from repro.analysis.cli import modelcheck_main
 from repro.analysis.handoffcheck import (
     HANDOFF_MUTANTS,
+    HandoffModel,
     check_handoff,
     parse_schedule,
     replay_schedule,
     serialize_schedule,
 )
-from repro.analysis.modelcheck import ModelCheckViolation
+from repro.analysis.modelcheck import (
+    MUTANTS,
+    CheckpointModel,
+    ModelCheckViolation,
+    check_protocol,
+)
+
+#: each checker at a small bound: how to run it and how to build the
+#: same model for a replay, given a mutant
+_MODELS = {
+    "handoff": (
+        lambda mutant: check_handoff(shards=2, events=3, dups=1, crashes=1,
+                                     mutant=mutant),
+        lambda mutant: HandoffModel(2, 3, 1, 1, mutant),
+        HANDOFF_MUTANTS,
+    ),
+    "checkpoint": (
+        lambda mutant: check_protocol(sites=2, events=2, max_losses=1,
+                                      mutant=mutant),
+        lambda mutant: CheckpointModel(2, 2, 1, mutant),
+        MUTANTS,
+    ),
+}
 
 
 def test_handoff_clean_at_default_scale_with_exact_counts():
@@ -90,18 +113,18 @@ def test_fixed_complete_rejects_stale_reply_nondestructively():
     assert report.interleavings > 0
 
 
-def test_counterexample_replays_to_the_same_violation():
+@pytest.mark.parametrize("model", sorted(_MODELS))
+def test_counterexample_replays_to_the_same_violation(model):
+    check, build, mutants = _MODELS[model]
+    mutant = mutants[0]
     with pytest.raises(ModelCheckViolation) as exc:
-        check_handoff(shards=2, events=3, dups=1, crashes=1,
-                      mutant="drop-buffering")
+        check(mutant)
     schedule = serialize_schedule(exc.value.trace)
-    replayed = replay_schedule(schedule, shards=2, events=3, dups=1,
-                               crashes=1, mutant="drop-buffering")
+    replayed = replay_schedule(build(mutant), schedule)
     assert replayed is not None
     assert str(replayed) == str(exc.value)
     # and the fixed protocol does NOT fail on the same schedule
-    assert replay_schedule(schedule, shards=2, events=3, dups=1,
-                           crashes=1, mutant=None) is None
+    assert replay_schedule(build(None), schedule) is None
 
 
 # ------------------------------------------------------------------- CLI
@@ -158,24 +181,24 @@ def test_serialize_parse_roundtrip(actions):
     ]
 
 
+@pytest.mark.parametrize("model", sorted(_MODELS))
 @settings(max_examples=25, deadline=None)
 @given(st.data())
-def test_replay_is_deterministic_for_arbitrary_prefixes(data):
+def test_replay_is_deterministic_for_arbitrary_prefixes(model, data):
     """Any prefix of a mutant counterexample replays to the same outcome
     every time — the property that makes a printed schedule a
     reproducer rather than a one-off observation."""
-    mutant = data.draw(st.sampled_from(list(HANDOFF_MUTANTS)))
+    check, build, mutants = _MODELS[model]
+    mutant = data.draw(st.sampled_from(list(mutants)))
     try:
-        check_handoff(shards=2, events=3, dups=1, crashes=1, mutant=mutant)
+        check(mutant)
         raise AssertionError("mutant must be caught")
     except ModelCheckViolation as violation:
         full = list(violation.trace)
     cut = data.draw(st.integers(min_value=0, max_value=len(full)))
     schedule = serialize_schedule(full[:cut])
-    first = replay_schedule(schedule, shards=2, events=3, dups=1,
-                            crashes=1, mutant=mutant)
-    second = replay_schedule(schedule, shards=2, events=3, dups=1,
-                             crashes=1, mutant=mutant)
+    first = replay_schedule(build(mutant), schedule)
+    second = replay_schedule(build(mutant), schedule)
     if first is None:
         assert second is None
     else:

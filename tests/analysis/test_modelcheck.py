@@ -5,6 +5,8 @@ import math
 import pytest
 
 from repro.analysis.cli import modelcheck_main
+from repro.core.checkpoint import ChkptRepMsg
+from repro.core.sitecore import MirrorCore
 from repro.analysis.modelcheck import (
     MUTANTS,
     ModelCheckViolation,
@@ -79,9 +81,23 @@ def test_skip_min_agreement_mutant_is_caught():
     with a concrete schedule attached."""
     with pytest.raises(ModelCheckViolation) as exc:
         check_protocol(sites=2, events=2, max_losses=0, mutant="skip-min-agreement")
-    assert "does not dominate" in str(exc.value)
+    assert "lost update" in str(exc.value)
     assert exc.value.trace, "violation must carry a schedule prefix"
     assert any("deliver_site" in step for step in exc.value.trace)
+
+
+def test_checker_runs_the_shipped_mirror_vote(monkeypatch):
+    """The model votes through ``MirrorCore.vote`` itself: a vote that
+    promises the proposal unfloored lets a commit trim events a mirror
+    has not processed, and the runtime monitor the model shares with
+    every site catches it."""
+
+    def unfloored(self, chkpt, readings):
+        return ChkptRepMsg(round_id=chkpt.round_id, site=self.site, vt=chkpt.vt)
+
+    monkeypatch.setattr(MirrorCore, "vote", unfloored)
+    with pytest.raises(ModelCheckViolation, match="lost update"):
+        check_protocol(sites=2, events=2, max_losses=0)
 
 
 def test_eager_trim_mutant_is_caught():

@@ -10,7 +10,9 @@ from repro.core.checkpoint import (
     CommitMsg,
     MainUnitCheckpointer,
 )
-from repro.core.events import VectorTimestamp
+from repro.core.config import MirrorConfig
+from repro.core.events import UpdateEvent, VectorTimestamp
+from repro.core.sitecore import CentralCore, MirrorCore
 
 
 def vt(**kw):
@@ -195,3 +197,36 @@ def test_protocol_safety_commit_never_exceeds_any_progress():
     for name, progress in sites.items():
         assert commit.vt.component("faa") <= progress
     assert commit.vt == vt(faa=4)
+
+
+# ------------------------------------------------------- the closing round
+def test_closing_round_absorbs_a_commit_lost_after_central_trimmed():
+    """Round 1 commits everything and central trims its backup empty,
+    but the COMMIT to the mirror is lost.  The closing round re-proposes
+    the last commit, so the mirror trims what it still holds; a periodic
+    round on the empty backup proposes nothing."""
+    events = [
+        UpdateEvent(kind="pos", stream="faa", seqno=i, key="F", vt=vt(faa=i))
+        for i in (1, 2, 3)
+    ]
+    central_ck, mirror_ck = MainUnitCheckpointer("central"), MainUnitCheckpointer("m1")
+    for ev in events:
+        central_ck.note_processed(ev.stream, ev.seqno)
+        mirror_ck.note_processed(ev.stream, ev.seqno)
+    central = CentralCore(MirrorConfig(), {"central", "m1"}, central_ck)
+    mirror = MirrorCore("m1", mirror_ck)
+    central.backup.extend(events)
+    mirror.backup.extend(events)
+
+    chkpt = central.open_round({}, skip_if_collecting=False)
+    commit = central.on_reply(mirror.vote(chkpt, {}))
+    assert commit is not None and commit.vt == vt(faa=3)
+    assert central.trim(commit) == 3  # ... and the COMMIT to m1 is lost
+    assert len(central.backup) == 0 and len(mirror.backup) == 3
+
+    assert central.open_round({}, skip_if_collecting=True) is None
+    closing = central.open_round({}, skip_if_collecting=False, final=True)
+    assert isinstance(closing, ChkptMsg) and closing.vt == vt(faa=3)
+    commit = central.on_reply(mirror.vote(closing, {}))
+    trimmed, _ = mirror.commit(commit)
+    assert trimmed == 3 and len(mirror.backup) == 0

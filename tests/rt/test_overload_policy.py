@@ -568,6 +568,33 @@ def test_a_header_past_the_bound_on_the_source_fails_the_run(monkeypatch):
     assert max(pending) <= HEADER.size
 
 
+def test_hello_and_a_header_past_the_bound_in_one_read_fail_the_run():
+    """HELLO and the same header in one write: the link steps HELLO
+    before it fails, so the failure is the source's and central's run
+    ends with the codec's error (a client that does the same is only
+    hung up on: test_a_header_past_the_bound_closes_that_client_at_once)."""
+
+    async def main():
+        central = NetCentral(0)
+        tasks = TaskSupervisor()
+        writer = None
+        try:
+            port = await central.start(host=HOST)
+            running = tasks.spawn(central.run())
+            _reader, writer = await asyncio.open_connection(HOST, port)
+            writer.write(WireEncoder().encode_hello(Hello("source", "hostile"))
+                         + _PAST_THE_BOUND)
+            await asyncio.wait_for(running, timeout=5)
+        finally:
+            if writer is not None:
+                writer.close()
+            await tasks.cancel()
+            await central.close()
+
+    with pytest.raises(WireError, match="bound"):
+        run(main())
+
+
 # --------------------------------------------------------- registration scaling
 class _NullWriter:
     def is_closing(self):
