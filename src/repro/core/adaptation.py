@@ -85,13 +85,17 @@ def apply_directives(
         if d.param == PARAM_MIRROR_FUNCTION:
             registry = registry if registry is not None else default_registry()
             replacement = registry.build(d.function_name)
-            # Preserve the semantic rules of the base configuration: the
-            # function swap changes *how much* is mirrored, not the
-            # application's domain rules.
+            # Preserve the semantic rules and the snapshot serving of the
+            # base configuration: the function swap changes *how much* is
+            # mirrored, not the application's domain rules or how its
+            # clients are served.
             replacement.complex_seq = [tuple(x) for x in cfg.complex_seq]
             replacement.complex_tuple = [tuple(x) for x in cfg.complex_tuple]
             replacement.monitors = dict(cfg.monitors)
             replacement.adapt_directives = list(cfg.adapt_directives)
+            replacement.serve_cached_snapshots = cfg.serve_cached_snapshots
+            replacement.delta_snapshots = cfg.delta_snapshots
+            replacement.delta_fallback_fraction = cfg.delta_fallback_fraction
             cfg = replacement
             continue
         factor = 1.0 + d.percent / 100.0

@@ -45,9 +45,9 @@ from .adaptation import (
 )
 from .checkpoint import CONTROL_MSG_SIZE, ChkptMsg, ChkptRepMsg, CommitMsg
 from .config import MirrorConfig
-from .events import EventBatch, UpdateEvent, VectorTimestamp
+from .events import EOS, EventBatch, UpdateEvent, VectorTimestamp
 from .invariants import InvariantMonitor
-from .main_unit import EOS, MainUnit
+from .main_unit import MainUnit
 from .sitecore import CentralCore, MirrorCore
 
 __all__ = ["CentralAuxUnit", "MirrorAuxUnit", "PROMOTED_FIRST_ROUND"]
@@ -295,7 +295,7 @@ class CentralAuxUnit(_SimPrimary, CentralCore):
         """:meth:`CentralCore.apply_config`, and the main unit serves
         snapshots as the new config says."""
         CentralCore.apply_config(self, config)
-        self.main_unit.configure_snapshots(config)
+        self.main_unit.configure(config)
 
     def do_mirror(self):
         """Table-1 ``mirror()``: drain whatever is currently ready."""
@@ -681,6 +681,6 @@ class MirrorAuxUnit(_SimPrimary, MirrorCore):
             elif isinstance(payload, CommitMsg):
                 trimmed, installed = self.commit(payload)
                 if installed is not None:
-                    self.main_unit.configure_snapshots(installed)
+                    self.main_unit.configure(installed)
                 if trimmed:
                     yield from self.node.execute(costs.trim_per_event * trimmed)

@@ -24,6 +24,7 @@ __all__ = [
     "DELTA_STATUS",
     "DERIVED",
     "HANDOFF",
+    "EOS",
 ]
 
 # Well-known event kinds used throughout the OIS application.  Kinds are
@@ -37,6 +38,10 @@ DERIVED = "derived"
 #: central shards (:mod:`repro.shard`); unsharded servers apply it as a
 #: plain state update.
 HANDOFF = "ois.handoff"
+
+#: End-of-stream sentinel: the last item of every stream a site reads
+#: (sim inboxes, live inboxes, the wire's EOS frame).
+EOS = "__end_of_stream__"
 
 #: Alias kept for API readability: the Table-1 calls take an ``ev_type``.
 EventKind = str

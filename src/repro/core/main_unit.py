@@ -1,4 +1,4 @@
-"""The main unit: business logic host (§3.1).
+"""The simulated main unit (§3.1), built on :class:`MainCore`.
 
 Each site runs a *main unit* executing the application-specific code —
 the Event Derivation Engine — over the events its auxiliary unit
@@ -7,10 +7,12 @@ resulting state updates to the regular-client population; every site's
 main unit serves client initial-state requests (the mirror sites'
 "primary task", per the paper, is exactly that request service).
 
-The main unit also holds the site's half of the checkpoint protocol
-(:class:`~repro.core.checkpoint.MainUnitCheckpointer`): checkpoint
-replies are computed from *its* processing progress, because the commit
-must never cover an event some EDE has not yet applied.
+What the unit decides — apply, view choice, accounting, checkpoint
+floor — is :class:`~repro.core.maincore.MainCore`'s.  This unit adds
+the simulation: it charges the node's modelled cost around each core
+call, runs a pool of request handlers, coalesces requests onto an
+in-flight build, and transfers each view to the client over the
+modelled link.
 """
 
 from __future__ import annotations
@@ -19,23 +21,20 @@ from typing import Any, Optional
 
 from ..cluster import Message, Node, Transport
 from ..metrics import RunMetrics
-from ..ois.clients import ClientPool, InitStateRequest, InitStateResponse
+from ..ois.clients import ClientPool, InitStateRequest
 from ..ois.ede import EventDerivationEngine
-from ..sim import Environment, Interrupt, Store
-from .checkpoint import MainUnitCheckpointer
+from ..sim import Environment, Interrupt
 from .config import MirrorConfig
-from .events import UpdateEvent
+from .events import EOS, UpdateEvent
+from .maincore import MainCore
 
-__all__ = ["EOS", "MainUnit"]
-
-#: End-of-stream sentinel payload.
-EOS = "__end_of_stream__"
+__all__ = ["MainUnit"]
 
 #: Request-handler threads per site (thread-per-request server model).
 REQUEST_HANDLERS = 4
 
 
-class MainUnit:
+class MainUnit(MainCore):
     """Business-logic unit of one site.
 
     Parameters
@@ -69,8 +68,8 @@ class MainUnit:
         mirror_config: Optional[MirrorConfig] = None,
         broker: Optional[Any] = None,
     ):
+        super().__init__(site, EventDerivationEngine(), mirror_config)
         self.env = env
-        self.site = site
         self.node = node
         self.transport = transport
         self.metrics = metrics
@@ -84,8 +83,6 @@ class MainUnit:
         #: False models recovering clients reached over their own links
         #: (per-client paths, not the single modelled client ethernet)
         self.snapshot_on_wire = snapshot_on_wire
-        self.ede = EventDerivationEngine()
-        self.checkpointer = MainUnitCheckpointer(site)
         self.inbox = transport.register(f"{site}.main", node)
         self.requests = transport.register(f"{site}.requests", node)
         self._requests_in_service = 0
@@ -93,14 +90,7 @@ class MainUnit:
         #: worker); a crash reclaims these into the dead letters so a
         #: request caught mid-service is re-issued, not silently lost
         self._serving_msgs: list = []
-        self.events_processed = 0
         self.requests_served = 0
-        # snapshot fast path (configured from the MirrorConfig; aux units
-        # re-apply it on adaptation config swaps)
-        self._serve_cached = False
-        self._serve_deltas = False
-        self._delta_fraction = 0.25
-        self.configure_snapshots(mirror_config)
         # request coalescing: while a snapshot build is in flight, the
         # builder's completion event lets concurrent requests share the
         # one build instead of each paying for their own
@@ -127,20 +117,6 @@ class MainUnit:
         for _ in range(REQUEST_HANDLERS):
             self.processes.append(env.process(self._request_loop()))
 
-    # -- configuration ---------------------------------------------------
-    def configure_snapshots(self, config: Optional[MirrorConfig]) -> None:
-        """Install the snapshot-serving parameters from ``config``.
-
-        Called at construction and again whenever an aux unit swaps the
-        mirroring configuration (dynamic API change or adaptation), so
-        the fast path can be toggled cluster-wide at runtime.
-        """
-        if config is None:
-            return
-        self._serve_cached = config.serve_cached_snapshots
-        self._serve_deltas = config.delta_snapshots
-        self._delta_fraction = config.delta_fallback_fraction
-
     # -- monitoring ------------------------------------------------------
     def pending_requests(self) -> int:
         """Outstanding request count: the paper's 'application level
@@ -155,16 +131,12 @@ class MainUnit:
             return  # fail-stop crash: die between (not inside) event steps
 
     def _event_loop_body(self):
-        # loop invariants hoisted: ede / checkpointer / inbox are bound
-        # once at construction (distribute_updates is NOT — failover
+        # loop invariants hoisted (distribute_updates is NOT — failover
         # flips it at runtime, so it is read fresh each event)
         costs = self.node.costs
         execute = self.node.execute
         inbox_get = self.inbox.inbox.get
-        ede_process = self.ede.process
-        note_processed = self.checkpointer.note_processed
-        metrics = self.metrics
-        is_central = self.site == "central"
+        apply = self.apply
         while True:
             msg = yield inbox_get()
             if msg.payload == EOS:
@@ -172,11 +144,7 @@ class MainUnit:
             event: UpdateEvent = msg.payload
             self._processing_uid = event.uid
             yield from execute(costs.ede_cost(event.size))
-            outputs = ede_process(event)
-            note_processed(event.stream, event.seqno)
-            self.events_processed += 1
-            if is_central:
-                metrics.events_processed_central += 1
+            outputs = apply(event)
             if self.distribute_updates:
                 for out in outputs:
                     yield from execute(costs.update_cost(out.size))
@@ -219,92 +187,68 @@ class MainUnit:
         except Interrupt:
             return  # crash mid-service: the injector parks _serving_msgs
 
-    def _take_snapshot(self):
-        """Snapshot via the store's generation cache, keeping the
-        build/hit accounting in the run metrics."""
-        store = self.ede.state
-        builds_before = store.snapshot_builds
-        snapshot = store.snapshot(self.env.now)
-        if store.snapshot_builds > builds_before:
-            self.metrics.snapshot_builds += 1
-        else:
-            self.metrics.snapshot_cache_hits += 1
-        return snapshot
-
     def _serve_request(self, request: InitStateRequest, costs):
-        """Charge the service cost and hand off the response transfer.
+        """Charge the service cost around :meth:`MainCore.serve` and hand
+        off the response transfer.
 
-        Default path (``serve_cached_snapshots`` off) charges the full
-        build cost per request, exactly the paper's economics — the
-        store-level view cache still elides the redundant Python-side
-        rebuild, which cannot perturb simulated time.  With the fast
-        path on, cache hits and requests coalesced onto an in-flight
-        build charge only the cached-service cost, and resume-capable
-        requests can be answered with a delta view.
+        A full view is charged, then built: by default the full build
+        cost per request, exactly the paper's economics (the store's
+        view cache still elides the redundant Python-side rebuild, which
+        cannot perturb simulated time).  With ``serve_cached_snapshots``
+        on, cache hits and requests coalesced onto an in-flight build
+        pay only the cached-service cost.  A delta view is built, then
+        charged by what it turned out to be.
         """
+        execute = self.node.execute
         store = self.ede.state
         state_bytes = store.state_bytes()
-        if self._serve_deltas and getattr(request, "resumable", False):
-            builds_before = store.snapshot_builds
-            view = store.delta_snapshot(
-                self.env.now,
-                since_generation=request.resume_generation,
-                since_marks=request.resume_as_of,
-                max_fraction=self._delta_fraction,
-            )
-            built = store.snapshot_builds > builds_before
-            if built:
-                self.metrics.snapshot_builds += 1
+        fresh = store.cache_fresh
+        if self._serve_deltas and request.resumable:
+            view = self.serve(request, self.env.now)
             if view.is_delta:
-                self.metrics.delta_snapshots_served += 1
-                self.metrics.bytes_saved_by_delta += view.bytes_saved
-                yield from self.node.execute(costs.request_delta_cost(view.size))
-            elif self._serve_cached and not built:
+                yield from execute(costs.request_delta_cost(view.size))
+            elif self._serve_cached and fresh:
                 # fallback full view, served straight from the cache
-                self.metrics.snapshot_cache_hits += 1
-                yield from self.node.execute(costs.request_cached_cost(state_bytes))
+                yield from execute(costs.request_cached_cost(state_bytes))
             else:
-                yield from self.node.execute(costs.request_cost(state_bytes))
-            self.env.process(self._respond(request, view))
-            return
-        if not self._serve_cached:
+                yield from execute(costs.request_cost(state_bytes))
+        elif not self._serve_cached:
             # snapshot construction is the CPU-heavy part — this is what
             # steals cycles from event processing and perturbs the site
-            yield from self.node.execute(costs.request_cost(state_bytes))
-            snapshot = self._take_snapshot()
-        elif store.cache_fresh:
-            yield from self.node.execute(costs.request_cached_cost(state_bytes))
-            snapshot = self._take_snapshot()
+            yield from execute(costs.request_cost(state_bytes))
+            view = self.serve(request, self.env.now)
+        elif fresh:
+            yield from execute(costs.request_cached_cost(state_bytes))
+            view = self.serve(request, self.env.now)
         elif self._build_done is not None:
             # coalesce: a build is already in flight on this site — pay
             # the cached-service cost and share the builder's view
             # (capture the event first: the builder may finish, and clear
             # the slot, while this request's service cost elapses)
             done = self._build_done
-            yield from self.node.execute(costs.request_cached_cost(state_bytes))
+            yield from execute(costs.request_cached_cost(state_bytes))
             if not done.processed:
                 yield done
             # published before the event fires, and never cleared
-            snapshot = self._shared_snapshot
-            self.metrics.snapshot_cache_hits += 1
+            view = self._shared_snapshot
+            self.snapshot_cache_hits += 1
         else:
             # leader: pay the full build, publish it to any coalescers
             self._build_done = self.env.event()
-            yield from self.node.execute(costs.request_cost(state_bytes))
-            snapshot = self._take_snapshot()
-            self._shared_snapshot = snapshot
+            yield from execute(costs.request_cost(state_bytes))
+            view = self._shared_snapshot = self.serve(request, self.env.now)
             done, self._build_done = self._build_done, None
             done.succeed()
         # the transfer to the recovering client rides the client
         # link asynchronously; the next request's service starts now
-        self.env.process(self._respond(request, snapshot))
+        self.env.process(self._respond(request, view))
 
-    def _respond(self, request: "InitStateRequest", snapshot):
+    def _respond(self, request: InitStateRequest, view):
         if self.clients_endpoint is not None and self.snapshot_on_wire:
             yield from self.transport.send(
                 self.node,
                 self.clients_endpoint,
-                Message(kind="data", payload=snapshot, size=snapshot.size),
+                Message(kind="data", payload=view, size=view.size),
             )
         if self.transport.node_down(self.node.name):
             # the site died while the transfer was in flight: no response
@@ -315,18 +259,7 @@ class MainUnit:
                 Message(kind="data", payload=request, size=64)
             )
             return
-        is_delta = getattr(snapshot, "is_delta", False)
-        response = InitStateResponse(
-            client_id=request.client_id,
-            issued_at=request.issued_at,
-            served_at=self.env.now,
-            snapshot_size=snapshot.size,
-            served_by=self.site,
-            generation=getattr(snapshot, "generation", 0),
-            delta=is_delta,
-            full_size=snapshot.full_size if is_delta else snapshot.size,
-            degraded=self.degraded,
-        )
+        response = self.respond(request, view, self.env.now, self.degraded)
         if self.degraded:
             self.metrics.requests_served_degraded += 1
         self.metrics.requests_served += 1

@@ -29,9 +29,11 @@ from ..workload import RoundRobinBalancer
 from .adaptation import AdaptationController
 from .aux_unit import CentralAuxUnit, MirrorAuxUnit
 from .config import MirrorConfig
+from .events import EOS
 from .functions import FunctionRegistry, default_registry, simple_mirroring
 from .invariants import InvariantMonitor
-from .main_unit import EOS, MainUnit
+from .main_unit import MainUnit
+from .maincore import sum_accounting
 
 __all__ = ["ScenarioConfig", "ScenarioResult", "MirroredServer", "run_scenario"]
 
@@ -518,6 +520,8 @@ class MirroredServer:
         finally:
             gc.set_threshold(*gc_thresholds)
         self.metrics.total_execution_time = self.env.now
+        sum_accounting(self.metrics, self.mains.values())
+        self.metrics.events_processed_central = self.central_main.events_applied
         self.metrics.bytes_on_wire = self.network.total_bytes()
         self.metrics.wire_messages = self.transport.wire_messages
         if self.transport.size_probe is not None:

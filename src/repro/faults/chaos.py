@@ -116,7 +116,7 @@ def _common_measurements(outcome: ChaosOutcome, result: ScenarioResult) -> None:
         "events_generated": float(m.events_generated),
         "events_lost_uncommitted": float(
             m.events_generated
-            - result.server.main_of(result.server.primary_site).events_processed
+            - result.server.main_of(result.server.primary_site).events_applied
         ),
         "requests_issued": float(m.requests_issued),
         "requests_served": float(m.requests_served),

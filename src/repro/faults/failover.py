@@ -38,8 +38,7 @@ from typing import Dict, List, Optional, Set
 
 from ..cluster import Message, Node
 from ..core.checkpoint import MainUnitCheckpointer
-from ..core.events import EventBatch, UpdateEvent, VectorTimestamp
-from ..core.main_unit import EOS
+from ..core.events import EOS, EventBatch, UpdateEvent, VectorTimestamp
 from ..core.queues import BackupQueue
 from ..core.recovery import plan_client_rejoin, promote_mirror
 from ..ois.clients import InitStateRequest

@@ -30,8 +30,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..cluster import Message
-from ..core.events import EventBatch, UpdateEvent
-from ..core.main_unit import EOS
+from ..core.events import EOS, EventBatch, UpdateEvent
 from ..ois.clients import InitStateRequest
 from .plan import CRASH_SITE, PAUSE_SITE, RESTART_SITE, FaultAction, FaultPlan
 from .siteid import resolve_site

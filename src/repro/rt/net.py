@@ -109,30 +109,19 @@ if TYPE_CHECKING:
 
 from ..core.adaptation import AdaptationController
 from ..core.config import MirrorConfig
-from ..core.events import EventBatch, UpdateEvent
+from ..core.events import EOS, EventBatch, UpdateEvent
 from ..core.functions import default_registry, simple_mirroring
 from ..core.invariants import InvariantMonitor
+from ..core.maincore import sum_accounting
 from ..ois.clients import InitStateRequest, InitStateResponse
 from ..ois.flightdata import EventScript, FlightDataConfig, generate_script
 from ..shard.handoff import ShardControl, ShardTransfer
 from ..shard.partition import qualify_site
 from ..sub.messages import SubAck, Subscribe, Unsubscribe
 from ..sub.registry import SubscriptionRegistry
-from ..wire import (
-    EOS as WIRE_EOS,
-    FrameWalker,
-    Hello,
-    SharedFrameCache,
-    WireEncoder,
-)
+from ..wire import FrameWalker, Hello, SharedFrameCache, WireEncoder
 from .channels import AsyncSubscription, Channel
-from .sites import (
-    EOS,
-    MAX_RUN_EVENTS,
-    AsyncCentralSite,
-    AsyncMirrorSite,
-    _settled,
-)
+from .sites import MAX_RUN_EVENTS, AsyncCentralSite, AsyncMirrorSite, _settled
 from .tasks import TaskSupervisor
 
 __all__ = [
@@ -430,8 +419,6 @@ class NetCentral:
             participants,
             adaptation=controller, site=site_name,
         )
-        self.site.main.delta_snapshots = self.config.delta_snapshots
-        self.site.main.delta_fallback_fraction = self.config.delta_fallback_fraction
         self.connections: Dict[str, _MirrorConnection] = {}
         #: the connections a publish reaches: attached, not yet closed
         self._live: List[_MirrorConnection] = []
@@ -854,7 +841,7 @@ class _Link(asyncio.BufferedProtocol):
     def _step(self, item: Any) -> _Waiting:
         if self._ended:
             return None  # nothing counts after the end of the stream
-        if item is None or item == WIRE_EOS:
+        if item is None or item == EOS:
             self._ended = True
             item = None
         return self.role.step(item)
@@ -1140,7 +1127,8 @@ class _Client(_Role):
 
     def _answer(self, request: InitStateRequest) -> _Waiting:
         main = self.main
-        response = main._serve_one(request, getattr(main.ede, "state", None))
+        now = main.clock()
+        response = main.respond(request, main.serve(request, now), now)
         main.responses.append(response)
         self._owe(len(self.link.backlog))
         _reply(self.link, self.stats, self.encoder.encode_response, response)
@@ -1495,7 +1483,7 @@ async def _run_subscriber(
     events: List[UpdateEvent] = []
     while True:
         msg = await frames.next_message()
-        if msg is None or msg == WIRE_EOS:
+        if msg is None or msg == EOS:
             break
         if isinstance(msg, SubAck):
             acks += 1
@@ -1529,11 +1517,9 @@ class NetMirror:
         self.name = name
         self.config = config if config is not None else simple_mirroring()
         self.stats = WireStats()
-        self.site = AsyncMirrorSite(name)
+        self.site = AsyncMirrorSite(name, config=self.config)
         if self.config.check_invariants:
             self.site.monitor = InvariantMonitor()
-        self.site.main.delta_snapshots = self.config.delta_snapshots
-        self.site.main.delta_fallback_fraction = self.config.delta_fallback_fraction
         #: the uplink's put side of the main unit's inbox (the same
         #: queue), counting how often the inbox was full
         self.data_sub = AsyncSubscription(f"{name}.data", self.site.main.inbox)
@@ -1904,7 +1890,7 @@ async def run_net_scenario(
     site = central.site
     mains = cluster.mains()
     subs = [m.data_sub for m in cluster.mirrors]
-    return NetRunSummary(
+    summary = NetRunSummary(
         events_in=len(script),
         events_mirrored=site.mirrored_events,
         events_processed_central=site.main.ede.processed,
@@ -1915,10 +1901,6 @@ async def run_net_scenario(
         adaptations=site.adaptation.adaptations if site.adaptation else 0,
         reversions=site.adaptation.reversions if site.adaptation else 0,
         mirrors_lost=site.mirrors_lost,
-        snapshot_builds=sum(m.snapshot_builds for m in mains),
-        snapshot_cache_hits=sum(m.snapshot_cache_hits for m in mains),
-        delta_snapshots_served=sum(m.delta_snapshots_served for m in mains),
-        bytes_saved_by_delta=sum(m.bytes_saved_by_delta for m in mains),
         adaptation_log=list(site.adaptation_log),
         replica_digests=cluster.replica_digests(),
         wall_seconds=time.monotonic() - t0,
@@ -1928,6 +1910,8 @@ async def run_net_scenario(
         wire=stats,
         subscriber_results=subscriber_results,
     )
+    sum_accounting(summary, mains)
+    return summary
 
 
 # --------------------------------------------------------------------------

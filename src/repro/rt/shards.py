@@ -54,13 +54,13 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import MirrorConfig
-from ..core.events import UpdateEvent
+from ..core.events import EOS, UpdateEvent
 from ..ois.flightdata import EventScript, FlightDataConfig, generate_script
 from ..shard.handoff import RoutingCore, ShardTransfer, merge_digests
 from ..shard.partition import ShardMap, shard_name
 from ..sub.messages import SubAck, Subscribe
 from ..sub.predicate import Predicate, canonical, route_keys, to_nodes
-from ..wire import EOS as WIRE_EOS, Hello, WireEncoder
+from ..wire import Hello, WireEncoder
 from .net import (
     NetCluster,
     WireStats,
@@ -313,7 +313,7 @@ class IngressRouter:
         """Consume one shard's matched push stream (acks + events)."""
         while True:
             msg = await frames.next_message()
-            if msg is None or msg == WIRE_EOS:
+            if msg is None or msg == EOS:
                 break
             if isinstance(msg, SubAck):
                 self.sub_acks += 1
@@ -383,7 +383,7 @@ class IngressRouter:
         """Consume transfer replies from shard ``index``."""
         while True:
             msg = await frames.next_message()
-            if msg is None or msg == WIRE_EOS:
+            if msg is None or msg == EOS:
                 break
             if isinstance(msg, ShardTransfer):
                 # the new shard's broker must hold the moved flight's

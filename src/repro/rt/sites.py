@@ -6,12 +6,13 @@ of its own: it is what a connection's read callback calls in stream
 order, feeding the main unit's event loop — on central,
 :meth:`AsyncCentralSite.on_input` per source item (it returns what the
 caller must await, or None) and :meth:`~AsyncCentralSite.on_vote` per
-vote.  Every
-protocol decision is the simulation's own: the sites subclass the cores
-of :mod:`repro.core.sitecore` (:class:`AsyncCentralSite` a
+vote.  Every decision is the simulation's own: the sites subclass the
+cores of :mod:`repro.core.sitecore` (:class:`AsyncCentralSite` a
 :class:`~repro.core.sitecore.CentralCore`, :class:`AsyncMirrorSite` a
-:class:`~repro.core.sitecore.MirrorCore`) and publish what they return.
-:mod:`repro.rt.net` serves these sites over TCP.
+:class:`~repro.core.sitecore.MirrorCore`) and publish what they return,
+and :class:`AsyncMainUnit` is the inbox loop around a
+:class:`~repro.core.maincore.MainCore`, configured with every config
+its site installs.  :mod:`repro.rt.net` serves these sites over TCP.
 """
 
 from __future__ import annotations
@@ -27,25 +28,14 @@ from ..core.adaptation import (
     MONITOR_READY_QUEUE,
     AdaptationController,
 )
-from ..core.checkpoint import (
-    ChkptMsg,
-    ChkptRepMsg,
-    CommitMsg,
-    MainUnitCheckpointer,
-)
+from ..core.checkpoint import ChkptMsg, ChkptRepMsg, CommitMsg
 from ..core.config import MirrorConfig
-from ..core.events import EventBatch, UpdateEvent
+from ..core.events import EOS, EventBatch, UpdateEvent
 from ..core.invariants import InvariantMonitor
+from ..core.maincore import MainCore
 from ..core.sitecore import CentralCore, MirrorCore
-from ..ois.clients import InitStateRequest, InitStateResponse
 from ..ois.ede import EventDerivationEngine
-from ..shard.handoff import (
-    ShardControl,
-    ShardHandoff,
-    ShardTransfer,
-    extract_transfer,
-    install_transfer,
-)
+from ..shard.handoff import ShardControl
 from .channels import AsyncSubscription, Channel
 
 __all__ = [
@@ -55,8 +45,6 @@ __all__ = [
     "AsyncCentralSite",
     "AsyncMirrorSite",
 ]
-
-EOS = "__end_of_stream__"
 
 # -- memory budget ---------------------------------------------------------
 # Every queue is bounded and a full queue blocks its producer, so a burst
@@ -145,30 +133,25 @@ class RecentWindow:
         return self._recent[offset]
 
 
-class AsyncMainUnit:
-    """EDE host + request service for one live site."""
+class AsyncMainUnit(MainCore):
+    """A live site's main unit: its inbox loop around the
+    :class:`MainCore`.  Requests are answered by the connection that
+    reads them (``rt.net._Client``) through :meth:`MainCore.serve`."""
 
     def __init__(
         self,
         site: str,
         clock: Callable[[], float] = time.monotonic,
         inbox_bound: int = CENTRAL_INBOX_BOUND,
+        config: Optional[MirrorConfig] = None,
     ):
-        self.site = site
+        super().__init__(site, EventDerivationEngine(), config)
         self.clock = clock
         #: wall-clock seconds each initial-state request takes to serve
         #: (stands in for the snapshot-build CPU cost the simulation
         #: backend models explicitly)
         self.request_service_delay = 0.0
-        #: business logic: the airline EDE, or anything else with
-        #: process(event) -> outputs and state_digest().  Engines
-        #: exposing .state.snapshot() serve real snapshots; others get
-        #: a stub.
-        self.ede: Any = EventDerivationEngine()
-        self.checkpointer = MainUnitCheckpointer(site)
         self.inbox: asyncio.Queue = asyncio.Queue(maxsize=inbox_bound)
-        #: events taken off the inbox and applied
-        self.events_applied = 0
         #: distributed updates, their delays (seconds, with the running
         #: total) and served responses: counted, not retained
         self.updates = RecentWindow()
@@ -178,36 +161,19 @@ class AsyncMainUnit:
         #: (the monitored pending-request buffer): raised per chunk,
         #: lowered as each response is built
         self._pending_requests = 0
-        self.distribute_updates = False
-        #: delta serving to resuming clients (from the mirror config)
-        self.delta_snapshots = False
-        self.delta_fallback_fraction = 0.25
-        #: fast-path accounting (mirrors RunMetrics in the sim backend)
-        self.snapshot_builds = 0
-        self.snapshot_cache_hits = 0
-        self.delta_snapshots_served = 0
-        self.bytes_saved_by_delta = 0
-        #: cross-shard handoff (repro.shard): a central main unit with a
-        #: sink here replies to tombstones with transfer frames, written
-        #: in the turn that extracts the flight; mirrors (and unsharded
-        #: centrals) leave it None and only apply them
-        self.shard_out: Optional[Callable[[ShardTransfer], None]] = None
-        self.handoffs_out = 0
-        self.transfers_in = 0
 
     async def event_loop(self) -> None:
         """Drain the inbox through the business logic until EOS.
 
         Accepts whole :class:`EventBatch` items (a run) as well as
-        single events, paying the asyncio hop once per item.  Whatever
-        is already queued is applied back to back; the
-        loop yields to the other tasks when the inbox runs dry or after
+        single events, paying the asyncio hop once per item and applying
+        each in one :meth:`MainCore.apply_run` call; on the distributing
+        site one clock read dates every update of the run.  Whatever is
+        already queued is applied back to back; the loop yields to the
+        other tasks when the inbox runs dry or after
         :data:`EVENT_LOOP_BUDGET` events, whichever comes first."""
         inbox = self.inbox
-        ede = self.ede
-        note_processed = self.checkpointer.note_processed
-        discard = getattr(ede, "supports_discard", False)
-        count_update, time_update = self.updates.append, self.update_delays.add
+        apply_run = self.apply_run
         clock = self.clock
         applied = 0
         while True:
@@ -217,119 +183,18 @@ class AsyncMainUnit:
             if isinstance(item, ShardControl):
                 # arrives on the same queue as events, so everything
                 # enqueued before it has been applied by now
-                self._apply_shard_control(item)
+                self.shard_control(item)
                 continue
             events = item.events if isinstance(item, EventBatch) else (item,)
-            if self.distribute_updates and discard:
-                # nothing on the live path consumes the update *objects*:
-                # the engine skips building them, and each input event
-                # stands in the recent window for its copy, its derived
-                # events after the run's.  One bulk call applies the
-                # run; one clock read dates every output's delay.
-                outputs = list(events)
-                ede.process_many(
-                    events, self.checkpointer.processed_vt.advance, outputs
-                )
+            outputs = apply_run(events, self.distribute_updates)
+            if outputs:
                 now = clock()
                 self.updates.extend(outputs)
                 self.update_delays.add_all([now - out.entered_at for out in outputs])
-            elif self.distribute_updates:
-                for event in events:
-                    outputs = ede.process(event)
-                    note_processed(event.stream, event.seqno)
-                    for out in outputs:
-                        count_update(out)
-                        time_update(clock() - out.entered_at)
-            elif discard:
-                # outputs are dropped anyway: one fused bulk call skips
-                # building per-event update copies and per-event frames;
-                # advancing the checkpoint floor directly skips the
-                # note_processed wrapper (same in-place advance)
-                ede.process_many(
-                    events, self.checkpointer.processed_vt.advance
-                )
-            else:
-                for event in events:
-                    ede.process(event)
-                    note_processed(event.stream, event.seqno)
-            self.events_applied += len(events)
             applied += len(events)
             if applied >= EVENT_LOOP_BUDGET:
                 applied = 0
                 await asyncio.sleep(0)  # cooperative yield
-
-    def _apply_shard_control(self, item: ShardControl) -> None:
-        """Apply a handoff tombstone or transfer install in stream order.
-
-        A :class:`ShardHandoff` extracts + removes the flight; when this
-        unit has a ``shard_out`` sink (a central shard's main unit) the
-        resulting :class:`ShardTransfer` goes to it for the router —
-        mirrors just tombstone.  A received transfer installs the
-        flight's state ahead of its post-handoff updates.
-        """
-        if isinstance(item, ShardHandoff):
-            transfer = extract_transfer(self.ede, item)
-            self.handoffs_out += 1
-            if self.shard_out is not None:
-                self.shard_out(transfer)
-        elif isinstance(item, ShardTransfer):
-            install_transfer(self.ede, item)
-            self.transfers_in += 1
-
-    def _serve_one(
-        self, request: InitStateRequest, state: Any
-    ) -> InitStateResponse:
-        """Build the response for one request (delta path when enabled
-        and the request carries resume capability)."""
-        if state is None:
-            # engines without a state store (e.g. alternate scoreboard
-            # engines) get the stub snapshot, as before
-            return InitStateResponse(
-                client_id=request.client_id,
-                issued_at=request.issued_at,
-                served_at=self.clock(),
-                snapshot_size=2048,
-                served_by=self.site,
-            )
-        if self.delta_snapshots and getattr(request, "resumable", False):
-            builds_before = state.snapshot_builds
-            view = state.delta_snapshot(
-                self.clock(),
-                since_generation=request.resume_generation,
-                since_marks=request.resume_as_of,
-                max_fraction=self.delta_fallback_fraction,
-            )
-            if state.snapshot_builds > builds_before:
-                self.snapshot_builds += 1
-            elif not view.is_delta:
-                self.snapshot_cache_hits += 1
-            if view.is_delta:
-                self.delta_snapshots_served += 1
-                self.bytes_saved_by_delta += view.bytes_saved
-            return InitStateResponse(
-                client_id=request.client_id,
-                issued_at=request.issued_at,
-                served_at=self.clock(),
-                snapshot_size=view.size,
-                served_by=self.site,
-                generation=view.generation,
-                delta=view.is_delta,
-                full_size=view.full_size if view.is_delta else view.size,
-            )
-        builds_before = state.snapshot_builds
-        snapshot = state.snapshot(self.clock())
-        if state.snapshot_builds > builds_before:
-            self.snapshot_builds += 1
-        else:
-            self.snapshot_cache_hits += 1
-        return InitStateResponse(
-            client_id=request.client_id,
-            issued_at=request.issued_at,
-            served_at=self.clock(),
-            snapshot_size=snapshot.size,
-            served_by=self.site,
-            generation=snapshot.generation,
-        )
 
 
 class AsyncCentralSite(CentralCore):
@@ -346,7 +211,7 @@ class AsyncCentralSite(CentralCore):
         clock: Callable[[], float] = time.monotonic,
         site: str = "central",
     ):
-        self.main = AsyncMainUnit(site, clock=clock)
+        self.main = AsyncMainUnit(site, clock=clock, config=config)
         self.main.distribute_updates = True
         super().__init__(
             config, participants, self.main.checkpointer,
@@ -373,6 +238,12 @@ class AsyncCentralSite(CentralCore):
             MONITOR_BACKUP_QUEUE: float(len(self.backup)),
             MONITOR_PENDING_REQUESTS: float(self.main._pending_requests),
         }
+
+    def apply_config(self, config: MirrorConfig) -> None:
+        """:meth:`CentralCore.apply_config`, and the main unit serves as
+        the new config says."""
+        super().apply_config(config)
+        self.main.configure(config)
 
     def on_input(self, item: Any) -> Optional[Awaitable[None]]:
         """Handle one item of the source stream in the turn that reads it.
@@ -526,9 +397,14 @@ class AsyncMirrorSite(MirrorCore):
     of a main unit that applies the runs and serves requests.  No task
     of its own: the uplink queues each run on ``main.inbox``."""
 
-    def __init__(self, site: str, clock: Callable[[], float] = time.monotonic):
+    def __init__(
+        self,
+        site: str,
+        clock: Callable[[], float] = time.monotonic,
+        config: Optional[MirrorConfig] = None,
+    ):
         self.main = AsyncMainUnit(
-            site, clock=clock, inbox_bound=MIRROR_INBOX_BOUND
+            site, clock=clock, inbox_bound=MIRROR_INBOX_BOUND, config=config
         )
         super().__init__(site, self.main.checkpointer)
         self.clock = clock
@@ -553,10 +429,12 @@ class AsyncMirrorSite(MirrorCore):
         self.events_received += len(events)
 
     def on_control(self, msg: Any) -> Optional[ChkptRepMsg]:
-        """Return the vote for a CHKPT; apply a COMMIT.  Anything else
-        is ignored."""
+        """Return the vote for a CHKPT; apply a COMMIT, and serve as the
+        config it installs says.  Anything else is ignored."""
         if isinstance(msg, ChkptMsg):
             return self.vote(msg, self.monitor_readings())
         if isinstance(msg, CommitMsg):
-            self.commit(msg)
+            installed = self.commit(msg)[1]
+            if installed is not None:
+                self.main.configure(installed)
         return None

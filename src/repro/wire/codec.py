@@ -45,7 +45,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from ..core.adaptation import AdaptCommand
 from ..core.checkpoint import ChkptMsg, ChkptRepMsg, CommitMsg
 from ..core.config import MirrorConfig
-from ..core.events import EventBatch, UpdateEvent, VectorTimestamp
+from ..core.events import EOS, EventBatch, UpdateEvent, VectorTimestamp
 from ..ois.clients import InitStateRequest, InitStateResponse
 from ..ois.state import DeltaSnapshot, FlightView, StateSnapshot
 from ..shard.handoff import ShardHandoff, ShardTransfer
@@ -131,11 +131,6 @@ T_TRANSFER = 0x0F
 T_SUBSCRIBE = 0x10
 T_UNSUBSCRIBE = 0x11
 T_SUB_ACK = 0x12
-
-#: End-of-stream sentinel — the same string every backend uses, defined
-#: locally so the codec depends only on the data-model modules.
-EOS = "__end_of_stream__"
-
 
 class _Reset:
     """Marker object a decoder returns for a RESET frame (already

@@ -89,6 +89,22 @@ def test_directive_mirror_function_switch_preserves_semantics():
     assert adapted.complex_seq == [("t1", {"s": "v"}, "t2")]
 
 
+def test_directive_mirror_function_switch_keeps_snapshot_serving():
+    """Serving is not "how much is mirrored": a function swap keeps the
+    base config's snapshot-serving settings."""
+    base = selective_mirroring(overwrite_len=10)
+    base.serve_cached_snapshots = True
+    base.delta_snapshots = True
+    base.delta_fallback_fraction = 0.5
+    adapted = apply_directives(
+        base,
+        [AdaptDirective(param=PARAM_MIRROR_FUNCTION, function_name="adaptive_reduced")],
+    )
+    assert adapted.serve_cached_snapshots
+    assert adapted.delta_snapshots
+    assert adapted.delta_fallback_fraction == 0.5
+
+
 def test_adapted_config_renamed():
     cfg = adaptive_config()
     assert "adapted" in apply_directives(cfg, cfg.adapt_directives).function_name
@@ -197,3 +213,4 @@ def test_each_controller_numbers_its_own_commands():
 def test_command_action_validated():
     with pytest.raises(ValueError):
         AdaptCommand(action="explode", config=MirrorConfig(), seq=1)
+

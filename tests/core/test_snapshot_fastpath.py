@@ -93,3 +93,32 @@ def test_adaptation_config_swap_propagates_snapshot_flags():
     assert main._serve_cached
     assert main._serve_deltas
     assert main._delta_fraction == new_cfg.delta_fallback_fraction
+
+
+def test_delta_path_counts_cached_full_views_as_hits(monkeypatch):
+    """With delta serving on and the cached fast path off, a resume that
+    falls back to the full view from the cache counts as a hit: the
+    hits equal the full views served without a build."""
+    from repro.ois.state import OperationalStateStore
+
+    built_deltas = []
+    delta_snapshot = OperationalStateStore.delta_snapshot
+
+    def counting(self, *args, **kwargs):
+        builds = self.snapshot_builds
+        view = delta_snapshot(self, *args, **kwargs)
+        if view.is_delta and self.snapshot_builds > builds:
+            built_deltas.append(view)
+        return view
+
+    monkeypatch.setattr(OperationalStateStore, "delta_snapshot", counting)
+    cfg = simple_mirroring()
+    cfg.delta_snapshots = True
+    result = run_scenario(storm(cfg, delta_client_pool=4))
+    m = result.metrics
+    responses = result.server.client_pool.responses
+    assert m.requests_served == len(responses) == m.requests_issued
+    full_views = sum(not r.delta for r in responses)
+    full_builds = m.snapshot_builds - len(built_deltas)
+    assert full_views > full_builds
+    assert m.snapshot_cache_hits == full_views - full_builds

@@ -64,7 +64,7 @@ def test_central_crash_promotes_a_mirror():
         r.lost_stamped for r in result.server.fault_injector.records
     )
     new_primary = result.server.main_of(result.server.primary_site)
-    assert new_primary.events_processed + lost_stamped == m.events_generated
+    assert new_primary.events_applied + lost_stamped == m.events_generated
     assert m.events_lost_at_source == 0
 
 

@@ -56,7 +56,7 @@ def test_any_central_crash_point_is_committed_loss_free(crash_at, seed):
         r.lost_stamped for r in result.server.fault_injector.records
     )
     new_primary = result.server.main_of(result.server.primary_site)
-    assert new_primary.events_processed + lost_stamped == m.events_generated
+    assert new_primary.events_applied + lost_stamped == m.events_generated
     digests = {
         result.server.main_of(s).ede.state_digest()
         for s in ("mirror1", "mirror2")
