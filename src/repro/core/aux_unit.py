@@ -243,7 +243,7 @@ class CentralAuxUnit(_SimPrimary, CentralCore):
     ):
         CentralCore.__init__(
             self, config, participants, main_unit.checkpointer,
-            adaptation=adaptation, monitor=monitor,
+            adaptation=adaptation, monitor=monitor, main=main_unit,
         )
         self.env = env
         self.node = node
@@ -291,12 +291,6 @@ class CentralAuxUnit(_SimPrimary, CentralCore):
         ]
 
     # -- MirrorControl host interface -------------------------------------
-    def apply_config(self, config: MirrorConfig) -> None:
-        """:meth:`CentralCore.apply_config`, and the main unit serves
-        snapshots as the new config says."""
-        CentralCore.apply_config(self, config)
-        self.main_unit.configure(config)
-
     def do_mirror(self):
         """Table-1 ``mirror()``: drain whatever is currently ready."""
         return None  # mirroring is continuous; explicit calls are no-ops

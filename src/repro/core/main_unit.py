@@ -90,7 +90,6 @@ class MainUnit(MainCore):
         #: worker); a crash reclaims these into the dead letters so a
         #: request caught mid-service is re-issued, not silently lost
         self._serving_msgs: list = []
-        self.requests_served = 0
         # request coalescing: while a snapshot build is in flight, the
         # builder's completion event lets concurrent requests share the
         # one build instead of each paying for their own
@@ -183,7 +182,6 @@ class MainUnit(MainCore):
                 yield from self._serve_request(request, costs)
                 self._serving_msgs.remove(msg)
                 self._requests_in_service -= 1
-                self.requests_served += 1
         except Interrupt:
             return  # crash mid-service: the injector parks _serving_msgs
 

@@ -22,7 +22,7 @@ stamping, commit-decision and trim checks run under every driver.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
 from .adaptation import AdaptationController
 from .checkpoint import (
@@ -36,6 +36,9 @@ from .config import MirrorConfig
 from .events import UpdateEvent, VectorTimestamp
 from .invariants import InvariantMonitor
 from .queues import BackupQueue
+
+if TYPE_CHECKING:
+    from .maincore import MainCore
 
 __all__ = ["CentralCore", "MirrorCore"]
 
@@ -76,7 +79,10 @@ class _BackupSite:
 class CentralCore(_BackupSite):
     """The central site's protocol state: mirroring config and rule
     engine, backup queue, checkpoint coordinator, stamping clock,
-    processed-event count and adaptation controller."""
+    processed-event count and adaptation controller.
+
+    ``main`` is the local main unit a new config also reaches, so it
+    serves as that config says; a promoted mirror's core has none."""
 
     def __init__(
         self,
@@ -89,8 +95,10 @@ class CentralCore(_BackupSite):
         backup: Optional[BackupQueue] = None,
         stamp_clock: Optional[VectorTimestamp] = None,
         first_round: int = 1,
+        main: Optional["MainCore"] = None,
     ):
         super().__init__(site, checkpointer, monitor, backup)
+        self.main = main
         self.config = config
         self.engine = config.build_engine()
         self.adaptation = adaptation
@@ -110,6 +118,8 @@ class CentralCore(_BackupSite):
         application state, not function state."""
         self.config = config
         self.engine = config.build_engine(table=self.engine.table)
+        if self.main is not None:
+            self.main.configure(config)
 
     def stamp(self, event: UpdateEvent, now: float) -> UpdateEvent:
         """Advance the stamping clock past ``event`` and stamp it."""

@@ -94,30 +94,23 @@ class EventDerivationEngine:
         return [update] + derived
 
     def process_many(self, events, note_processed=None, derived=None) -> int:
-        """Discard-mode bulk :meth:`process` over ``events``.
+        """Discard-mode bulk apply of a run: one
+        :meth:`OperationalStateStore.apply_run` call.
 
-        Equivalent to ``process(event, emit_update=False)`` per member
-        (same state transitions, same ``processed``/``derived``
-        counters) in a single loop frame — the event loops' hot path.
-        ``note_processed(stream, seqno)`` is invoked per event when
-        given, so checkpoint floors advance exactly as in the unfused
-        loop.  The derived events are appended to ``derived`` when it is
-        a list, in order, and dropped otherwise.  Returns the number
+        The state, the ``processed``/``derived`` counters and the
+        derived events (appended to ``derived`` when it is a list, in
+        order; dropped otherwise) are those of
+        ``process(event, emit_update=False)`` per member, as of the
+        run's end.  A position fix no rule reads is not derived over,
+        and ``note_processed(stream, seqno)`` is invoked once per
+        stream with the run's highest seqno, so checkpoint floors end
+        where the per-event loop leaves them.  Returns the number
         processed.
         """
-        state_apply = self.state.apply
-        derive = self._derive
-        n = 0
-        for event in events:
-            flight = state_apply(event)
-            outputs = derive(event, flight)
-            if outputs:
-                self.derived += len(outputs)
-                if derived is not None:
-                    derived.extend(outputs)
-            n += 1
-            if note_processed is not None:
-                note_processed(event.stream, event.seqno)
+        self.derived += self.state.apply_run(
+            events, self._derive, note_processed, derived
+        )
+        n = len(events)
         self.processed += n
         return n
 

@@ -23,9 +23,19 @@ automatic fallback to the full view when the delta would not be
 meaningfully smaller.
 
 The cache relies on every mutation going through :meth:`apply`,
-:meth:`flight` (record creation) or :meth:`touch`; callers that mutate
-a :class:`FlightState` record directly after obtaining it must call
-:meth:`touch` so the generation advances.
+:meth:`apply_run`, :meth:`flight` (record creation) or :meth:`touch`;
+callers that mutate a :class:`FlightState` record directly after
+obtaining it must call :meth:`touch` so the generation advances.
+
+A run in one call
+-----------------
+A live main unit applies a whole run synchronously and serves requests
+only between runs, so :meth:`apply_run` owes per-event :meth:`apply`
+only the state at the run's end: a position fix no rule reads is
+counted where it stands, the newest fix per flight is written once,
+and each such flight is journalled and dirtied once per run.  Every
+generation a client can see is the per-event one, and a per-stream mark
+that falls inside a run resumes from the run's start.
 """
 
 from __future__ import annotations
@@ -33,7 +43,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.events import DELTA_STATUS, FAA_POSITION, UpdateEvent
 
@@ -119,6 +129,15 @@ def _drop_older_half(keys: List[Any], values: List[Any]) -> Any:
     del keys[:cut]
     del values[:cut]
     return floor
+
+
+def _partial_position(payload: Mapping[str, Any]) -> Dict[str, Any]:
+    """The position a fix without all of ``lat`` / ``lon`` / ``alt``
+    records: the ones it has, or the whole payload when it has none.
+    (A full fix is built inline on the hot paths.)"""
+    return {
+        k: payload[k] for k in ("lat", "lon", "alt") if k in payload
+    } or dict(payload)
 
 
 def _frozen_marks(marks: Mapping[str, int]) -> Mapping[str, int]:
@@ -219,9 +238,11 @@ class OperationalStateStore:
         self._log_gens: List[int] = []
         self._log_fids: List[str] = []
         self._log_floor = 0
-        # per-stream (seqnos, gens) monotone logs mapping a client's
-        # high-water mark back to the generation it covers; a mark below
-        # the stream's ``_stream_floor`` predates what the log retains
+        # per-stream (seqnos, gens) logs, seqnos increasing, mapping a
+        # client's high-water mark back to the generation it covers (a
+        # run's entry maps to the run's first generation, so its gens
+        # may dip); a mark below the stream's ``_stream_floor`` predates
+        # what the log retains
         self._stream_log: Dict[str, Tuple[List[int], List[int]]] = {}
         self._stream_floor: Dict[str, int] = {}
         # generation of the latest table change no stream carries (a
@@ -354,9 +375,7 @@ class OperationalStateStore:
                     "alt": payload["alt"],
                 }
             except KeyError:
-                st.position = {
-                    k: payload[k] for k in ("lat", "lon", "alt") if k in payload
-                } or dict(payload)
+                st.position = _partial_position(payload)
         elif event.kind.startswith(DELTA_STATUS):
             status = payload.get("status")
             if status:
@@ -375,6 +394,129 @@ class OperationalStateStore:
             if status:
                 st.status = status
         return st
+
+    def apply_run(
+        self,
+        events: Sequence[UpdateEvent],
+        derive: Callable[[UpdateEvent, FlightState], List[UpdateEvent]],
+        note: Optional[Callable[[str, int], Any]] = None,
+        derived: Optional[List[UpdateEvent]] = None,
+    ) -> int:
+        """Apply a run of events in one call; returns how many events
+        ``derive`` produced.
+
+        The live main units apply a whole run synchronously and serve a
+        request only between runs, so no view can see a state inside a
+        run; this call owes per-event :meth:`apply` only the state it
+        leaves at the run's end:
+
+        * a position fix no rule reads (no ``status`` or
+          ``passenger_boarded`` key) is counted where it stands; the
+          newest fix per flight is written once, at the end (the
+          paper's *overwrite* rule applied to state), and each such
+          flight gets one journal entry and one dirty mark;
+        * any other event goes through :meth:`apply` and then
+          ``derive(event, flight)`` at its place in the run, so a rule
+          sees exactly the per-event state; what it returns is appended
+          to ``derived`` when that is a list;
+        * ``note(stream, seqno)`` is called once per stream, with the
+          run's highest seqno.
+
+        ``generation`` ends where per-event :meth:`apply` would leave it
+        (one per event, one more per flight the run creates), and the
+        fixes' journal entries take the last generations of the run.
+        A stream's log maps the run's last seqno to the run's *first*
+        generation, so a mark that falls inside the run resumes from
+        the run's start: :meth:`generation_for` stays conservative.
+        A run of one event is :meth:`apply`, and ``derive`` unless the
+        event is such a fix: it costs no more than the per-event loop.
+        """
+        if len(events) == 1:
+            event = events[0]
+            st = self.apply(event)
+            if note is not None:
+                note(event.stream, event.seqno)
+            payload = event.payload
+            if (
+                event.kind == FAA_POSITION
+                and "status" not in payload
+                and "passenger_boarded" not in payload
+            ):
+                return 0
+            outputs = derive(event, st)
+            if derived is not None:
+                derived.extend(outputs)
+            return len(outputs)
+        flights = self._flights
+        dirty = self._dirty
+        first = self.generation + 1
+        fixes: Dict[str, Mapping[str, Any]] = {}
+        tops: Dict[str, int] = {}
+        fixed = created = n_derived = 0
+        for event in events:
+            payload = event.payload
+            if (
+                event.kind == FAA_POSITION
+                and "status" not in payload
+                and "passenger_boarded" not in payload
+            ):
+                key = event.key
+                try:
+                    flights[key].updates_applied += 1
+                except KeyError:
+                    flights[key] = FlightState(flight_id=key, updates_applied=1)
+                    dirty[key] = None  # creation order is table order
+                    created += 1
+                fixes[key] = payload
+                fixed += 1
+            else:
+                if event.kind == FAA_POSITION:
+                    fixes.pop(event.key, None)  # a later fix overwrites
+                outputs = derive(event, self.apply(event))
+                if outputs:
+                    n_derived += len(outputs)
+                    if derived is not None:
+                        derived.extend(outputs)
+            stream = event.stream
+            try:
+                if event.seqno > tops[stream]:
+                    tops[stream] = event.seqno
+            except KeyError:
+                tops[stream] = event.seqno
+        if fixed:
+            self.events_applied += fixed
+            gen = self.generation = self.generation + fixed + created
+            gens = self._log_gens
+            gens.extend(range(gen - len(fixes) + 1, gen + 1))
+            self._log_fids.extend(fixes)
+            while len(gens) >= JOURNAL_HORIZON:
+                self._log_floor = _drop_older_half(gens, self._log_fids)
+            for key, payload in fixes.items():
+                try:
+                    position = {
+                        "lat": payload["lat"],
+                        "lon": payload["lon"],
+                        "alt": payload["alt"],
+                    }
+                except KeyError:
+                    position = _partial_position(payload)
+                flights[key].position = position
+                dirty[key] = None
+        seen = self._stream_seen
+        for stream, top in tops.items():
+            if top > seen.get(stream, 0):
+                seen[stream] = top
+                log = self._stream_log.get(stream)
+                if log is None:
+                    log = self._stream_log[stream] = ([], [])
+                seqnos = log[0]
+                seqnos.append(top)
+                log[1].append(first)
+                if len(seqnos) >= JOURNAL_HORIZON:
+                    self._stream_floor[stream] = _drop_older_half(seqnos, log[1])
+            if note is not None:
+                note(stream, top)
+        return n_derived
 
     def state_bytes(self) -> int:
         """Approximate serialized size of the whole operational state."""

@@ -201,6 +201,8 @@ class AsyncCentralSite(CentralCore):
     """Live central site: the :class:`CentralCore` driven by its source
     link and its mirrors' links, in front of a main unit."""
 
+    main: AsyncMainUnit
+
     def __init__(
         self,
         config: MirrorConfig,
@@ -211,12 +213,13 @@ class AsyncCentralSite(CentralCore):
         clock: Callable[[], float] = time.monotonic,
         site: str = "central",
     ):
-        self.main = AsyncMainUnit(site, clock=clock, config=config)
-        self.main.distribute_updates = True
+        main = AsyncMainUnit(site, clock=clock, config=config)
+        main.distribute_updates = True
         super().__init__(
-            config, participants, self.main.checkpointer,
+            config, participants, main.checkpointer,
             adaptation=adaptation, site=site,
             monitor=InvariantMonitor() if config.check_invariants else None,
+            main=main,
         )
         self.clock = clock
         self.mirror_channel = mirror_channel
@@ -238,12 +241,6 @@ class AsyncCentralSite(CentralCore):
             MONITOR_BACKUP_QUEUE: float(len(self.backup)),
             MONITOR_PENDING_REQUESTS: float(self.main._pending_requests),
         }
-
-    def apply_config(self, config: MirrorConfig) -> None:
-        """:meth:`CentralCore.apply_config`, and the main unit serves as
-        the new config says."""
-        super().apply_config(config)
-        self.main.configure(config)
 
     def on_input(self, item: Any) -> Optional[Awaitable[None]]:
         """Handle one item of the source stream in the turn that reads it.

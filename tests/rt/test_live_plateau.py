@@ -141,6 +141,11 @@ async def drill():
             )
             gc.collect()
             readings.append({
+                "journal": [len(m.ede.state._log_gens) for m in mains],
+                "stream_log": [
+                    len(seqnos) for m in mains
+                    for seqnos, _ in m.ede.state._stream_log.values()
+                ],
                 "tasks": len(asyncio.all_tasks()),
                 "fds": len(os.listdir("/proc/self/fd")),
                 "heap": tracemalloc.get_traced_memory()[0],
@@ -221,10 +226,15 @@ async def drill():
 
 
 def test_live_path_plateaus(monkeypatch):
-    # The journal saws between half its horizon and all of it; at the
-    # shipped horizon one tooth is longer than a burst of this drill, so
-    # where in the tooth a burst ends would decide the heap reading.
-    monkeypatch.setattr(ois_state, "JOURNAL_HORIZON", 2048)
+    # The journal and each stream log saw between half their horizon and
+    # all of it, so where in a tooth a burst ends shows in the heap
+    # reading: every tooth must be short against a burst.  A run adds
+    # one journal entry per flight it fixes and one stream-log entry,
+    # so the stream log is the slowest: a burst adds at least
+    # BURST_EVENTS / MAX_RUN_EVENTS entries to it at every site, and
+    # half that as the horizon saws it four times a burst or more.
+    horizon = BURST_EVENTS // sites.MAX_RUN_EVENTS // 2
+    monkeypatch.setattr(ois_state, "JOURNAL_HORIZON", horizon)
     tracemalloc.start()
     try:
         asyncio.run(asyncio.wait_for(drill(), timeout=60))
